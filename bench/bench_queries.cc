@@ -8,12 +8,10 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "bench/bench_common.h"
 #include "src/common/random.h"
-#include "src/common/worker_pool.h"
 #include "src/db/exec.h"
 
 namespace moira {
@@ -442,38 +440,28 @@ void RunJoinReport() {
   std::printf("\n");
 }
 
-// --- sharded-vs-flat sweep (tentpole: hash-partitioned hot tables) ---
+// --- index upkeep on the users relation ---
 //
-// The same table at 100k and 1M rows, partitioned into 1/2/4/8 shards, under
-// a probe-heavy mix (equality on the partition key: routed to one shard) and
-// a scan-heavy mix (a ~rows/20 uid range window with a selective residual on
-// an unindexed column: fanned across every shard).  Each point reports wall
-// time AND the measured work model the acceptance gates use: modeled speedup
-// = flat rows examined / critical path, where the critical path sums, per
-// query, the busiest shard's rows examined (from the ShardRowsExamined
-// ledger).  On a multi-core host the parallel fan-out turns that model into
-// wall time; on a single-core host (like CI) wall time cannot show it, so
-// the gates bind to the model and wall time is informational.  The identical
-// query stream (fixed seed) must also match the flat table row-for-row.
+// The users relation exactly as CreateMoiraSchema builds it (five exact and
+// two folded indexes), filled at 10k and 100k rows with 300 surnames and an
+// 80/15/5% status split, so the status and folded last indexes hold long
+// duplicate runs.  Three single-row operations are timed one call at a time
+// and reported as a p50: a write to the unindexed shell column (what
+// chsh-style self-service writes touch), a write to the indexed,
+// low-cardinality status column, and a login point read.  The gate: each
+// write's p50 at 100k rows is at most 8x its p50 at 10k.  Upkeep that walks
+// a key's duplicate run grows with the run, i.e. linearly with the table;
+// exact (key, row) upkeep grows with log n and cache misses only.
 
-struct ShardSample {
-  const char* workload;
+struct UpkeepSample {
+  const char* operation;
   size_t table_rows;
-  size_t shards;
-  double ns_per_op;
-  double rows_examined_per_op;
-  double critical_path_rows_per_op;
-  double modeled_speedup_x;  // flat rows examined / this critical path
-  double wall_speedup_x;     // flat ns/op / this ns/op — informational only:
-                             // on a loaded or single-core host it understates
-                             // the model, so no gate binds to it
-  int64_t single_shard_probes;
-  int64_t fanout_scans;
-  int64_t matched_rows;
+  int samples;
+  double p50_ns;
 };
 
-std::vector<ShardSample>& ShardSamples() {
-  static auto* samples = new std::vector<ShardSample>();
+std::vector<UpkeepSample>& UpkeepSamples() {
+  static auto* samples = new std::vector<UpkeepSample>();
   return *samples;
 }
 
@@ -483,182 +471,119 @@ struct BenchGate {
   bool pass;
 };
 
-std::vector<BenchGate>& ShardGates() {
+std::vector<BenchGate>& Gates() {
   static auto* gates = new std::vector<BenchGate>();
   return *gates;
 }
 
-std::unique_ptr<Database> MakeShardBenchTable(size_t rows, size_t shards,
-                                              Table** out) {
+std::unique_ptr<Database> MakeUsersRelation(size_t rows, Table** out) {
   static SimulatedClock clock(568000000);
   auto db = std::make_unique<Database>(&clock);
-  Table* t = db->CreateShardedTable(TableSchema{"bench",
-                                                {{"uid", ColumnType::kInt},
-                                                 {"login", ColumnType::kString},
-                                                 {"flags", ColumnType::kInt}}},
-                                    "uid", shards);
-  t->CreateIndex("uid");
-  t->CreateIndex("login");
+  CreateMoiraSchema(db.get());
+  Table* users = db->GetTable(kUsersTable);
+  const int login = users->ColumnIndex("login");
+  const int users_id = users->ColumnIndex("users_id");
+  const int uid = users->ColumnIndex("uid");
+  const int shell = users->ColumnIndex("shell");
+  const int last = users->ColumnIndex("last");
+  const int status = users->ColumnIndex("status");
+  const int mit_id = users->ColumnIndex("mit_id");
+  SplitMix64 rng(45);
   for (size_t i = 0; i < rows; ++i) {
-    t->Append({static_cast<int64_t>(i), "u" + std::to_string(i),
-               static_cast<int64_t>(i % 16)});
+    Row row;
+    for (const ColumnDef& column : users->schema().columns) {
+      row.push_back(column.type == ColumnType::kInt ? Value(int64_t{0}) : Value(""));
+    }
+    const int64_t n = static_cast<int64_t>(i);
+    row[login] = Value("user" + std::to_string(i));
+    row[users_id] = Value(n + 1);
+    row[uid] = Value(n + 6500);
+    row[shell] = Value("/bin/csh");
+    row[last] = Value("Surname" + std::to_string(rng.Below(300)));
+    const uint64_t draw = rng.Below(100);
+    row[status] = Value(int64_t{draw < 80 ? 1 : draw < 95 ? 0 : 2});
+    row[mit_id] = Value("id" + std::to_string(i));
+    users->Append(std::move(row));
   }
-  *out = t;
+  *out = users;
   return db;
 }
 
-ShardSample RunShardWorkload(const char* name, bool probe_heavy, Table* t,
-                             size_t rows, size_t shards, int iterations) {
-  SplitMix64 rng(44);
-  const int64_t window = static_cast<int64_t>(rows / 20);
-  const TableStats& stats = t->stats();
-  const int64_t examined0 = stats.rows_examined;
-  const int64_t single0 = stats.single_shard_probes;
-  const int64_t fanout0 = stats.fanout_scans;
-  int64_t critical_path = 0;
-  int64_t matched = 0;
-  std::chrono::steady_clock::duration elapsed{0};
-  std::vector<int64_t> before = t->ShardRowsExamined();
+// Times `op(i)` once per iteration and returns the median call in ns.
+template <typename Op>
+double MedianNs(int iterations, Op op) {
+  std::vector<int64_t> ns(static_cast<size_t>(iterations));
   for (int i = 0; i < iterations; ++i) {
-    std::vector<Condition> conditions;
-    if (probe_heavy) {
-      conditions.push_back(Condition{0, Condition::Op::kEq,
-                                     Value(static_cast<int64_t>(rng.Below(rows))),
-                                     Value()});
-    } else {
-      int64_t lo = static_cast<int64_t>(rng.Below(rows - window));
-      conditions.push_back(
-          Condition{0, Condition::Op::kBetween, Value(lo), Value(lo + window - 1)});
-      // Residual on the unindexed flags column: examined stays ~window wide,
-      // emitted shrinks 16x.
-      conditions.push_back(
-          Condition{2, Condition::Op::kEq, Value(int64_t{7}), Value()});
-    }
     auto start = std::chrono::steady_clock::now();
-    std::vector<size_t> result = t->Match(conditions);
-    elapsed += std::chrono::steady_clock::now() - start;
-    matched += static_cast<int64_t>(result.size());
-    // Per-query critical path: the busiest shard bounds this query's latency
-    // on a shard-parallel executor.
-    std::vector<int64_t> after = t->ShardRowsExamined();
-    int64_t worst = 0;
-    for (size_t s = 0; s < after.size(); ++s) {
-      worst = std::max(worst, after[s] - before[s]);
-    }
-    critical_path += worst;
-    before = std::move(after);
+    op(i);
+    ns[static_cast<size_t>(i)] = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
   }
-  ShardSample sample;
-  sample.workload = name;
-  sample.table_rows = rows;
-  sample.shards = shards;
-  sample.ns_per_op =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-      iterations;
-  sample.rows_examined_per_op =
-      static_cast<double>(t->stats().rows_examined - examined0) / iterations;
-  sample.critical_path_rows_per_op = static_cast<double>(critical_path) / iterations;
-  sample.modeled_speedup_x = 1.0;  // filled against the flat run by the caller
-  sample.wall_speedup_x = 1.0;     // likewise
-  sample.single_shard_probes = t->stats().single_shard_probes - single0;
-  sample.fanout_scans = t->stats().fanout_scans - fanout0;
-  sample.matched_rows = matched;
-  return sample;
+  std::nth_element(ns.begin(), ns.begin() + iterations / 2, ns.end());
+  return static_cast<double>(ns[static_cast<size_t>(iterations / 2)]);
 }
 
-bool RunShardedReport() {
-  std::printf("Sharded vs flat: per-shard work model (single busiest shard = "
-              "critical path)\n");
-  std::printf("%-12s %9s %7s %12s %11s %11s %9s %8s\n", "workload", "rows",
-              "shards", "ns/op", "examined", "crit. path", "modeled", "wall");
-  struct Flat {
-    double examined_per_op;
-    double ns_per_op;
-    int64_t matched_rows;
-  };
-  // Keyed by (rows, probe_heavy) of the flat run the sharded points compare
-  // against; the sweep visits shards == 1 first.
-  std::map<std::pair<size_t, bool>, Flat> flats;
-  bool probe_work_ok = true;
-  bool probe_routing_ok = true;
-  bool results_ok = true;
-  double scan_1m_4s_speedup = 0.0;
-  double probe_1m_4s_examined = 0.0;
-  double probe_1m_flat_examined = 0.0;
-  WorkerPool pool(std::thread::hardware_concurrency());
-  for (size_t rows : {size_t{100000}, size_t{1000000}}) {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      Table* t = nullptr;
-      std::unique_ptr<Database> db = MakeShardBenchTable(rows, shards, &t);
-      if (shards > 1) {
-        db->AttachWorkerPool(&pool);
-      }
-      for (bool probe_heavy : {true, false}) {
-        const char* name = probe_heavy ? "probe_heavy" : "scan_heavy";
-        const int iters = probe_heavy ? 2000 : (rows > 500000 ? 10 : 30);
-        ShardSample s = RunShardWorkload(name, probe_heavy, t, rows, shards, iters);
-        if (shards == 1) {
-          flats[{rows, probe_heavy}] = {s.rows_examined_per_op, s.ns_per_op,
-                                        s.matched_rows};
-        }
-        const Flat& flat = flats[{rows, probe_heavy}];
-        if (s.critical_path_rows_per_op > 0) {
-          s.modeled_speedup_x = flat.examined_per_op / s.critical_path_rows_per_op;
-        }
-        if (s.ns_per_op > 0) {
-          s.wall_speedup_x = flat.ns_per_op / s.ns_per_op;
-        }
-        results_ok = results_ok && s.matched_rows == flat.matched_rows;
-        if (probe_heavy && shards > 1) {
-          // Partition-key probes must route to one shard and cost no more
-          // work than the flat table answers them with.
-          probe_work_ok =
-              probe_work_ok && s.rows_examined_per_op <= flat.examined_per_op + 0.01;
-          probe_routing_ok = probe_routing_ok &&
-                             s.single_shard_probes == iters && s.fanout_scans == 0;
-        }
-        if (rows == 1000000 && shards == 4) {
-          (probe_heavy ? probe_1m_4s_examined : scan_1m_4s_speedup) =
-              probe_heavy ? s.rows_examined_per_op : s.modeled_speedup_x;
-        }
-        if (rows == 1000000 && shards == 1 && probe_heavy) {
-          probe_1m_flat_examined = s.rows_examined_per_op;
-        }
-        std::printf("%-12s %9zu %7zu %12.0f %11.1f %11.1f %8.2fx %7.2fx\n", name,
-                    rows, shards, s.ns_per_op, s.rows_examined_per_op,
-                    s.critical_path_rows_per_op, s.modeled_speedup_x,
-                    s.wall_speedup_x);
-        ShardSamples().push_back(s);
-      }
+bool RunIndexMaintenanceReport() {
+  std::printf("Index upkeep on users (CreateMoiraSchema): p50 per call\n");
+  std::printf("%-24s %9s %10s\n", "operation", "rows", "p50 ns");
+  constexpr int kIterations = 3000;
+  std::map<std::pair<std::string, size_t>, double> p50;
+  for (size_t rows : {size_t{10000}, size_t{100000}}) {
+    Table* users = nullptr;
+    std::unique_ptr<Database> db = MakeUsersRelation(rows, &users);
+    const int shell = users->ColumnIndex("shell");
+    const int status = users->ColumnIndex("status");
+    // Inputs are drawn before timing so each sample is the table call alone.
+    SplitMix64 rng(46);
+    std::vector<size_t> targets;
+    std::vector<Value> statuses;
+    std::vector<Value> logins;
+    for (int i = 0; i < kIterations; ++i) {
+      targets.push_back(rng.Below(rows));
+      const uint64_t draw = rng.Below(100);
+      statuses.emplace_back(int64_t{draw < 80 ? 1 : draw < 95 ? 0 : 2});
+      logins.emplace_back("user" + std::to_string(rng.Below(rows)));
+    }
+    struct {
+      const char* name;
+      double ns;
+    } ops[] = {
+        {"write_unindexed_shell", MedianNs(kIterations,
+                                           [&](int i) {
+                                             users->Update(targets[i], shell,
+                                                           Value(i % 2 == 0 ? "/bin/sh"
+                                                                            : "/bin/csh"));
+                                           })},
+        {"write_indexed_status",
+         MedianNs(kIterations,
+                  [&](int i) { users->Update(targets[i], status, statuses[i]); })},
+        {"read_login_point", MedianNs(kIterations,
+                                      [&](int i) {
+                                        benchmark::DoNotOptimize(
+                                            From(users).WhereEq("login", logins[i]).Rows());
+                                      })},
+    };
+    for (const auto& op : ops) {
+      UpkeepSamples().push_back({op.name, rows, kIterations, op.ns});
+      p50[{op.name, rows}] = op.ns;
+      std::printf("%-24s %9zu %10.0f\n", op.name, rows, op.ns);
     }
   }
-  const bool scan_ok = scan_1m_4s_speedup >= 2.0;
-  ShardGates().push_back(
-      {"scan_heavy_1m_rows_4_shards_modeled_speedup_ge_2x", scan_1m_4s_speedup,
-       scan_ok});
-  ShardGates().push_back({"probe_heavy_sharded_work_no_worse_than_flat",
-                          probe_1m_4s_examined - probe_1m_flat_examined,
-                          probe_work_ok});
-  ShardGates().push_back({"partition_key_probes_route_to_one_shard",
-                          probe_routing_ok ? 1.0 : 0.0, probe_routing_ok});
-  ShardGates().push_back(
-      {"sharded_results_match_flat", results_ok ? 1.0 : 0.0, results_ok});
-  if (!scan_ok) {
-    std::printf("FAIL: scan-heavy modeled speedup %.2fx at 1M rows / 4 shards "
-                "is below the 2x gate\n", scan_1m_4s_speedup);
-  }
-  if (!probe_work_ok) {
-    std::printf("FAIL: sharded partition-key probes examine more rows than flat\n");
-  }
-  if (!probe_routing_ok) {
-    std::printf("FAIL: partition-key probes did not all route to a single shard\n");
-  }
-  if (!results_ok) {
-    std::printf("FAIL: sharded results diverge from the flat table\n");
+  bool ok = true;
+  for (const char* write : {"write_unindexed_shell", "write_indexed_status"}) {
+    const double small = p50[{write, size_t{10000}}];
+    const double ratio = p50[{write, size_t{100000}}] / (small > 0 ? small : 1.0);
+    const bool pass = ratio <= 8.0;
+    Gates().push_back({std::string(write) + "_p50_100k_over_10k_le_8x", ratio, pass});
+    if (!pass) {
+      std::printf("FAIL: %s p50 grows %.1fx from 10k to 100k rows (gate: 8x)\n", write,
+                  ratio);
+    }
+    ok = ok && pass;
   }
   std::printf("\n");
-  return scan_ok && probe_work_ok && probe_routing_ok && results_ok;
+  return ok;
 }
 
 void WriteBenchJson(const char* path) {
@@ -697,27 +622,18 @@ void WriteBenchJson(const char* path) {
                  static_cast<long long>(s.join_reorders), s.tuples_per_op,
                  i + 1 < joins.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"sharded_samples\": [\n");
-  const std::vector<ShardSample>& sharded = ShardSamples();
-  for (size_t i = 0; i < sharded.size(); ++i) {
-    const ShardSample& s = sharded[i];
+  std::fprintf(f, "  ],\n  \"index_maintenance\": [\n");
+  const std::vector<UpkeepSample>& upkeep = UpkeepSamples();
+  for (size_t i = 0; i < upkeep.size(); ++i) {
+    const UpkeepSample& s = upkeep[i];
     std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"table_rows\": %zu, \"shards\": %zu, "
-                 "\"ns_per_op\": %.1f, \"rows_examined_per_op\": %.2f, "
-                 "\"critical_path_rows_per_op\": %.2f, \"modeled_speedup_x\": %.3f, "
-                 "\"wall_ns_per_op\": %.1f, \"wall_speedup_x\": %.3f, "
-                 "\"single_shard_probes\": %lld, \"fanout_scans\": %lld, "
-                 "\"matched_rows\": %lld}%s\n",
-                 s.workload, s.table_rows, s.shards, s.ns_per_op,
-                 s.rows_examined_per_op, s.critical_path_rows_per_op,
-                 s.modeled_speedup_x, s.ns_per_op, s.wall_speedup_x,
-                 static_cast<long long>(s.single_shard_probes),
-                 static_cast<long long>(s.fanout_scans),
-                 static_cast<long long>(s.matched_rows),
-                 i + 1 < sharded.size() ? "," : "");
+                 "    {\"operation\": \"%s\", \"table_rows\": %zu, \"samples\": %d, "
+                 "\"p50_ns\": %.1f}%s\n",
+                 s.operation, s.table_rows, s.samples, s.p50_ns,
+                 i + 1 < upkeep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"gates\": [\n");
-  const std::vector<BenchGate>& gates = ShardGates();
+  const std::vector<BenchGate>& gates = Gates();
   for (size_t i = 0; i < gates.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.3f, \"pass\": %s}%s\n",
                  gates[i].name.c_str(), gates[i].value,
@@ -761,10 +677,10 @@ int main(int argc, char** argv) {
   moira::PrintRegistryReport();
   moira::RunAccessPathReport();
   moira::RunJoinReport();
-  // The sharded-vs-flat gates run even under an unmatchable
-  // --benchmark_filter, which is how scripts/check.sh --bench-smoke fails on
-  // a routing or speedup regression.
-  bool ok = moira::RunShardedReport();
+  // The index-upkeep gates run even under an unmatchable --benchmark_filter,
+  // which is how scripts/check.sh --bench-smoke fails on an upkeep
+  // regression.
+  bool ok = moira::RunIndexMaintenanceReport();
   moira::WriteBenchJson("BENCH_queries.json");
   moira::PaperSite();  // build the site outside any timing loop
   benchmark::Initialize(&argc, argv);

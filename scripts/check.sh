@@ -7,8 +7,9 @@
 # plus a replication smoke mode that runs the journal-shipping
 # replication workload under the sanitizers and fails unless its scaling,
 # read-your-writes, and convergence gates hold, plus a TSan smoke mode that
-# builds the concurrency tests (worker pool, parallel shard fan-out, server
-# batch dispatch) under ThreadSanitizer and runs them.
+# builds the concurrency tests (worker pool, chunked parallel scans and
+# concurrent readers, server batch dispatch) under ThreadSanitizer and runs
+# them.
 # A restore smoke mode exercises the checkpoint/changelog lifecycle
 # (checkpoint -> rotate -> truncate -> restart -> replica bootstrap under the
 # seeded fault plan) under the sanitizers and replays a recorded data
@@ -43,13 +44,10 @@ cd "$(dirname "$0")/.."
 if [ "$1" = "--tsan-smoke" ]; then
   BUILD_DIR="${2:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=thread >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_worker_pool --target test_shard_consistency
-  # The worker pool suite runs whole; the shard suite is narrowed to the
-  # tests that actually execute on multiple threads (parallel fan-out and
-  # server batch dispatch) — the shard-count-invariance sweeps are serial
-  # and already covered by the tier-1 run.
+  cmake --build "$BUILD_DIR" -j --target test_worker_pool --target test_parallel_reads
+  # Both suites run whole: every test in them executes on several threads.
   "$BUILD_DIR"/tests/test_worker_pool
-  "$BUILD_DIR"/tests/test_shard_consistency --gtest_filter='*Parallel*'
+  "$BUILD_DIR"/tests/test_parallel_reads
   exit 0
 fi
 

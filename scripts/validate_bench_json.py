@@ -19,11 +19,7 @@ REQUIRED_ARRAYS = {
                     "rows_examined_per_op", "rows_emitted_per_op"],
         "join_samples": ["workload", "fact_rows", "cost_based", "ns_per_op",
                          "rows_examined_per_op", "index_probes_per_op"],
-        "sharded_samples": ["workload", "table_rows", "shards", "ns_per_op",
-                            "rows_examined_per_op", "critical_path_rows_per_op",
-                            "modeled_speedup_x", "wall_ns_per_op",
-                            "wall_speedup_x", "single_shard_probes",
-                            "fanout_scans", "matched_rows"],
+        "index_maintenance": ["operation", "table_rows", "samples", "p50_ns"],
         "gates": ["name", "value", "pass"],
     },
     "bench_propagation": {

@@ -1,7 +1,7 @@
 // A relaxed atomic counter that behaves like a plain int64_t field.
 //
 // The executor's access-path statistics are bumped on const read paths that
-// may run concurrently (parallel shard scans, the server's read worker pool),
+// may run concurrently (chunked parallel scans, the server's read worker pool),
 // so the counters must be atomic; everything that *reads* them — TBLSTATS
 // materialization, benches, tests — wants plain integer semantics.  This
 // wrapper gives both: relaxed fetch_add on writes, implicit load on reads,

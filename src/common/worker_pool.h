@@ -7,10 +7,10 @@
 // rethrows the first failure after the whole batch has finished, so no task
 // is left running against destroyed stack state).
 //
-// The database layer uses a pool for fan-out shard scans and batched join
+// The database layer uses a pool for chunked full scans and batched join
 // probes (src/db), and MoiraServer uses one to execute read-only queries
-// concurrently (src/server) — see DESIGN.md "Sharding & concurrency model"
-// for the locking contract that makes those reads safe.
+// concurrently (src/server) — see DESIGN.md "Concurrency model" for the
+// locking contract that makes those reads safe.
 #ifndef MOIRA_SRC_COMMON_WORKER_POOL_H_
 #define MOIRA_SRC_COMMON_WORKER_POOL_H_
 

@@ -163,8 +163,7 @@ class MoiraContext {
 
   Database* db_;
   // Guards closures_ and closure_version_ against concurrent read-only
-  // queries resolving ACLs in parallel (see DESIGN.md "Sharding &
-  // concurrency model").
+  // queries resolving ACLs in parallel (see DESIGN.md "Concurrency model").
   std::mutex closure_mu_;
   std::map<std::pair<std::string, int64_t>, std::vector<int64_t>> closures_;
   int64_t closure_version_ = -1;

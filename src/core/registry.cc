@@ -50,9 +50,6 @@ void QueryRegistry::SeedCapacls(MoiraContext& mc, std::string_view acl_list_name
   int64_t list_id = MoiraContext::IntCell(mc.list(), list.row, "list_id");
   Table* capacls = mc.capacls();
   for (const QueryDef& def : defs_) {
-    if (def.world_ok) {
-      continue;
-    }
     capacls->Append({def.name, def.shortname, list_id});
   }
 }

@@ -69,8 +69,11 @@ class QueryRegistry {
 
   const std::vector<QueryDef>& All() const { return defs_; }
 
-  // Appends one CAPACLS row per non-world query pointing at `acl_list`
-  // ("usually the full name of a query" as capability, short name as tag).
+  // Appends one CAPACLS row per query pointing at `acl_list` ("usually the
+  // full name of a query" as capability, short name as tag).  World queries
+  // get a row too: it marks the list's members privileged there, which is
+  // how administrators see hidden lists through get_list_info and
+  // get_members_of_list.
   void SeedCapacls(MoiraContext& mc, std::string_view acl_list_name) const;
 
   // Access check only — the "Access" major request (paper section 5.3).

@@ -10,12 +10,8 @@ constexpr ColumnType kStr = ColumnType::kString;
 
 void MakeTable(Database* db, const char* name, std::vector<ColumnDef> columns,
                std::vector<const char*> indexes,
-               std::vector<const char*> folded_indexes = {},
-               const char* partition_column = nullptr, size_t shards = 1) {
-  TableSchema schema{name, std::move(columns)};
-  Table* table = (partition_column != nullptr && shards > 1)
-                     ? db->CreateShardedTable(std::move(schema), partition_column, shards)
-                     : db->CreateTable(std::move(schema));
+               std::vector<const char*> folded_indexes = {}) {
+  Table* table = db->CreateTable(TableSchema{name, std::move(columns)});
   assert(table != nullptr);
   for (const char* column : indexes) {
     table->CreateIndex(column);
@@ -27,7 +23,7 @@ void MakeTable(Database* db, const char* name, std::vector<ColumnDef> columns,
 
 }  // namespace
 
-void CreateMoiraSchema(Database* db, const SchemaOptions& options) {
+void CreateMoiraSchema(Database* db) {
   // USERS: account, finger, and pobox information (paper section 6).
   MakeTable(db, kUsersTable,
             {
@@ -47,9 +43,7 @@ void CreateMoiraSchema(Database* db, const SchemaOptions& options) {
             {"login", "users_id", "uid", "mit_id", "status"},
             // Folded-case indexes back the case-insensitive name retrievals
             // (and prefix-prune their wildcard forms).
-            {"login", "last"},
-            // Hot relation: hash-partitioned over users_id (SchemaOptions).
-            "users_id", options.users_shards);
+            {"login", "last"});
 
   MakeTable(db, kMachineTable,
             {
@@ -105,9 +99,7 @@ void CreateMoiraSchema(Database* db, const SchemaOptions& options) {
                 {"member_type", kStr},
                 {"member_id", kInt},
             },
-            {"list_id", "member_id"}, {},
-            // Hot relation: hash-partitioned over list_id (SchemaOptions).
-            "list_id", options.members_shards);
+            {"list_id", "member_id"});
 
   // last_gen_seq: the journal sequence covered by the service's last
   // successful generation pass — the low-water mark for incremental
@@ -344,7 +336,7 @@ void SeedMoiraDefaults(Database* db) {
   add_value("quota_grace", 604800);
 
   // Bootstrap administrator list; capacls rows are appended per-query by the
-  // registry when it is attached to a database (see QueryRegistry::Bind).
+  // registry (see QueryRegistry::SeedCapacls).
   Table* list = db->GetTable(kListTable);
   list->Append({
       "dbadmin", int64_t{1}, int64_t{1}, int64_t{0}, int64_t{1}, int64_t{0},

@@ -66,23 +66,12 @@ inline constexpr int64_t kUniqueUid = -1;
 inline constexpr int64_t kUniqueGid = -1;
 inline constexpr char kUniqueLogin[] = "#UNIQUE";
 
-// Shard layout for the hot relations.  users and members are the two
-// million-row tables (ROADMAP "millions of users"); each is hash-partitioned
-// over the id column its dominant probes use — users over users_id (pobox,
-// quota, and membership joins arrive by id), members over list_id (every
-// membership retrieval and the DCM list expansions arrive by list).  1 means
-// flat; results are byte-identical for any value (see table.h).
-struct SchemaOptions {
-  size_t users_shards = 4;
-  size_t members_shards = 4;
-};
-
 // Creates every Moira relation (with indexes) in `db`.  `db` must be empty.
-void CreateMoiraSchema(Database* db, const SchemaOptions& options = SchemaOptions());
+void CreateMoiraSchema(Database* db);
 
-// Seeds the alias type-checking entries, the values relation hints, the
-// "dbadmin" bootstrap list, and capacls rows pointing every privileged query
-// at dbadmin (paper sections 6 ALIAS/VALUES/CAPACLS).
+// Seeds the alias type-checking entries, the values relation hints and the
+// "dbadmin" bootstrap list (paper section 6 ALIAS/VALUES).  The CAPACLS rows
+// pointing every query at dbadmin come from QueryRegistry::SeedCapacls.
 void SeedMoiraDefaults(Database* db);
 
 }  // namespace moira

@@ -10,21 +10,8 @@ Table* Database::CreateTable(TableSchema schema) {
   if (tables_.contains(schema.name)) {
     return nullptr;
   }
-  return Install(std::make_unique<Table>(std::move(schema)));
-}
-
-Table* Database::CreateShardedTable(TableSchema schema,
-                                    std::string_view partition_column,
-                                    size_t shards) {
-  if (tables_.contains(schema.name)) {
-    return nullptr;
-  }
-  return Install(
-      std::make_unique<ShardedTable>(std::move(schema), partition_column, shards));
-}
-
-Table* Database::Install(std::unique_ptr<Table> table) {
-  std::string name = table->name();
+  std::string name = schema.name;
+  auto table = std::make_unique<Table>(std::move(schema));
   table->set_time_source([this] { return clock_->Now(); });
   table->set_worker_pool(pool_);
   Table* raw = table.get();

@@ -29,12 +29,6 @@ class Database {
   // Creates a table; returns nullptr if one with that name already exists.
   Table* CreateTable(TableSchema schema);
 
-  // Creates a hash-partitioned table over `partition_column` (see
-  // ShardedTable in table.h); `shards` == 1 degenerates to CreateTable.
-  // Returns nullptr if a table with that name already exists.
-  Table* CreateShardedTable(TableSchema schema, std::string_view partition_column,
-                            size_t shards);
-
   // Looks up a table; nullptr if absent.
   Table* GetTable(std::string_view name);
   const Table* GetTable(std::string_view name) const;
@@ -48,17 +42,15 @@ class Database {
   // Drops all rows from every table, preserving schemas and indexes.
   void ClearAllRows();
 
-  // Attaches a worker pool to every table (current and future) for parallel
-  // fan-out scans; nullptr detaches.  The pool is not owned and must outlive
-  // the database (or be detached first).
+  // Attaches a worker pool to every table (current and future) for chunked
+  // parallel full scans and batched join probes; nullptr detaches.  The pool
+  // is not owned and must outlive the database (or be detached first).
   void AttachWorkerPool(WorkerPool* pool);
   WorkerPool* worker_pool() const { return pool_; }
 
   const Clock& clock() const { return *clock_; }
 
  private:
-  Table* Install(std::unique_ptr<Table> table);
-
   const Clock* clock_;
   WorkerPool* pool_ = nullptr;
   std::vector<std::string> table_order_;

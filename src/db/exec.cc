@@ -671,8 +671,8 @@ std::vector<size_t> Selector::Rows() const {
   });
   if (stages_.size() == 1) {
     // Single stage: Match's merge point already guarantees ascending, unique
-    // storage order (every access path and shard fan-out merges there), so
-    // re-sorting would only hide a breach of that contract.  Assert instead.
+    // storage order (every access path merges there), so re-sorting would
+    // only hide a breach of that contract.  Assert instead.
     assert(std::is_sorted(out.begin(), out.end()));
     assert(std::adjacent_find(out.begin(), out.end()) == out.end());
     return out;

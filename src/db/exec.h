@@ -140,7 +140,7 @@ class Selector {
   Selector& WhereWild(std::string_view column, std::string_view pattern,
                       bool case_insensitive = false);
   // Typed predicates the planner can see into (unlike an opaque Filter,
-  // these push down into shard-local scans and cost estimation).
+  // these push down into index-backed scans and cost estimation).
   Selector& WhereNe(std::string_view column, Value operand);
   // (column & mask) != 0 — the flag-membership shape of the qualifier
   // queries (DCM-enable bits, status masks).

@@ -11,32 +11,6 @@
 namespace moira {
 namespace {
 
-// Shard hashing must be deterministic across builds and runs: the journal
-// replays rows in append order on replicas, and dumps are compared
-// byte-for-byte, so a platform-dependent std::hash would not do.  Integers
-// go through the SplitMix64 finalizer (sequential ids must not land on
-// sequential shards); strings through FNV-1a.
-uint64_t HashInt(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashBytes(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t HashValue(const Value& v) {
-  return v.is_int() ? HashInt(static_cast<uint64_t>(v.AsInt()))
-                    : HashBytes(v.AsString());
-}
-
 bool ConditionHolds(const Condition& cond, const Row& row) {
   const Value& cell = row[cond.column];
   switch (cond.op) {
@@ -77,72 +51,17 @@ bool ConditionHolds(const Condition& cond, const Row& row) {
   return false;
 }
 
-// Merges ascending per-shard runs into one ascending vector.  Shard counts
-// are single digits, so a sequential two-way merge cascade is fine.
-std::vector<size_t> MergeSortedRuns(std::vector<std::vector<size_t>>* runs) {
-  std::vector<size_t> out;
-  std::vector<size_t> tmp;
-  for (std::vector<size_t>& run : *runs) {
-    if (run.empty()) {
-      continue;
-    }
-    if (out.empty()) {
-      out = std::move(run);
-      continue;
-    }
-    tmp.clear();
-    tmp.reserve(out.size() + run.size());
-    std::merge(out.begin(), out.end(), run.begin(), run.end(),
-               std::back_inserter(tmp));
-    out.swap(tmp);
-  }
-  return out;
+// True if an entry next to `it` carries the same key, i.e. `it` is not the
+// key's only entry.
+template <typename Set>
+bool KeyHasTwin(const Set& entries, typename Set::const_iterator it) {
+  return (it != entries.begin() && !(std::prev(it)->first < it->first)) ||
+         (std::next(it) != entries.end() && !(it->first < std::next(it)->first));
 }
 
 }  // namespace
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  shard_live_.assign(1, 0);
-  shard_examined_.assign(1, 0);
-}
-
-Table::Table(TableSchema schema, std::string_view partition_column, size_t shards)
-    : schema_(std::move(schema)), shard_count_(shards == 0 ? 1 : shards) {
-  partition_col_ = ColumnIndex(partition_column);
-  // A multi-shard table without a real partition column would silently hash
-  // row[-1]; make the misconfiguration loud in every build.
-  assert(shard_count_ == 1 || partition_col_ >= 0);
-  if (partition_col_ < 0) {
-    shard_count_ = 1;
-  }
-  shard_live_.assign(shard_count_, 0);
-  shard_examined_.assign(shard_count_, 0);
-}
-
-size_t Table::ShardOfKey(const Value& key) const {
-  if (shard_count_ <= 1) {
-    return 0;
-  }
-  return static_cast<size_t>(HashValue(key) % shard_count_);
-}
-
-uint32_t Table::ShardOfRowValue(const Row& row) const {
-  if (shard_count_ <= 1 || partition_col_ < 0) {
-    return 0;
-  }
-  return static_cast<uint32_t>(ShardOfKey(row[partition_col_]));
-}
-
-std::vector<int64_t> Table::ShardLiveCounts() const { return shard_live_; }
-
-std::vector<int64_t> Table::ShardRowsExamined() const {
-  std::vector<int64_t> out;
-  out.reserve(shard_examined_.size());
-  for (const StatCounter& c : shard_examined_) {
-    out.push_back(c.load());
-  }
-  return out;
-}
+Table::Table(TableSchema schema) : schema_(std::move(schema)) {}
 
 int Table::ColumnIndex(std::string_view column) const {
   for (size_t i = 0; i < schema_.columns.size(); ++i) {
@@ -171,99 +90,70 @@ void Table::BuildIndex(int column, bool folded) {
       return;
     }
   }
-  Index index;
+  Index& index = indexes_.emplace_back();
   index.column = column;
   index.folded = folded;
-  index.shards.resize(shard_count_);
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].live) {
-      continue;
+    if (slots_[i].live) {
+      IndexInsert(&index, i);
     }
-    IndexShard& shard = index.shards[slots_[i].shard];
-    Value key = folded ? FoldCaseKey(slots_[i].row[column]) : slots_[i].row[column];
-    if (shard.entries.find(key) == shard.entries.end()) {
-      ++shard.distinct_keys;
-    }
-    shard.entries.emplace(std::move(key), i);
   }
-  indexes_.push_back(std::move(index));
 }
 
 std::vector<IndexDesc> Table::IndexDescs() const {
   std::vector<IndexDesc> out;
   out.reserve(indexes_.size());
   for (const Index& index : indexes_) {
-    IndexDesc desc;
-    desc.column = index.column;
-    desc.folded = index.folded;
-    for (const IndexShard& shard : index.shards) {
-      desc.distinct_keys += shard.distinct_keys;
-      desc.entries += shard.entries.size();
-    }
-    out.push_back(desc);
+    out.push_back(IndexDesc{index.column, index.folded, index.distinct_keys,
+                            index.entries.size()});
   }
   return out;
 }
 
 size_t Table::Append(Row row) {
   assert(row.size() == schema_.columns.size());
-  uint32_t shard = ShardOfRowValue(row);
-  slots_.push_back(Slot{std::move(row), /*live=*/true, shard});
+  slots_.push_back(Slot{std::move(row), /*live=*/true});
   size_t row_index = slots_.size() - 1;
   ++live_count_;
-  ++shard_live_[shard];
-  IndexInsert(row_index);
+  for (Index& index : indexes_) {
+    IndexInsert(&index, row_index);
+  }
   Touch(&stats_.appends);
   return row_index;
 }
 
-void Table::ReshardRow(size_t row_index) {
-  uint32_t shard = ShardOfRowValue(slots_[row_index].row);
-  if (shard != slots_[row_index].shard) {
-    --shard_live_[slots_[row_index].shard];
-    slots_[row_index].shard = shard;
-    ++shard_live_[shard];
-  }
-}
-
 void Table::Update(size_t row_index, int column, Value value) {
-  assert(IsLive(row_index));
-  IndexErase(row_index);
-  slots_[row_index].row[column] = std::move(value);
-  if (column == partition_col_) {
-    ReshardRow(row_index);
-  }
-  IndexInsert(row_index);
+  Write(row_index, column, std::move(value));
   Touch(&stats_.updates);
 }
 
 void Table::UpdateNoStats(size_t row_index, int column, Value value) {
-  assert(IsLive(row_index));
-  IndexErase(row_index);
-  slots_[row_index].row[column] = std::move(value);
-  if (column == partition_col_) {
-    ReshardRow(row_index);
-  }
-  IndexInsert(row_index);
+  Write(row_index, column, std::move(value));
 }
 
-void Table::UpdateRow(size_t row_index, Row row) {
+void Table::Write(size_t row_index, int column, Value value) {
   assert(IsLive(row_index));
-  assert(row.size() == schema_.columns.size());
-  IndexErase(row_index);
-  slots_[row_index].row = std::move(row);
-  ReshardRow(row_index);
-  IndexInsert(row_index);
-  Touch(&stats_.updates);
+  for (Index& index : indexes_) {
+    if (index.column == column) {
+      IndexErase(&index, row_index);
+    }
+  }
+  slots_[row_index].row[column] = std::move(value);
+  for (Index& index : indexes_) {
+    if (index.column == column) {
+      IndexInsert(&index, row_index);
+    }
+  }
 }
 
 void Table::Delete(size_t row_index) {
   assert(IsLive(row_index));
-  IndexErase(row_index);
+  for (Index& index : indexes_) {
+    IndexErase(&index, row_index);
+  }
   slots_[row_index].live = false;
   slots_[row_index].row.clear();
   --live_count_;
-  --shard_live_[slots_[row_index].shard];
   Touch(&stats_.deletes);
 }
 
@@ -292,12 +182,11 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
       planned_away[c] = true;
     }
   }
-  // Thread-safety: `satisfies` runs concurrently from fan-out legs; it only
-  // reads immutable state and bumps relaxed atomic counters, and every leg
-  // writes its own run vector.
+  // Thread-safety: `satisfies` runs concurrently from chunked-scan legs; it
+  // only reads immutable state and bumps relaxed atomic counters, and every
+  // leg writes its own run vector.
   auto satisfies = [&](size_t row_index) {
     ++stats_.rows_examined;
-    ++shard_examined_[slots_[row_index].shard];
     const Row& row = slots_[row_index].row;
     for (size_t c = 0; c < conditions.size(); ++c) {
       if (planned_away[c]) {
@@ -309,79 +198,29 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     }
     return true;
   };
-  // Probes one shard's run of an index for `key`.  An equal range holds rows
-  // in insertion order (an update re-inserts its row at the end), so each
-  // run is sorted to storage order before the merge.
-  auto probe_shard = [&](const IndexShard& shard, const Value& key,
-                         std::vector<size_t>* run) {
-    auto [begin, end] = shard.entries.equal_range(key);
-    for (auto it = begin; it != end; ++it) {
+  // Appends the live rows of an index run [it, end) that pass the residual
+  // predicates.
+  auto collect = [&](auto it, auto end) {
+    for (; it != end; ++it) {
       if (slots_[it->second].live && satisfies(it->second)) {
-        run->push_back(it->second);
+        out.push_back(it->second);
       }
     }
-    std::sort(run->begin(), run->end());
-  };
-  // Runs `leg` against every shard of `index` — on the worker pool when one
-  // is attached — and merges the ascending per-shard runs.
-  auto fan_out = [&](const Index& index,
-                     const std::function<void(const IndexShard&, std::vector<size_t>*)>& leg) {
-    if (shard_count_ > 1) {
-      ++stats_.fanout_scans;
-    }
-    std::vector<std::vector<size_t>> runs(shard_count_);
-    if (pool_ != nullptr && shard_count_ > 1) {
-      pool_->ParallelFor(shard_count_,
-                         [&](size_t s) { leg(index.shards[s], &runs[s]); });
-    } else {
-      for (size_t s = 0; s < shard_count_; ++s) {
-        leg(index.shards[s], &runs[s]);
-      }
-    }
-    return MergeSortedRuns(&runs);
   };
   switch (path.kind) {
     case AccessPath::Kind::kIndexEq: {
       ++stats_.index_hits;
-      const Index& index = indexes_[path.index_pos];
-      if (shard_count_ > 1 && !index.folded && index.column == partition_col_) {
-        // Exact probe on the partition column: the key's hash names the only
-        // shard that can hold matches.
-        ++stats_.single_shard_probes;
-        probe_shard(index.shards[ShardOfKey(path.eq_key)], path.eq_key, &out);
-      } else {
-        out = fan_out(index, [&](const IndexShard& shard, std::vector<size_t>* run) {
-          probe_shard(shard, path.eq_key, run);
-        });
-      }
+      // One key's run is ordered by row index: already storage order.
+      auto [begin, end] = indexes_[path.index_pos].entries.equal_range(path.eq_key);
+      collect(begin, end);
       break;
     }
     case AccessPath::Kind::kIndexIn: {
       ++stats_.set_probes;
       const Index& index = indexes_[path.index_pos];
-      const bool routed =
-          shard_count_ > 1 && !index.folded && index.column == partition_col_;
-      if (routed) {
-        ++stats_.single_shard_probes;
-      } else if (shard_count_ > 1) {
-        ++stats_.fanout_scans;
-      }
-      auto probe_into = [&](const IndexShard& shard, const Value& key) {
-        auto [begin, end] = shard.entries.equal_range(key);
-        for (auto it = begin; it != end; ++it) {
-          if (slots_[it->second].live && satisfies(it->second)) {
-            out.push_back(it->second);
-          }
-        }
-      };
       for (const Value& key : path.in_keys) {
-        if (routed) {
-          probe_into(index.shards[ShardOfKey(key)], key);
-        } else {
-          for (size_t s = 0; s < shard_count_; ++s) {
-            probe_into(index.shards[s], key);
-          }
-        }
+        auto [begin, end] = index.entries.equal_range(key);
+        collect(begin, end);
       }
       // Per-key probes arrive key-ordered, not storage-ordered; this is the
       // union's merge step (keys are distinct, so runs are disjoint).
@@ -394,51 +233,35 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
       const AccessPath::Bound& hi = path.range_upper;
       // A contradictory window (lower above upper, or a touching pair with
       // an exclusive end) is empty; skip before deriving iterators, where an
-      // inverted pair would walk off the map.
+      // inverted pair would walk off the set.
       bool empty = lo.present && hi.present &&
                    (hi.key < lo.key ||
                     (!(lo.key < hi.key) && !(lo.inclusive && hi.inclusive)));
       if (!empty) {
-        out = fan_out(indexes_[path.index_pos],
-                      [&](const IndexShard& shard, std::vector<size_t>* run) {
-          auto begin = !lo.present    ? shard.entries.begin()
-                       : lo.inclusive ? shard.entries.lower_bound(lo.key)
-                                      : shard.entries.upper_bound(lo.key);
-          auto end = !hi.present    ? shard.entries.end()
-                     : hi.inclusive ? shard.entries.upper_bound(hi.key)
-                                    : shard.entries.lower_bound(hi.key);
-          for (auto it = begin; it != end; ++it) {
-            if (slots_[it->second].live && satisfies(it->second)) {
-              run->push_back(it->second);
-            }
-          }
-          // Key order -> storage order before the merge, as for every run.
-          std::sort(run->begin(), run->end());
-        });
+        const auto& entries = indexes_[path.index_pos].entries;
+        auto begin = !lo.present    ? entries.begin()
+                     : lo.inclusive ? entries.lower_bound(lo.key)
+                                    : entries.upper_bound(lo.key);
+        auto end = !hi.present    ? entries.end()
+                   : hi.inclusive ? entries.upper_bound(hi.key)
+                                  : entries.lower_bound(hi.key);
+        collect(begin, end);
+        // Key order -> storage order.
+        std::sort(out.begin(), out.end());
       }
       break;
     }
     case AccessPath::Kind::kIndexPrefix: {
       ++stats_.prefix_scans;
-      out = fan_out(indexes_[path.index_pos],
-                    [&](const IndexShard& shard, std::vector<size_t>* run) {
-        auto it = shard.entries.lower_bound(Value(path.lower));
-        auto end = path.upper.empty() ? shard.entries.end()
-                                      : shard.entries.lower_bound(Value(path.upper));
-        for (; it != end; ++it) {
-          if (slots_[it->second].live && satisfies(it->second)) {
-            run->push_back(it->second);
-          }
-        }
-        std::sort(run->begin(), run->end());
-      });
+      const auto& entries = indexes_[path.index_pos].entries;
+      auto begin = entries.lower_bound(Value(path.lower));
+      auto end = path.upper.empty() ? entries.end() : entries.lower_bound(Value(path.upper));
+      collect(begin, end);
+      std::sort(out.begin(), out.end());
       break;
     }
     case AccessPath::Kind::kFullScan: {
       ++stats_.full_scans;
-      if (shard_count_ > 1) {
-        ++stats_.fanout_scans;  // a full scan visits every shard's rows
-      }
       const size_t n = slots_.size();
       // Chunked parallel sweep: contiguous slot ranges keep each run
       // ascending, so concatenation in chunk order is already merged.
@@ -471,11 +294,11 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     }
   }
   stats_.rows_emitted += static_cast<int64_t>(out.size());
-  // THE merge point: every path above — single-shard probe, merged fan-out,
-  // kIn union, chunked scan — must deliver ascending storage order here, so
-  // results never depend on the plan or the shard count.  Downstream
-  // consumers (Selector::Rows and the query handlers) rely on this instead
-  // of re-sorting.
+  // THE merge point: every path above — equality run, kIn union, sorted
+  // range or prefix run, chunked scan — must deliver ascending storage order
+  // here, so results never depend on the plan.  Downstream consumers
+  // (Selector::Rows and the query handlers) rely on this instead of
+  // re-sorting.
   assert(std::is_sorted(out.begin(), out.end()));
   return out;
 }
@@ -485,7 +308,6 @@ void Table::Scan(const std::function<bool(size_t, const Row&)>& visit) const {
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].live) {
       ++stats_.rows_examined;
-      ++shard_examined_[slots_[i].shard];
       // A raw sweep has no predicate: every visited row reaches the caller,
       // so it counts as emitted too, keeping the examined/emitted selectivity
       // ratio meaningful for scan-heavy callers.
@@ -502,34 +324,25 @@ void Table::Touch(int64_t* counter) {
   stats_.modtime = now_ ? now_() : 0;
 }
 
-void Table::IndexInsert(size_t row_index) {
-  for (Index& index : indexes_) {
-    IndexShard& shard = index.shards[slots_[row_index].shard];
-    Value key = index.folded ? FoldCaseKey(slots_[row_index].row[index.column])
-                             : slots_[row_index].row[index.column];
-    if (shard.entries.find(key) == shard.entries.end()) {
-      ++shard.distinct_keys;
-    }
-    shard.entries.emplace(std::move(key), row_index);
+Value Table::IndexKey(const Index& index, size_t row_index) const {
+  const Value& cell = slots_[row_index].row[index.column];
+  return index.folded ? FoldCaseKey(cell) : cell;
+}
+
+void Table::IndexInsert(Index* index, size_t row_index) {
+  auto it = index->entries.emplace(IndexKey(*index, row_index), row_index).first;
+  if (!KeyHasTwin(index->entries, it)) {
+    ++index->distinct_keys;
   }
 }
 
-void Table::IndexErase(size_t row_index) {
-  for (Index& index : indexes_) {
-    IndexShard& shard = index.shards[slots_[row_index].shard];
-    Value key = index.folded ? FoldCaseKey(slots_[row_index].row[index.column])
-                             : slots_[row_index].row[index.column];
-    auto [begin, end] = shard.entries.equal_range(key);
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == row_index) {
-        shard.entries.erase(it);
-        break;
-      }
-    }
-    if (shard.entries.find(key) == shard.entries.end()) {
-      --shard.distinct_keys;
-    }
+void Table::IndexErase(Index* index, size_t row_index) {
+  auto it = index->entries.find(IndexEntry{IndexKey(*index, row_index), row_index});
+  assert(it != index->entries.end());
+  if (!KeyHasTwin(index->entries, it)) {
+    --index->distinct_keys;
   }
+  index->entries.erase(it);
 }
 
 }  // namespace moira

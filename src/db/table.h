@@ -9,27 +9,22 @@
 // predicates (kLt/kLe/kGt/kGe/kBetween) — see src/db/exec.h for the planner
 // that chooses among them.
 //
-// Sharding.  A table may be hash-partitioned over a partition column into N
-// shards (ShardedTable, or the three-argument constructor).  Sharding is an
-// *index* organization, not a storage one: the slot vector stays global and
-// row indices are identical for any shard count, so query results are
-// byte-identical whether a table has 1 shard or 8 (the sharded-vs-flat
-// consistency suite pins this).  What changes is that every index is split
-// into per-shard runs: an exact equality probe on the partition column
-// routes to a single shard (one small multimap probe), while every other
-// path fans out across all shards and merges the per-shard runs back into
-// storage order at a single merge point.  Fan-out legs and chunked full
-// scans run on the attached WorkerPool when one is set, serially otherwise —
-// with identical results either way.  See DESIGN.md "Sharding & concurrency
-// model".
+// Each index is one ordered set of exact (key, row index) entries.  A cell
+// write therefore finds and moves its row's entry in O(log n) however long
+// the key's duplicate run is, and it touches only the indexes on the written
+// column.  An equality probe's run comes out in storage order.  Full scans
+// run in chunks on the attached WorkerPool when one is set, serially
+// otherwise, with identical results either way (DESIGN.md "Concurrency
+// model").
 #ifndef MOIRA_SRC_DB_TABLE_H_
 #define MOIRA_SRC_DB_TABLE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/stat_counter.h"
@@ -89,9 +84,9 @@ struct Condition {
 //
 // Mutation counters are plain integers: all writes are serialized on the
 // journal path (DESIGN.md locking contract).  Access-path counters are
-// bumped on const read paths that may execute concurrently (parallel shard
-// fan-out, the server's read worker pool), so they are relaxed atomics that
-// read like plain int64_t fields.
+// bumped on const read paths that may execute concurrently (the chunked
+// parallel scan, the server's read worker pool), so they are relaxed atomics
+// that read like plain int64_t fields.
 struct TableStats {
   int64_t appends = 0;
   int64_t updates = 0;
@@ -104,11 +99,6 @@ struct TableStats {
   StatCounter range_scans = 0;   // answered by an ordered-index range scan
   StatCounter full_scans = 0;    // had to visit every live row
   StatCounter set_probes = 0;    // answered by a kIn union of index probes
-
-  // Shard routing taken by Match on a sharded table (both zero when the
-  // table has a single shard).
-  StatCounter single_shard_probes = 0;  // routed to exactly one shard
-  StatCounter fanout_scans = 0;         // had to visit every shard
 
   // Work done vs. work returned across all Match calls.
   StatCounter rows_examined = 0;  // rows fetched and tested against predicates
@@ -127,13 +117,8 @@ struct TableStats {
 struct IndexDesc {
   int column = 0;
   bool folded = false;       // keys are stored case-folded (supports NoCase ops)
-  size_t distinct_keys = 0;  // live cardinality; higher means more selective.
-                             // Summed over shards, so a key that appears in k
-                             // shards counts k times — exact for a single
-                             // shard and for the partition column, an
-                             // overestimate otherwise (documented planner
-                             // bias toward such indexes; acceptable because
-                             // every candidate is biased the same way).
+  size_t distinct_keys = 0;  // exact live cardinality; higher means more
+                             // selective
   size_t entries = 0;        // live rows indexed (== Table::LiveCount())
 };
 
@@ -141,15 +126,7 @@ struct AccessPath;  // planner output; defined in src/db/exec.h
 
 class Table {
  public:
-  // A flat (single-shard) table; the historical constructor.
   explicit Table(TableSchema schema);
-
-  // A hash-partitioned table: rows are assigned to one of `shards` shards by
-  // a deterministic hash of `partition_column` (which must exist in the
-  // schema).  `shards` == 1 is exactly the flat table.
-  Table(TableSchema schema, std::string_view partition_column, size_t shards);
-
-  virtual ~Table() = default;
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -174,7 +151,8 @@ class Table {
   // Appends a row (must match the schema arity); returns its stable index.
   size_t Append(Row row);
 
-  // Overwrites one cell of a live row.
+  // Overwrites one cell of a live row, re-indexing it only in the indexes
+  // (exact and folded) on that column.
   void Update(size_t row_index, int column, Value value);
 
   // Bookkeeping write: updates the cell (and indexes) without counting in
@@ -182,9 +160,6 @@ class Table {
   // the paper's ModTime "refers only to modification by a user, not by the
   // DCM", and the incremental-generation check must not see DCM writes.
   void UpdateNoStats(size_t row_index, int column, Value value);
-
-  // Overwrites a whole row.
-  void UpdateRow(size_t row_index, Row row);
 
   // Tombstones a row.
   void Delete(size_t row_index);
@@ -201,7 +176,7 @@ class Table {
   // Returns the indices of all live rows satisfying every condition, using
   // the cheapest access path the planner finds (see src/db/exec.h).  The
   // result is always in ascending row-index (storage) order, independent of
-  // the plan and of the shard count.
+  // the plan.
   std::vector<size_t> Match(const std::vector<Condition>& conditions) const;
 
   // Executes `conditions` along a caller-supplied plan.  The Selector join
@@ -230,23 +205,9 @@ class Table {
 
   const TableStats& stats() const { return stats_; }
 
-  // --- sharding introspection ---
-  size_t shard_count() const { return shard_count_; }
-  // Column position rows are partitioned on, or -1 for a flat table.
-  int partition_column() const { return partition_col_; }
-  // The shard a key on the partition column routes to.
-  size_t ShardOfKey(const Value& key) const;
-  // The shard a live row was assigned to.
-  size_t ShardOfRow(size_t row_index) const { return slots_[row_index].shard; }
-  // Live rows per shard (size == shard_count()).
-  std::vector<int64_t> ShardLiveCounts() const;
-  // rows_examined broken down by the shard each examined row lives in
-  // (size == shard_count()).  This is the per-shard work ledger the
-  // sharded-vs-flat bench turns into a critical-path speedup model.
-  std::vector<int64_t> ShardRowsExamined() const;
-
-  // Attaches a worker pool for parallel fan-out scans; nullptr (the default)
-  // keeps execution serial.  Results are identical either way.  Not owned.
+  // Attaches a worker pool for chunked parallel full scans and the join
+  // executor's batched probes; nullptr (the default) keeps execution serial.
+  // Results are identical either way.  Not owned.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
   WorkerPool* worker_pool() const { return pool_; }
 
@@ -257,29 +218,38 @@ class Table {
   struct Slot {
     Row row;
     bool live = true;
-    uint32_t shard = 0;
   };
 
-  // One shard's run of an index: an ordered multimap from key to row index.
-  struct IndexShard {
-    size_t distinct_keys = 0;
-    std::multimap<Value, size_t> entries;
+  // Index entries are exact (key, row index) pairs.  The transparent
+  // overloads let probes and range bounds look up by key alone; one key's
+  // run is ordered by row index, i.e. storage order.
+  using IndexEntry = std::pair<Value, size_t>;
+  struct EntryLess {
+    using is_transparent = void;
+    bool operator()(const IndexEntry& a, const IndexEntry& b) const {
+      if (a.first < b.first) {
+        return true;
+      }
+      return !(b.first < a.first) && a.second < b.second;
+    }
+    bool operator()(const IndexEntry& a, const Value& key) const { return a.first < key; }
+    bool operator()(const Value& key, const IndexEntry& a) const { return key < a.first; }
   };
 
   struct Index {
-    int column;
+    int column = 0;
     bool folded = false;
-    std::vector<IndexShard> shards;  // size == shard_count_
+    size_t distinct_keys = 0;
+    std::set<IndexEntry, EntryLess> entries;
   };
 
   void Touch(int64_t* counter);
   void BuildIndex(int column, bool folded);
-  void IndexInsert(size_t row_index);
-  void IndexErase(size_t row_index);
-  uint32_t ShardOfRowValue(const Row& row) const;
-  // Re-derives a row's shard after a cell write (the partition cell may have
-  // changed); must run between IndexErase and IndexInsert.
-  void ReshardRow(size_t row_index);
+  // The cell write Update and UpdateNoStats share.
+  void Write(size_t row_index, int column, Value value);
+  Value IndexKey(const Index& index, size_t row_index) const;
+  void IndexInsert(Index* index, size_t row_index);
+  void IndexErase(Index* index, size_t row_index);
   // Executes a plan produced by PlanAccess (src/db/exec.cc), bumping the
   // access-path counters.
   std::vector<size_t> ExecutePath(const AccessPath& path,
@@ -289,27 +259,11 @@ class Table {
   std::vector<Slot> slots_;
   std::vector<Index> indexes_;
   size_t live_count_ = 0;
-  size_t shard_count_ = 1;
-  int partition_col_ = -1;
-  std::vector<int64_t> shard_live_;  // live rows per shard
   // Mutation counters are bumped by writers; the access-path counters are
   // bumped by const reads, hence mutable (and atomic — see TableStats).
   mutable TableStats stats_;
-  mutable std::vector<StatCounter> shard_examined_;  // size == shard_count_
   WorkerPool* pool_ = nullptr;
   std::function<int64_t()> now_;
-};
-
-// A hash-partitioned table.  Behaviour lives entirely in Table (the shard
-// machinery activates whenever shard_count > 1); this type exists so schema
-// code and dumps can say what a relation *is* — `new ShardedTable(schema,
-// "users_id", 4)` reads as the paper's hot-relation partitioning decision,
-// and Database::CreateShardedTable returns one.
-class ShardedTable : public Table {
- public:
-  ShardedTable(TableSchema schema, std::string_view partition_column,
-               size_t shards)
-      : Table(std::move(schema), partition_column, shards) {}
 };
 
 }  // namespace moira

@@ -39,7 +39,7 @@ struct ServerOptions {
   // bench_connection_startup to model athenareg.
   int simulated_backend_spawn_cost = 0;
   // When set, OnMessageBatch executes runs of independent read-only queries
-  // on this pool (see DESIGN.md "Sharding & concurrency model"); mutations
+  // on this pool (see DESIGN.md "Concurrency model"); mutations
   // and special requests stay serialized on the transport thread.  Null keeps
   // every request on the sequential path.
   WorkerPool* read_pool = nullptr;

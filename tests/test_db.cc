@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/strutil.h"
@@ -300,16 +302,24 @@ TEST_F(DbTest, AccessPathCountersDistinguishPaths) {
   EXPECT_EQ(1, table_->stats().range_scans);
 }
 
+// Rewriting a whole row one cell at a time moves it in the exact and folded
+// indexes of each written column.
 TEST_F(DbTest, UpdateRowKeepsIndexesConsistent) {
   table_->CreateIndex("name");
   table_->CreateFoldedIndex("name");
+  table_->CreateIndex("uid");
   size_t row = table_->Append({"Old", 1, ""});
   table_->Append({"other", 2, ""});
-  table_->UpdateRow(row, {"New", 3, "/bin/sh"});
+  table_->Update(row, 0, Value("New"));
+  table_->Update(row, 1, Value(3));
+  table_->Update(row, 2, Value("/bin/sh"));
   EXPECT_TRUE(table_->Match({Condition{0, Condition::Op::kEq, Value("Old")}}).empty());
   EXPECT_TRUE(table_->Match({Condition{0, Condition::Op::kEqNoCase, Value("old")}}).empty());
   ASSERT_EQ(1u, table_->Match({Condition{0, Condition::Op::kEq, Value("New")}}).size());
   ASSERT_EQ(1u, table_->Match({Condition{0, Condition::Op::kEqNoCase, Value("NEW")}}).size());
+  EXPECT_TRUE(table_->Match({Condition{1, Condition::Op::kEq, Value(1)}}).empty());
+  EXPECT_EQ(std::vector<size_t>{row},
+            table_->Match({Condition{1, Condition::Op::kEq, Value(3)}}));
 }
 
 TEST_F(DbTest, DeleteRemovesIndexEntries) {
@@ -576,14 +586,24 @@ TEST_F(DbDeathTest, SelectorUnknownColumnAbortsInAllBuilds) {
 }
 
 // Property: across a randomized mutation history, every Match — equality,
-// folded equality, wildcard, folded wildcard — agrees with a brute-force
-// scan that evaluates the predicates directly.
+// folded equality, wildcard, folded wildcard, ranges, sets — agrees with a
+// brute-force scan that evaluates the predicates directly, and every index's
+// cardinality statistics agree with a recount.  The history writes every
+// column through Update and UpdateNoStats: k has an exact and a folded
+// index, v an exact one, g an exact one over three values (so every erase
+// lands in a long duplicate run), n only a folded one, and s none.
 TEST_F(DbTest, RandomizedIndexConsistency) {
-  Table* t = db_.CreateTable(TableSchema{
-      "rand", {{"k", ColumnType::kString}, {"v", ColumnType::kInt}}});
+  Table* t = db_.CreateTable(TableSchema{"rand",
+                                         {{"k", ColumnType::kString},
+                                          {"v", ColumnType::kInt},
+                                          {"g", ColumnType::kInt},
+                                          {"n", ColumnType::kString},
+                                          {"s", ColumnType::kString}}});
   t->CreateIndex("k");
   t->CreateFoldedIndex("k");
   t->CreateIndex("v");
+  t->CreateIndex("g");
+  t->CreateFoldedIndex("n");
 
   uint64_t rng = 0x9e3779b97f4a7c15ull;  // deterministic: no seed plumbing
   auto next = [&rng](uint64_t bound) {
@@ -595,22 +615,38 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
     return std::string(stems[next(4)]) + std::to_string(next(25));
   };
 
-  for (int step = 0; step < 2000; ++step) {
+  auto random_cell = [&](int column) {
+    switch (column) {
+      case 0:
+      case 3:
+        return Value(random_key());
+      case 1:
+        return Value(static_cast<int64_t>(next(50)));
+      case 2:
+        return Value(static_cast<int64_t>(next(3)));
+      default:
+        return Value("s" + std::to_string(next(10)));
+    }
+  };
+
+  int64_t counted_updates = 0;
+  for (int step = 0; step < 3000; ++step) {
     switch (next(4)) {
       case 0:
-        t->Append({random_key(), static_cast<int64_t>(next(50))});
+        t->Append({random_cell(0), random_cell(1), random_cell(2), random_cell(3),
+                   random_cell(4)});
         break;
-      case 1: {
-        if (t->SlotCount() == 0) break;
-        size_t row = next(t->SlotCount());
-        if (t->IsLive(row)) t->Update(row, 0, Value(random_key()));
-        break;
-      }
+      case 1:
       case 2: {
         if (t->SlotCount() == 0) break;
         size_t row = next(t->SlotCount());
-        if (t->IsLive(row)) {
-          t->UpdateRow(row, {random_key(), static_cast<int64_t>(next(50))});
+        if (!t->IsLive(row)) break;
+        int column = static_cast<int>(next(5));
+        if (next(2) == 0) {
+          t->Update(row, column, random_cell(column));
+          ++counted_updates;
+        } else {
+          t->UpdateNoStats(row, column, random_cell(column));
         }
         break;
       }
@@ -676,10 +712,10 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
     }
     return out;
   };
+  // Match must also return storage order without help: the brute force is
+  // ascending by construction.
   auto check = [&](std::vector<Condition> conds, const char* what) {
-    std::vector<size_t> via_planner = t->Match(conds);
-    std::sort(via_planner.begin(), via_planner.end());
-    EXPECT_EQ(brute_force(conds), via_planner) << what;
+    EXPECT_EQ(brute_force(conds), t->Match(conds)) << what;
   };
 
   for (const char* probe : {"Alpha3", "beta17", "GAMMA0", "delta24", "missing9"}) {
@@ -717,6 +753,42 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
     check({Condition{0, Condition::Op::kBetween, Value("A"), Value(bound)}},
           "string kBetween");
   }
+  // The duplicate-heavy g index, the folded-only n index and unindexed s.
+  for (int64_t g : {int64_t{0}, int64_t{1}, int64_t{2}}) {
+    check({Condition{2, Condition::Op::kEq, Value(g)}}, "g kEq");
+    check({Condition{2, Condition::Op::kNe, Value(g)}}, "g kNe");
+    check({Condition{2, Condition::Op::kEq, Value(g)},
+           Condition{1, Condition::Op::kLt, Value(int64_t{20}), Value()}},
+          "g plus v window");
+  }
+  Condition g_set{2, Condition::Op::kIn, Value()};
+  g_set.operand_set = {Value(int64_t{0}), Value(int64_t{2})};
+  check({g_set}, "g kIn");
+  for (const char* probe : {"alpha3", "BETA17", "Gamma0", "missing9"}) {
+    check({Condition{3, Condition::Op::kEqNoCase, Value(probe)}}, "n kEqNoCase");
+  }
+  for (const char* pattern : {"ALPHA*", "beta1?", "*2"}) {
+    check({Condition{3, Condition::Op::kWildNoCase, Value(pattern)}}, "n kWildNoCase");
+  }
+  for (const char* probe : {"s0", "s7", "s10"}) {
+    check({Condition{4, Condition::Op::kEq, Value(probe)}}, "s kEq");
+  }
+
+  // Index statistics: entries is the live row count and distinct_keys the
+  // number of distinct (folded, for a folded index) live keys.
+  for (const IndexDesc& desc : t->IndexDescs()) {
+    std::set<Value> keys;
+    for (size_t row = 0; row < t->SlotCount(); ++row) {
+      if (t->IsLive(row)) {
+        const Value& cell = t->Cell(row, desc.column);
+        keys.insert(desc.folded ? FoldCaseKey(cell) : cell);
+      }
+    }
+    EXPECT_EQ(t->LiveCount(), desc.entries) << "column " << desc.column;
+    EXPECT_EQ(keys.size(), desc.distinct_keys)
+        << "column " << desc.column << (desc.folded ? " folded" : "");
+  }
+  EXPECT_EQ(counted_updates, t->stats().updates);
 }
 
 // --- cost-based join planning ---

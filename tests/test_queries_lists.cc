@@ -123,6 +123,29 @@ TEST_F(ListQueriesTest, HiddenListVisibility) {
   EXPECT_EQ(1u, names.size());
 }
 
+// Members of dbadmin hold a capability on every query, world queries
+// included, so they see hidden lists; a non-member is still refused.
+TEST_F(ListQueriesTest, DbadminMemberSeesHiddenList) {
+  AddActiveUser("keeper", 106);
+  AddActiveUser("outsider", 107);
+  AddActiveUser("opsadmin", 110);
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"dbadmin", "USER", "opsadmin"}));
+  QueryRegistry::Instance().SeedCapacls(*mc_, "dbadmin");
+  MakeList("secret", "0", "1", "0", "USER", "keeper");
+  ASSERT_EQ(MR_SUCCESS, Run("keeper", "add_member_to_list", {"secret", "USER", "keeper"}));
+  std::vector<Tuple> info;
+  ASSERT_EQ(MR_SUCCESS, Run("opsadmin", "get_list_info", {"secret"}, &info));
+  ASSERT_EQ(1u, info.size());
+  EXPECT_EQ("secret", info[0][0]);
+  EXPECT_EQ("1", info[0][3]);  // hidden
+  std::vector<Tuple> members;
+  ASSERT_EQ(MR_SUCCESS, Run("opsadmin", "get_members_of_list", {"secret"}, &members));
+  ASSERT_EQ(1u, members.size());
+  EXPECT_EQ((Tuple{"USER", "keeper"}), members[0]);
+  EXPECT_EQ(MR_NO_MATCH, Run("outsider", "get_list_info", {"secret"}));
+  EXPECT_EQ(MR_PERM, Run("outsider", "get_members_of_list", {"secret"}));
+}
+
 TEST_F(ListQueriesTest, WildcardGetListInfoRequiresPrivilege) {
   MakeList("wild-a");
   MakeList("wild-b");

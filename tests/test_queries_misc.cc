@@ -153,20 +153,13 @@ TEST_F(MiscQueriesTest, TableStatisticsReportAccessPaths) {
   for (const Tuple& t : tuples) {
     // table, appends, updates, deletes, index_hits, prefix_scans,
     // range_scans, full_scans, rows_examined, rows_emitted, join_reorders,
-    // probe_cache_hits, shards, single_shard_probes, fanout_scans,
-    // set_probes.
-    ASSERT_EQ(16u, t.size());
+    // probe_cache_hits, set_probes.
+    ASSERT_EQ(13u, t.size());
     if (t[0] == "users") {
       found_users = true;
-      EXPECT_NE("0", t[1]);   // appends from AddActiveUser
-      EXPECT_NE("0", t[4]);   // index_hits from get_user_by_login
-      EXPECT_NE("0", t[9]);   // rows_emitted
-      EXPECT_EQ("4", t[12]);  // default SchemaOptions shard the users table
-      // AddActiveUser's id-allocation uniqueness probes hit the partition
-      // column (users_id), so they route to a single shard; the login-index
-      // lookup is not partition-aligned and fans across shards.
-      EXPECT_NE("0", t[13]);
-      EXPECT_NE("0", t[14]);
+      EXPECT_NE("0", t[1]);  // appends from AddActiveUser
+      EXPECT_NE("0", t[4]);  // index_hits from get_user_by_login
+      EXPECT_NE("0", t[9]);  // rows_emitted
     }
   }
   EXPECT_TRUE(found_users);

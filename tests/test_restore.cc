@@ -539,7 +539,12 @@ TEST_F(RecoveryTest, PointInTimeRestoreMatchesReferenceDumps) {
 class RestoreE2ETest : public MoiraEnv {
  protected:
   void SetUp() override {
-    root_ = TempDir("restore-e2e");
+    // One directory per test: ctest -j runs the cases concurrently, and
+    // TempDir wipes the directory it returns.
+    const std::string name =
+        std::string("restore-e2e-") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    root_ = TempDir(name.c_str());
     options_.data_dir = root_.string();
     primary_ = std::make_unique<MoiraServer>(mc_.get(), realm_.get(), options_);
     ASSERT_EQ(0, primary_->journal().AttachDirectory(root_.string()));
