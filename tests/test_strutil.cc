@@ -64,6 +64,14 @@ struct WildcardCase {
   bool matches;
 };
 
+// Prints the case as its literals. Without it gtest prints the struct's raw
+// bytes (two string addresses and uninitialised padding), so the test names
+// that gtest_discover_tests derives from it changed with every load address.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "{\"" << c.pattern << "\", \"" << c.value << "\", "
+      << (c.matches ? "true" : "false") << "}";
+}
+
 class WildcardTest : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(WildcardTest, MatchesExpected) {
