@@ -7,9 +7,9 @@
 # plus a replication smoke mode that runs the journal-shipping
 # replication workload under the sanitizers and fails unless its scaling,
 # read-your-writes, and convergence gates hold, plus a TSan smoke mode that
-# builds the concurrency tests (worker pool, chunked parallel scans and
-# concurrent readers, server batch dispatch) under ThreadSanitizer and runs
-# them.
+# builds the TCP transport suite under ThreadSanitizer and runs it whole:
+# its clients run on other threads than the server's poll loop, and one case
+# reads the server's counters while that loop runs.
 # A restore smoke mode exercises the checkpoint/changelog lifecycle
 # (checkpoint -> rotate -> truncate -> restart -> replica bootstrap under the
 # seeded fault plan) under the sanitizers and replays a recorded data
@@ -44,10 +44,10 @@ cd "$(dirname "$0")/.."
 if [ "$1" = "--tsan-smoke" ]; then
   BUILD_DIR="${2:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=thread >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_worker_pool --target test_parallel_reads
-  # Both suites run whole: every test in them executes on several threads.
-  "$BUILD_DIR"/tests/test_worker_pool
-  "$BUILD_DIR"/tests/test_parallel_reads
+  cmake --build "$BUILD_DIR" -j --target test_tcp
+  # The whole suite: requests execute on the poll-loop thread only, and
+  # every other thread is a client or a reader of the StatCounters.
+  "$BUILD_DIR"/tests/test_tcp
   exit 0
 fi
 

@@ -1,8 +1,9 @@
 // A relaxed atomic counter that behaves like a plain int64_t field.
 //
-// The executor's access-path statistics are bumped on const read paths that
-// may run concurrently (chunked parallel scans, the server's read worker pool),
-// so the counters must be atomic; everything that *reads* them — TBLSTATS
+// One thread executes every request and bumps these counters, but other
+// threads read them while it runs: a benchmark or test client polling
+// MoiraServer::stats() or access_path_stats() on the server it drives.  So
+// the counters are atomic, while everything that reads them — TBLSTATS
 // materialization, benches, tests — wants plain integer semantics.  This
 // wrapper gives both: relaxed fetch_add on writes, implicit load on reads,
 // and a copying constructor so aggregate stats structs stay copyable.

@@ -134,10 +134,6 @@ int64_t MoiraContext::MembersVersion() const {
 
 const std::vector<int64_t>& MoiraContext::ContainingListClosure(std::string_view type,
                                                                 int64_t id) {
-  // One lock covers lookup, fill, and invalidation: closure computation is a
-  // handful of indexed probes, so serializing concurrent fills is cheaper
-  // than racing duplicate computations and reconciling them.
-  std::lock_guard<std::mutex> lock(closure_mu_);
   const int64_t version = MembersVersion();
   if (version != closure_version_) {
     if (!closures_.empty()) {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,8 +30,8 @@ struct RowRef {
 };
 
 // Counters for the memoized list-closure cache (ContainingListClosure).
-// Atomic because they are bumped under the closure mutex but read without it
-// (access_path_stats aggregation while parallel readers run).
+// StatCounters because MoiraServer::access_path_stats() reads them from
+// whatever thread asks, while the request thread may be bumping them.
 struct ListClosureStats {
   StatCounter hits = 0;           // lookups answered from a memoized closure
   StatCounter misses = 0;         // lookups that computed a fresh closure
@@ -121,12 +120,6 @@ class MoiraContext {
   // lazily invalidates everything on the next lookup; the returned
   // reference is only valid until then.  Backs IsUserInList (src/core/acl.cc),
   // recursive get_lists_of_member, and RUSER/RLIST ACE expansion.
-  //
-  // Safe to call from concurrent read-only queries: lookups and cache fills
-  // serialize on an internal mutex, and the invalidating version can only
-  // advance on the serialized mutation path, so a returned reference stays
-  // valid for the remainder of the read batch (std::map inserts do not move
-  // other nodes).
   const std::vector<int64_t>& ContainingListClosure(std::string_view type, int64_t id);
 
   const ListClosureStats& closure_stats() const { return closure_stats_; }
@@ -162,9 +155,6 @@ class MoiraContext {
   int64_t MembersVersion() const;
 
   Database* db_;
-  // Guards closures_ and closure_version_ against concurrent read-only
-  // queries resolving ACLs in parallel (see DESIGN.md "Concurrency model").
-  std::mutex closure_mu_;
   std::map<std::pair<std::string, int64_t>, std::vector<int64_t>> closures_;
   int64_t closure_version_ = -1;
   ListClosureStats closure_stats_;

@@ -13,18 +13,10 @@ Table* Database::CreateTable(TableSchema schema) {
   std::string name = schema.name;
   auto table = std::make_unique<Table>(std::move(schema));
   table->set_time_source([this] { return clock_->Now(); });
-  table->set_worker_pool(pool_);
   Table* raw = table.get();
   tables_.emplace(name, std::move(table));
   table_order_.push_back(name);
   return raw;
-}
-
-void Database::AttachWorkerPool(WorkerPool* pool) {
-  pool_ = pool;
-  for (auto& [name, table] : tables_) {
-    table->set_worker_pool(pool);
-  }
 }
 
 Table* Database::GetTable(std::string_view name) {

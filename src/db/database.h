@@ -42,17 +42,10 @@ class Database {
   // Drops all rows from every table, preserving schemas and indexes.
   void ClearAllRows();
 
-  // Attaches a worker pool to every table (current and future) for chunked
-  // parallel full scans and batched join probes; nullptr detaches.  The pool
-  // is not owned and must outlive the database (or be detached first).
-  void AttachWorkerPool(WorkerPool* pool);
-  WorkerPool* worker_pool() const { return pool_; }
-
   const Clock& clock() const { return *clock_; }
 
  private:
   const Clock* clock_;
-  WorkerPool* pool_ = nullptr;
   std::vector<std::string> table_order_;
   std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
 };

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "src/common/strutil.h"
-#include "src/common/worker_pool.h"
 
 namespace moira {
 namespace {
@@ -504,14 +503,16 @@ bool Selector::ExecuteJoin(
     std::sort(tuple_order.begin(), tuple_order.end(),
               [&](size_t a, size_t b) { return key_of(a) < key_of(b); });
 
-    // Group the sorted tuples by distinct key: one probe per group, with the
-    // duplicates inside a group served from that probe's result (counted as
-    // probe_cache_hits, the batched distinct-key cache).
-    struct KeyGroup {
-      size_t begin = 0;  // range [begin, end) in tuple_order
-      size_t end = 0;
-    };
-    std::vector<KeyGroup> groups;
+    // Walk the sorted tuples one distinct key at a time: one probe per key,
+    // with the duplicates of that key served from its result (counted as
+    // probe_cache_hits, the batched distinct-key cache).  The plan is made
+    // for the first key and reused for the rest: PlanAccess ranks candidates
+    // by index statistics and ops alone, never by operand value.
+    AccessPath plan;
+    bool plan_probes_key = false;
+    bool plan_key_folded = false;
+    std::vector<size_t> matches;
+    next_tuples.clear();
     for (size_t i = 0; i < ntuples;) {
       const Value& key = key_of(tuple_order[i]);
       size_t j = i + 1;
@@ -522,68 +523,29 @@ bool Selector::ExecuteJoin(
         }
         ++j;
       }
-      groups.push_back(KeyGroup{i, j});
-      i = j;
-    }
-
-    // Plan the stage once against the first group's key; every other group
-    // reuses the plan with the probe key patched.  PlanAccess ranks
-    // candidates by index statistics and ops alone, never by operand value,
-    // so the plan is reusable across keys.
-    AccessPath plan;
-    bool plan_probes_key = false;
-    bool plan_key_folded = false;
-    if (!groups.empty()) {
-      conds[key_slot].operand = key_of(tuple_order[0]);
-      plan = PlanAccess(*stage.table, conds);
-      plan_probes_key =
-          plan.kind == AccessPath::Kind::kIndexEq && plan.cond_pos == key_slot;
-      if (plan_probes_key) {
-        plan_key_folded = stage.table->IndexDescs()[plan.index_pos].folded;
+      conds[key_slot].operand = key;
+      if (i == 0) {
+        plan = PlanAccess(*stage.table, conds);
+        plan_probes_key =
+            plan.kind == AccessPath::Kind::kIndexEq && plan.cond_pos == key_slot;
+        if (plan_probes_key) {
+          plan_key_folded = stage.table->IndexDescs()[plan.index_pos].folded;
+        }
+      } else if (plan_probes_key) {
+        plan.eq_key = plan_key_folded ? FoldCaseKey(key) : key;
       }
-    }
-
-    std::vector<std::vector<size_t>> group_matches(groups.size());
-    auto probe_group = [&](size_t g) {
-      const Value& key = key_of(tuple_order[groups[g].begin]);
-      std::vector<Condition> local_conds = conds;
-      local_conds[key_slot].operand = key;
-      AccessPath local_plan = plan;
-      if (plan_probes_key) {
-        local_plan.eq_key = plan_key_folded ? FoldCaseKey(key) : key;
-      }
-      for (size_t row : stage.table->Match(local_conds, local_plan)) {
+      matches.clear();
+      for (size_t row : stage.table->Match(conds, plan)) {
         if (PassesFilters(stage, row)) {
-          group_matches[g].push_back(row);
+          matches.push_back(row);
         }
       }
-    };
-    // Distinct-key probes are independent of each other, so a stage with
-    // enough groups runs them on the table's worker pool (each task writes
-    // only its own group_matches slot; Match only bumps atomic counters).
-    // Opaque Filter lambdas are the exception — they may touch shared caller
-    // state — so a filtered stage stays serial.
-    WorkerPool* pool = stage.table->worker_pool();
-    constexpr size_t kParallelProbeMinGroups = 8;
-    if (pool != nullptr && stage.filters.empty() &&
-        groups.size() >= kParallelProbeMinGroups) {
-      pool->ParallelFor(groups.size(), probe_group);
-    } else {
-      for (size_t g = 0; g < groups.size(); ++g) {
-        probe_group(g);
+      if (j - i > 1) {
+        stage.table->NoteProbeCacheHits(static_cast<int64_t>(j - i - 1));
       }
-    }
-
-    next_tuples.clear();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const KeyGroup& group = groups[g];
-      if (group.end - group.begin > 1) {
-        stage.table->NoteProbeCacheHits(
-            static_cast<int64_t>(group.end - group.begin - 1));
-      }
-      for (size_t gi = group.begin; gi < group.end; ++gi) {
-        const size_t ti = tuple_order[gi];
-        for (size_t row : group_matches[g]) {
+      for (; i < j; ++i) {
+        const size_t ti = tuple_order[i];
+        for (size_t row : matches) {
           next_tuples.insert(next_tuples.end(), tuples.begin() + ti * n,
                              tuples.begin() + (ti + 1) * n);
           next_tuples[next_tuples.size() - n + t] = row;

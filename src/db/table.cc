@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "src/common/strutil.h"
-#include "src/common/worker_pool.h"
 #include "src/db/exec.h"
 
 namespace moira {
@@ -182,9 +181,6 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
       planned_away[c] = true;
     }
   }
-  // Thread-safety: `satisfies` runs concurrently from chunked-scan legs; it
-  // only reads immutable state and bumps relaxed atomic counters, and every
-  // leg writes its own run vector.
   auto satisfies = [&](size_t row_index) {
     ++stats_.rows_examined;
     const Row& row = slots_[row_index].row;
@@ -262,32 +258,9 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     }
     case AccessPath::Kind::kFullScan: {
       ++stats_.full_scans;
-      const size_t n = slots_.size();
-      // Chunked parallel sweep: contiguous slot ranges keep each run
-      // ascending, so concatenation in chunk order is already merged.
-      constexpr size_t kParallelScanMinSlots = 4096;
-      if (pool_ != nullptr && pool_->thread_count() > 0 &&
-          n >= kParallelScanMinSlots) {
-        const size_t chunks = pool_->thread_count() + 1;
-        const size_t chunk = (n + chunks - 1) / chunks;
-        std::vector<std::vector<size_t>> runs(chunks);
-        pool_->ParallelFor(chunks, [&](size_t c) {
-          const size_t lo = c * chunk;
-          const size_t hi = std::min(n, lo + chunk);
-          for (size_t i = lo; i < hi; ++i) {
-            if (slots_[i].live && satisfies(i)) {
-              runs[c].push_back(i);
-            }
-          }
-        });
-        for (std::vector<size_t>& run : runs) {
-          out.insert(out.end(), run.begin(), run.end());
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if (slots_[i].live && satisfies(i)) {
-            out.push_back(i);
-          }
+      for (size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].live && satisfies(i)) {
+          out.push_back(i);
         }
       }
       break;
@@ -295,7 +268,7 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
   }
   stats_.rows_emitted += static_cast<int64_t>(out.size());
   // THE merge point: every path above — equality run, kIn union, sorted
-  // range or prefix run, chunked scan — must deliver ascending storage order
+  // range or prefix run, full scan — must deliver ascending storage order
   // here, so results never depend on the plan.  Downstream consumers
   // (Selector::Rows and the query handlers) rely on this instead of
   // re-sorting.

@@ -12,10 +12,7 @@
 // Each index is one ordered set of exact (key, row index) entries.  A cell
 // write therefore finds and moves its row's entry in O(log n) however long
 // the key's duplicate run is, and it touches only the indexes on the written
-// column.  An equality probe's run comes out in storage order.  Full scans
-// run in chunks on the attached WorkerPool when one is set, serially
-// otherwise, with identical results either way (DESIGN.md "Concurrency
-// model").
+// column.  An equality probe's run comes out in storage order.
 #ifndef MOIRA_SRC_DB_TABLE_H_
 #define MOIRA_SRC_DB_TABLE_H_
 
@@ -31,8 +28,6 @@
 #include "src/db/value.h"
 
 namespace moira {
-
-class WorkerPool;
 
 struct ColumnDef {
   std::string name;
@@ -82,11 +77,11 @@ struct Condition {
 // plus the access-path counters the query executor maintains so load can be
 // reasoned about per table (index-backed vs. scanning execution).
 //
-// Mutation counters are plain integers: all writes are serialized on the
-// journal path (DESIGN.md locking contract).  Access-path counters are
-// bumped on const read paths that may execute concurrently (the chunked
-// parallel scan, the server's read worker pool), so they are relaxed atomics
-// that read like plain int64_t fields.
+// One thread executes every request (DESIGN.md "Concurrency model"), so
+// every counter has a single writer.  Mutation counters are plain integers.
+// The access-path counters are StatCounters (relaxed atomics that read like
+// int64_t) because other threads read them while that thread runs: a
+// benchmark client polling MoiraServer::access_path_stats(), for one.
 struct TableStats {
   int64_t appends = 0;
   int64_t updates = 0;
@@ -205,12 +200,6 @@ class Table {
 
   const TableStats& stats() const { return stats_; }
 
-  // Attaches a worker pool for chunked parallel full scans and the join
-  // executor's batched probes; nullptr (the default) keeps execution serial.
-  // Results are identical either way.  Not owned.
-  void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
-  WorkerPool* worker_pool() const { return pool_; }
-
   // The engine stamps stats modtimes through this hook; set by Database.
   void set_time_source(const std::function<int64_t()>& now) { now_ = now; }
 
@@ -262,7 +251,6 @@ class Table {
   // Mutation counters are bumped by writers; the access-path counters are
   // bumped by const reads, hence mutable (and atomic — see TableStats).
   mutable TableStats stats_;
-  WorkerPool* pool_ = nullptr;
   std::function<int64_t()> now_;
 };
 

@@ -43,12 +43,13 @@ class MessageHandler {
     std::string reply;  // filled in by OnMessageBatch
   };
 
-  // Processes one transport round's worth of requests.  The default forwards
-  // each item to OnMessage in arrival order; handlers that can execute
-  // read-only requests concurrently override this (MoiraServer).  The filled
-  // replies must be indistinguishable from the sequential OnMessage loop —
-  // the transport writes them back in batch order, so per-connection reply
-  // order is preserved regardless of execution order.
+  // Processes one transport round's worth of requests, filling each reply.
+  // The default runs OnMessage on each item in arrival order, on the calling
+  // thread; the transport then writes the replies back in batch order, so
+  // each connection gets its replies in the order it sent the requests.  The
+  // hook exists for the round boundary, not for concurrency: a decorator can
+  // observe it (perfbench counts frames per round), and a group commit
+  // would flush the journal once per round.
   virtual void OnMessageBatch(std::vector<BatchItem>* batch) {
     for (BatchItem& item : *batch) {
       item.reply = OnMessage(item.conn_id, item.payload);

@@ -177,10 +177,10 @@ int TcpServer::Poll(int timeout_ms) {
     }
   }
   // Drain every readable connection first, collecting complete frames into
-  // one batch, then dispatch the whole round at once: OnMessageBatch lets the
-  // handler execute independent read-only requests concurrently.  Replies are
-  // written back in batch order, so each connection sees its replies in the
-  // order it sent the requests.
+  // one batch, then hand the handler the whole round in one OnMessageBatch
+  // call, so it sees where a round ends.  Replies are written back in batch
+  // order, so each connection sees its replies in the order it sent the
+  // requests.
   std::vector<MessageHandler::BatchItem> batch;
   struct Drained {
     uint64_t conn_id;

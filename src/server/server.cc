@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 
 #include "src/comerr/moira_errors.h"
 #include "src/common/strutil.h"
@@ -77,56 +76,6 @@ MoiraServer::AccessPathStats MoiraServer::access_path_stats() const {
   out.closure_cache_hits += closure.hits;
   out.closure_cache_misses += closure.misses;
   return out;
-}
-
-bool MoiraServer::IsParallelSafeRead(std::string_view payload) {
-  std::optional<MrRequest> request = DecodeRequest(payload);
-  if (!request.has_value() || request->version != kMrProtocolVersion ||
-      request->major != MajorRequest::kQuery || request->args.empty()) {
-    return false;
-  }
-  const std::string& name = request->args[0];
-  // These are answered from mutable server state (connection directory,
-  // replica directory), not the database.
-  if (name == "_list_users" || name == "lusr" || name == "get_replica_status" ||
-      name == "grst") {
-    return false;
-  }
-  const QueryDef* def = QueryRegistry::Instance().Find(name);
-  return def != nullptr && def->qclass == QueryClass::kRetrieve;
-}
-
-void MoiraServer::OnMessageBatch(std::vector<BatchItem>* batch) {
-  WorkerPool* pool = options_.read_pool;
-  size_t i = 0;
-  while (i < batch->size()) {
-    BatchItem& item = (*batch)[i];
-    if (pool == nullptr || !IsParallelSafeRead(item.payload)) {
-      // Barrier: mutations, auth, replication, and malformed requests run
-      // one at a time on the calling thread, exclusively.
-      std::lock_guard<std::shared_mutex> lock(db_mu_);
-      item.reply = OnMessage(item.conn_id, item.payload);
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < batch->size() && IsParallelSafeRead((*batch)[j].payload)) {
-      ++j;
-    }
-    if (j - i == 1) {
-      std::shared_lock<std::shared_mutex> lock(db_mu_);
-      item.reply = OnMessage(item.conn_id, item.payload);
-    } else {
-      ++stats_.parallel_read_batches;
-      stats_.parallel_read_queries += j - i;
-      pool->ParallelFor(j - i, [&](size_t k) {
-        BatchItem& read = (*batch)[i + k];
-        std::shared_lock<std::shared_mutex> lock(db_mu_);
-        read.reply = OnMessage(read.conn_id, read.payload);
-      });
-    }
-    i = j;
-  }
 }
 
 std::string MoiraServer::OnMessage(uint64_t conn_id, std::string_view payload) {

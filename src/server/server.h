@@ -13,13 +13,11 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "src/common/hash_table.h"
 #include "src/common/stat_counter.h"
-#include "src/common/worker_pool.h"
 #include "src/core/context.h"
 #include "src/core/registry.h"
 #include "src/krb/kerberos.h"
@@ -38,11 +36,6 @@ struct ServerOptions {
   // synthetic work iterations; 0 for the persistent-backend design.  Used by
   // bench_connection_startup to model athenareg.
   int simulated_backend_spawn_cost = 0;
-  // When set, OnMessageBatch executes runs of independent read-only queries
-  // on this pool (see DESIGN.md "Concurrency model"); mutations
-  // and special requests stay serialized on the transport thread.  Null keeps
-  // every request on the sequential path.
-  WorkerPool* read_pool = nullptr;
   // Data directory holding the changelog segments and `checkpoint.<seq>`
   // directories (DESIGN.md "Checkpoint & changelog lifecycle").  When set,
   // kReplSnapshot streams the latest on-disk checkpoint instead of dumping
@@ -103,14 +96,9 @@ class MoiraServer final : public MessageHandler {
  public:
   MoiraServer(MoiraContext* mc, KerberosRealm* realm, ServerOptions options = {});
 
-  // MessageHandler:
+  // MessageHandler.  Every request runs on the thread that pumps the
+  // transport; a round's batch takes the default in-order loop.
   std::string OnMessage(uint64_t conn_id, std::string_view payload) override;
-  // Partitions the round into maximal runs of registry-resolvable retrieve
-  // queries, executed concurrently on options_.read_pool under a shared lock,
-  // with everything else (mutations, auth, replication, server-state queries)
-  // acting as a barrier executed serially under an exclusive lock.  Without a
-  // pool this is exactly the sequential OnMessage loop.
-  void OnMessageBatch(std::vector<BatchItem>* batch) override;
   void OnConnect(uint64_t conn_id, std::string peer) override;
   void OnDisconnect(uint64_t conn_id) override;
 
@@ -169,19 +157,15 @@ class MoiraServer final : public MessageHandler {
   const std::map<std::string, ReplicaInfo>& replicas() const { return replicas_; }
 
   struct Stats {
-    // requests/queries are bumped from pool workers during parallel read
-    // dispatch, hence atomic; the remaining counters are only touched on the
-    // serialized path.
+    // All bumped on the request thread.  requests/queries are StatCounters
+    // so another thread may read them while that thread runs (a test or
+    // benchmark client watching the server it drives).
     StatCounter requests = 0;
     StatCounter queries = 0;
     uint64_t access_checks = 0;
     uint64_t access_cache_hits = 0;
     uint64_t auth_successes = 0;
     uint64_t auth_failures = 0;
-    // Parallel read dispatch: groups handed to the pool, and the read-only
-    // queries they contained.
-    uint64_t parallel_read_batches = 0;
-    uint64_t parallel_read_queries = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -228,10 +212,6 @@ class MoiraServer final : public MessageHandler {
     MrHashTable<int32_t> access_cache;
   };
 
-  // True if the payload is a well-formed kQuery request for a registry
-  // retrieve query: safe to execute concurrently with other such requests.
-  static bool IsParallelSafeRead(std::string_view payload);
-
   std::string HandleRequest(ConnState& conn, const MrRequest& request);
   std::string HandleQuery(ConnState& conn, const MrRequest& request,
                           const std::string& tag = std::string());
@@ -261,15 +241,9 @@ class MoiraServer final : public MessageHandler {
   std::map<std::string, ReplicaInfo> replicas_;
   uint64_t next_client_number_ = 1;
   uint64_t mutation_epoch_ = 1;  // bumped on every successful mutation
-  // Reader/writer gate for batch dispatch: pool workers hold it shared while
-  // executing read-only queries; the serialized path (mutations, auth,
-  // replication) holds it exclusive.  Group barriers already prevent overlap,
-  // so this is uncontended in practice, but it makes the invariant checkable
-  // (TSan) rather than implicit.
-  std::shared_mutex db_mu_;
   Stats stats_;
 
-  // Quorum replication state (serialized path only).
+  // Quorum replication state.
   std::vector<QuorumPeer*> quorum_peers_;
   std::map<std::string, uint64_t> peer_acked_;  // peer name -> acked seq
   bool fenced_ = false;

@@ -1,4 +1,4 @@
-// Unit tests for the hash table and queue abstractions (paper section 5.6.3),
+// Unit tests for the hash table abstraction (paper section 5.6.3),
 // the CRC used by the update protocol, and the clocks.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
 #include "src/common/hash_table.h"
-#include "src/common/queue.h"
 #include "src/common/random.h"
 #include "src/common/retry.h"
 
@@ -65,39 +64,6 @@ TEST(HashTable, ClearEmpties) {
   table.Clear();
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(nullptr, table.Fetch("a"));
-}
-
-TEST(Queue, FifoOrder) {
-  MrQueue<int> queue;
-  EXPECT_TRUE(queue.empty());
-  queue.Push(1);
-  queue.Push(2);
-  queue.Push(3);
-  EXPECT_EQ(3u, queue.size());
-  EXPECT_EQ(1, *queue.Front());
-  EXPECT_EQ(1, queue.Pop().value());
-  EXPECT_EQ(2, queue.Pop().value());
-  EXPECT_EQ(3, queue.Pop().value());
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(Queue, GrowsThroughWraparound) {
-  MrQueue<int> queue;
-  // Interleave pushes and pops so head wraps the ring repeatedly.
-  int next_out = 0;
-  int next_in = 0;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 7; ++i) {
-      queue.Push(next_in++);
-    }
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_EQ(next_out++, queue.Pop().value());
-    }
-  }
-  while (!queue.empty()) {
-    ASSERT_EQ(next_out++, queue.Pop().value());
-  }
-  EXPECT_EQ(next_in, next_out);
 }
 
 TEST(Crc32, KnownVectors) {

@@ -1,6 +1,11 @@
 // TCP transport integration: the poll(2)-multiplexed server of paper section
-// 5.4 serving real localhost connections.
+// 5.4 serving real localhost connections.  Each TcpTest pumps the server on
+// its own thread while the test thread plays the clients, so this suite is
+// the TSan smoke set (scripts/check.sh --tsan-smoke).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "src/client/client.h"
@@ -11,11 +16,44 @@
 namespace moira {
 namespace {
 
+// Forwards everything to the MoiraServer and records the size of each
+// round's batch (written on the pump thread, read on the test thread).
+class RoundRecorder : public MessageHandler {
+ public:
+  explicit RoundRecorder(MessageHandler* inner) : inner_(inner) {}
+
+  std::string OnMessage(uint64_t conn_id, std::string_view payload) override {
+    return inner_->OnMessage(conn_id, payload);
+  }
+  void OnMessageBatch(std::vector<BatchItem>* batch) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      round_sizes_.push_back(batch->size());
+    }
+    inner_->OnMessageBatch(batch);
+  }
+  void OnConnect(uint64_t conn_id, std::string peer) override {
+    inner_->OnConnect(conn_id, std::move(peer));
+  }
+  void OnDisconnect(uint64_t conn_id) override { inner_->OnDisconnect(conn_id); }
+
+  std::vector<size_t> round_sizes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return round_sizes_;
+  }
+
+ private:
+  MessageHandler* inner_;
+  std::mutex mu_;
+  std::vector<size_t> round_sizes_;
+};
+
 class TcpTest : public MoiraEnv {
  protected:
   void SetUp() override {
     moira_server_ = std::make_unique<MoiraServer>(mc_.get(), realm_.get());
-    tcp_server_ = std::make_unique<TcpServer>(moira_server_.get());
+    recorder_ = std::make_unique<RoundRecorder>(moira_server_.get());
+    tcp_server_ = std::make_unique<TcpServer>(recorder_.get());
     int32_t listen_code = tcp_server_->Listen(0);
     if (listen_code != MR_SUCCESS) {
       GTEST_SKIP() << "cannot listen on localhost: " << listen_code;
@@ -47,6 +85,7 @@ class TcpTest : public MoiraEnv {
   }
 
   std::unique_ptr<MoiraServer> moira_server_;
+  std::unique_ptr<RoundRecorder> recorder_;
   std::unique_ptr<TcpServer> tcp_server_;
   std::thread pump_;
   std::atomic<bool> stop_{false};
@@ -101,6 +140,68 @@ TEST_F(TcpTest, MultipleSimultaneousConnections) {
     EXPECT_EQ(MR_SUCCESS, client.Query("get_all_logins", {}, [&](Tuple) { ++count; }));
     EXPECT_EQ(1, count);
   }
+}
+
+TEST_F(TcpTest, RepliesKeepPerConnectionOrder) {
+  // Public lists: get_list_info on them is world_ok, so unauthenticated
+  // connections get each list's tuple back.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"pub" + std::to_string(i), "1", "1", "0",
+                                               "0", "0", "-1", "NONE", "NONE", "list"}));
+  }
+  // Each connection writes its whole run of requests at once, so a poll
+  // round holds several of its frames.
+  const std::vector<std::vector<std::string>> asked = {
+      {"pub0", "pub2", "pub4", "pub6", "pub1"},
+      {"pub7", "pub5", "pub3", "pub1", "pub6"},
+  };
+  std::vector<std::unique_ptr<TcpChannel>> conns;
+  for (size_t c = 0; c < asked.size(); ++c) {
+    conns.push_back(std::make_unique<TcpChannel>());
+    ASSERT_EQ(MR_SUCCESS, conns.back()->Connect(tcp_server_->port()));
+  }
+  const int64_t requests_before = moira_server_->stats().requests;
+  int64_t sent = 0;
+  for (size_t c = 0; c < asked.size(); ++c) {
+    std::string frames;
+    for (const std::string& list : asked[c]) {
+      frames += EncodeRequest(MrRequest{kMrProtocolVersion, MajorRequest::kQuery,
+                                        {"get_list_info", list}});
+      ++sent;
+    }
+    ASSERT_EQ(MR_SUCCESS, conns[c]->Send(frames));
+  }
+  // Watch the request counter from this thread while the pump thread bumps
+  // it: the race StatCounter exists to make safe.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (moira_server_->stats().requests.load() < requests_before + sent &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(requests_before + sent, moira_server_->stats().requests.load());
+
+  for (size_t c = 0; c < asked.size(); ++c) {
+    std::vector<std::string> answered;
+    for (size_t r = 0; r < asked[c].size(); ++r) {
+      while (true) {
+        std::string payload;
+        ASSERT_EQ(MR_SUCCESS, conns[c]->Recv(&payload));
+        std::optional<MrReply> reply = DecodeReply(payload);
+        ASSERT_TRUE(reply.has_value());
+        if (reply->code != MR_MORE_DATA) {
+          EXPECT_EQ(MR_SUCCESS, reply->code);
+          break;
+        }
+        ASSERT_FALSE(reply->fields.empty());
+        answered.push_back(reply->fields[0]);
+      }
+    }
+    EXPECT_EQ(asked[c], answered) << "connection " << c;
+  }
+  std::vector<size_t> rounds = recorder_->round_sizes();
+  ASSERT_FALSE(rounds.empty());
+  EXPECT_GT(*std::max_element(rounds.begin(), rounds.end()), 1u)
+      << "no round carried more than one frame";
 }
 
 // Transport-level handler for the limit tests: acknowledges every payload.
