@@ -153,7 +153,6 @@ ConvergenceSample RunConvergence(bool resilient, int flaky_permille, uint64_t se
   fault.seed = seed;
   fault.flaky_permille = flaky_permille;
   fault.flaky_fail_count = 2;
-  FaultPlan plan(fault);
   ConvergenceSample sample{resilient ? "retry+breaker" : "baseline",
                            flaky_permille,
                            seed,
@@ -165,7 +164,7 @@ ConvergenceSample RunConvergence(bool resilient, int flaky_permille, uint64_t se
   while (sample.passes < 60) {
     // The draw depends only on (seed, pass, host index): both configs replay
     // the identical fault schedule no matter how many passes each needs.
-    plan.ArmPass(site.hosts, sample.passes);
+    ArmPass(fault, site.hosts, sample.passes);
     DcmRunSummary summary = site.dcm->RunOnce();
     ++sample.passes;
     sample.soft_failures += summary.host_soft_failures;
@@ -408,7 +407,6 @@ IncrementalSample RunIncrementalArm(bool incremental, int users) {
   fault.flaky_permille = 80;
   fault.flaky_fail_count = 1;
   fault.torn_permille = 25;
-  FaultPlan plan(fault);
 
   IncrementalSample s{incremental ? "incremental" : "full",
                       users,
@@ -434,7 +432,7 @@ IncrementalSample RunIncrementalArm(bool incremental, int users) {
                        {login, "/bin/p" + std::to_string(pass)});
     }
     if (pass < kFaultedPasses) {
-      plan.ArmPass(site.hosts, pass);
+      ArmPass(fault, site.hosts, pass);
     }
     const int64_t rows_before = DbRows(*site.mc);
     auto t0 = std::chrono::steady_clock::now();

@@ -137,7 +137,6 @@ struct RunResult {
 RunResult RunWorkload(int nreplicas, const ReplFaultSpec& fault_spec, int rounds,
                       int writes_per_round, int extra_reads_per_round) {
   ReplSite site(nreplicas);
-  ReplFaultPlan plan(fault_spec);
   RunResult result;
   result.replicas = nreplicas;
   result.rounds = rounds;
@@ -145,7 +144,7 @@ RunResult RunWorkload(int nreplicas, const ReplFaultSpec& fault_spec, int rounds
   SplitMix64 pick(0xb3ac4);
 
   for (int round = 0; round < rounds; ++round) {
-    plan.ArmRound(site.raw, site.realm.get(), round);
+    ArmRound(fault_spec, site.raw, site.realm.get(), round);
     site.clock.Advance(30);
     for (int w = 0; w < writes_per_round; ++w) {
       std::string name =
@@ -184,12 +183,8 @@ RunResult RunWorkload(int nreplicas, const ReplFaultSpec& fault_spec, int rounds
   }
 
   // Heal everything and drain: replication must converge once faults stop.
-  site.realm->SetDown(false);
+  ArmRound(ReplFaultSpec{}, site.raw, site.realm.get(), rounds);
   for (ReplicaServer* rep : site.raw) {
-    if (rep->crashed()) {
-      rep->Restart();
-    }
-    rep->set_apply_limit(0);
     rep->CatchUp();
   }
   const std::string golden = BackupManager::DumpToString(*site.db);
@@ -283,7 +278,6 @@ FailoverResult RunFailoverSweep(uint64_t seed, int rounds) {
   spec.torn_push_permille = 200;
   spec.partition_permille = 300;
   spec.asym_partition_permille = 300;
-  ReplFaultPlan plan(spec);
 
   std::vector<ReplicaServer*> raw;
   std::vector<std::string> names;
@@ -307,7 +301,7 @@ FailoverResult RunFailoverSweep(uint64_t seed, int rounds) {
   };
 
   for (int round = 0; round < rounds; ++round) {
-    plan.ArmRound(raw, &cluster.realm(), round, &cluster.net(), names);
+    ArmRound(spec, raw, &cluster.realm(), round, &cluster.net(), names);
     for (int tick = 0; tick < 3; ++tick) {
       cluster.Tick();
       observe_primaries();
@@ -326,14 +320,7 @@ FailoverResult RunFailoverSweep(uint64_t seed, int rounds) {
 
   // Heal everything; the cluster must converge on its own heartbeats — no
   // operator Promote() anywhere in this sweep.
-  cluster.net().HealAll();
-  cluster.realm().SetDown(false);
-  for (ReplicaServer* node : raw) {
-    if (node->crashed()) {
-      node->Restart();
-    }
-    node->set_apply_limit(0);
-  }
+  ArmRound(ReplFaultSpec{}, raw, &cluster.realm(), rounds, &cluster.net(), names);
   ReplicaServer* final_primary = nullptr;
   for (int i = 0; i < 40 && final_primary == nullptr; ++i) {
     cluster.Tick();

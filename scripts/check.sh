@@ -1,32 +1,33 @@
 #!/bin/sh
-# Tier-1 test suite under AddressSanitizer + UndefinedBehaviorSanitizer,
-# plus a bench smoke mode that runs the report-generating benchmark once
-# (microbenchmarks filtered out) and fails on malformed BENCH_*.json, plus a
-# fault smoke mode that replays the deterministic flaky-fleet sweep under the
-# sanitizers and fails if the resilience layer stops converging the fleet,
-# plus a replication smoke mode that runs the journal-shipping
-# replication workload under the sanitizers and fails unless its scaling,
-# read-your-writes, and convergence gates hold, plus a TSan smoke mode that
-# builds the TCP transport suite under ThreadSanitizer and runs it whole:
-# its clients run on other threads than the server's poll loop, and one case
-# reads the server's counters while that loop runs.
-# A restore smoke mode exercises the checkpoint/changelog lifecycle
-# (checkpoint -> rotate -> truncate -> restart -> replica bootstrap under the
-# seeded fault plan) under the sanitizers and replays a recorded data
-# directory through the offline mrrestore CLI.
-# A DCM smoke mode runs the incremental-propagation sweep (full regeneration
-# vs journal-delta patch shipping at 100k users / 0.1% churn per pass) plus
-# the dedicated incremental test binary, and fails unless the row/byte
-# reduction and byte-identity gates hold.
-# A quota smoke mode runs the hierarchical quota suite (ingest/rollup
-# accounting, grace lifecycle, notice dedup, replica replay, dbck repair)
-# under the sanitizers, then the bench_quota gates (rollup row reduction,
-# seeded-fault sweep vs the notice oracle) in a plain build.
-# A failover smoke mode runs the quorum-write + automatic-failover suite
-# (elections, epoch fencing, router replay, the randomized
-# partition/flap/crash sweep) under ASan+UBSan and again under TSan, plus the
-# bench_replication failover gates (zero acked writes lost, automatic
-# convergence, one primary per epoch).
+# Tier-1 test suite under AddressSanitizer + UndefinedBehaviorSanitizer, and
+# eight smoke modes.  Each mode is one row of the case table at the bottom:
+# a default build tree and sanitizer, the targets to build, the test binaries
+# to run whole, and a bench whose report paths run once (timing loops
+# filtered out) in a fresh <build-dir>/<mode>-smoke.  The bench exits
+# non-zero when one of its gates fails, and the BENCH_*.json it writes must
+# validate.
+#   bench     build, plain: bench_queries.
+#   fault     build-asan, ASan: bench_propagation at 10k users, where the
+#             flaky fleet converges, and faster than the baseline.
+#   dcm       build, plain: test_dcm_incremental; bench_propagation at 100k
+#             users, where journal deltas examine and ship >= 50x less and
+#             patched fleets match a full regeneration byte for byte.
+#   repl      build-asan, ASan: bench_replication, with >= 3x read scaling
+#             under seeded faults, read-your-writes and convergence.
+#   failover  build-asan, ASan: test_failover; bench_replication, where the
+#             failover sweep loses no acked write and has one primary per
+#             epoch.  Then test_failover again under TSan (TSan and ASan
+#             cannot share a build tree).
+#   restore   build-asan, ASan: test_restore.  Then the data directory it
+#             leaves behind replays through the offline mrrestore CLI, to a
+#             mid-history seq and to the end.
+#   quota     build-asan, ASan: test_quota.  Then bench_quota in a plain
+#             build (its 100k-user rollup arm is too slow under the
+#             sanitizers): rollups examine >= 50x fewer rows than a full
+#             scan, and the seeded-fault sweep fires every expected notice
+#             exactly once.
+#   tsan      build-tsan, TSan: test_tcp, whose clients run on other threads
+#             than the server's poll loop.
 # Usage: scripts/check.sh [build-dir]                   (default: build-asan)
 #        scripts/check.sh --bench-smoke [build-dir]     (default: build)
 #        scripts/check.sh --dcm-smoke [build-dir]       (default: build)
@@ -41,175 +42,78 @@
 set -e
 cd "$(dirname "$0")/.."
 
-if [ "$1" = "--tsan-smoke" ]; then
-  BUILD_DIR="${2:-build-tsan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=thread >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_tcp
-  # The whole suite: requests execute on the poll-loop thread only, and
-  # every other thread is a client or a reader of the StatCounters.
-  "$BUILD_DIR"/tests/test_tcp
-  exit 0
-fi
+# build <dir> <sanitizer: "" (plain), ON or thread> <target>...
+build() {
+  dir=$1
+  sanitize=$2
+  shift 2
+  cmake -B "$dir" -S . ${sanitize:+-DMOIRA_SANITIZE=$sanitize} >/dev/null
+  cmake --build "$dir" -j --target "$@"
+}
 
-if [ "$1" = "--fault-smoke" ]; then
-  BUILD_DIR="${2:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_propagation
-  SMOKE_DIR="$BUILD_DIR/fault-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$BUILD_DIR/bench/bench_propagation"
-  # The unmatchable filter skips the timing loops; the resilience report still
-  # runs, writes BENCH_propagation.json, and exits non-zero if the flaky
-  # fleet fails to converge (or converges no faster than the baseline).  The
-  # incremental sweep is capped at 10k users here — the sanitizers make the
-  # 100k full-regeneration arm too slow for a smoke; the full-size sweep is
-  # the --dcm-smoke mode's job.
-  (cd "$SMOKE_DIR" && MOIRA_BENCH_INCREMENTAL_MAX_USERS=10000 \
-    "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  exit 0
-fi
+# bench <dir> <mode> <bench> [VAR=value]: the bench's report paths in a
+# fresh <dir>/<mode>-smoke, then the BENCH_*.json they wrote is validated.
+bench() {
+  smoke="$1/$2-smoke"
+  bin="$(pwd)/$1/bench/$3"
+  rm -rf "$smoke"
+  mkdir -p "$smoke"
+  (cd "$smoke" && env $4 "$bin" --benchmark_filter='^$')
+  python3 scripts/validate_bench_json.py "$smoke"/BENCH_*.json
+}
 
-if [ "$1" = "--dcm-smoke" ]; then
-  BUILD_DIR="${2:-build}"
-  cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_propagation --target test_dcm_incremental
-  # The dedicated suite first: delta extraction, keyed patch shipping with
-  # base-CRC fallback, truncation fallback, torn-write self-healing, the
-  # randomized churn oracle, and replica-offloaded generation reads.
-  "$BUILD_DIR"/tests/test_dcm_incremental
-  SMOKE_DIR="$BUILD_DIR/dcm-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$BUILD_DIR/bench/bench_propagation"
-  # The unmatchable filter skips the timing loops; the incremental sweep
-  # still runs full vs journal-delta arms at 10k and 100k users and exits
-  # non-zero unless incremental mode examines >= 50x fewer rows, ships
-  # >= 50x fewer bytes, and the patched fleets match a fresh full
-  # regeneration byte for byte under the seeded fault plan.
-  (cd "$SMOKE_DIR" && MOIRA_BENCH_INCREMENTAL_MAX_USERS=100000 \
-    "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  exit 0
-fi
+# row <default-build-dir> <sanitizer> <targets> <tests> <bench> [bench-env]
+row() {
+  BUILD_DIR="${ARG_DIR:-$1}"
+  build "$BUILD_DIR" "$2" $3
+  for t in $4; do
+    "$BUILD_DIR"/tests/"$t"
+  done
+  if [ -n "$5" ]; then
+    bench "$BUILD_DIR" "$MODE" "$5" "$6"
+  fi
+}
 
-if [ "$1" = "--quota-smoke" ]; then
-  BUILD_DIR="${2:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_quota
-  # The dedicated suite: journalled ingest with per-machine sequence dedup,
-  # rollup maintenance, limit validation, the grace lifecycle on the
-  # simulated clock, exactly-one-notice under flapping, the dirty-bit sweep
-  # skip, byte-identical replica replay, the seeded-fault telemetry oracle,
-  # and dbck detection/repair of the quota invariants.
-  "$BUILD_DIR"/tests/test_quota
-  # The bench gates run in a plain build: the rollup arm ingests telemetry
-  # for a 100k-user site, too slow under the sanitizers.
-  PLAIN_DIR="${3:-build}"
-  cmake -B "$PLAIN_DIR" -S . >/dev/null
-  cmake --build "$PLAIN_DIR" -j --target bench_quota
-  SMOKE_DIR="$PLAIN_DIR/quota-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$PLAIN_DIR/bench/bench_quota"
-  # The unmatchable filter skips the timing loops; the report still runs,
-  # writes BENCH_quota.json, and exits non-zero unless the rollups examine
-  # >= 50x fewer rows than the full-scan baseline (agreeing on every answer)
-  # and the seeded-fault sweep fires every oracle-expected hard-limit notice
-  # exactly once.
-  (cd "$SMOKE_DIR" && "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  exit 0
-fi
-
-if [ "$1" = "--repl-smoke" ]; then
-  BUILD_DIR="${2:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_replication
-  SMOKE_DIR="$BUILD_DIR/repl-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$BUILD_DIR/bench/bench_replication"
-  # The unmatchable filter skips the timing loops; the replication report
-  # still runs, writes BENCH_replication.json, and exits non-zero unless the
-  # read-scaling (>= 3x with 4 replicas under seeded faults), read-your-writes,
-  # and byte-identical-convergence gates all hold.
-  (cd "$SMOKE_DIR" && "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  exit 0
-fi
-
-if [ "$1" = "--failover-smoke" ]; then
-  BUILD_DIR="${2:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_failover --target bench_replication
-  # The dedicated suite: the quorum gate and its degraded modes, heartbeat
-  # elections with pre-vote and epoch fencing (split-brain regressions),
-  # asymmetric partitions, torn quorum pushes, tagged router replay, DCM
-  # offload over a cluster replica, and the randomized partition/flap/crash
-  # sweep against the lost-acked-write oracle.
-  "$BUILD_DIR"/tests/test_failover
-  SMOKE_DIR="$BUILD_DIR/failover-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$BUILD_DIR/bench/bench_replication"
-  # The unmatchable filter skips the timing loops; the report still runs the
-  # failover sweep and exits non-zero unless zero acked writes were lost,
-  # failover converged without operator action, and every epoch had exactly
-  # one writable primary.
-  (cd "$SMOKE_DIR" && "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  # The same suite again under ThreadSanitizer (TSan and ASan cannot share a
-  # build tree, hence the second one).
-  TSAN_DIR="${3:-build-tsan}"
-  cmake -B "$TSAN_DIR" -S . -DMOIRA_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_DIR" -j --target test_failover
-  "$TSAN_DIR"/tests/test_failover
-  exit 0
-fi
-
-if [ "$1" = "--restore-smoke" ]; then
-  BUILD_DIR="${2:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON >/dev/null
-  cmake --build "$BUILD_DIR" -j --target test_restore --target mrrestore
-  # The full lifecycle suite: segment rotation and on-disk truncation
-  # invariants, crash-safe checkpoint writes, recovery (including the
-  # gapped-tail refusal and base_seq restoration), point-in-time replay
-  # against reference dumps, and the end-to-end checkpoint -> rotate ->
-  # truncate -> restart -> replica bootstrap flow under seeded faults.
-  "$BUILD_DIR"/tests/test_restore
-  # The point-in-time test leaves its data directory behind; replay it
-  # through the offline CLI to a mid-history seq and to the end, exercising
-  # the same recovery code path an operator would run.
-  PIT_DIR="${TMPDIR:-/tmp}/moira-test/restore-pit"
-  if [ -d "$PIT_DIR" ]; then
+MODE="${1#--}"
+MODE="${MODE%-smoke}"
+ARG_DIR="$2"
+case "$1" in
+  --bench-smoke)
+    row build "" bench_queries "" bench_queries ;;
+  --fault-smoke)
+    row build-asan ON bench_propagation "" bench_propagation \
+      MOIRA_BENCH_INCREMENTAL_MAX_USERS=10000 ;;
+  --dcm-smoke)
+    row build "" "bench_propagation test_dcm_incremental" test_dcm_incremental \
+      bench_propagation MOIRA_BENCH_INCREMENTAL_MAX_USERS=100000 ;;
+  --repl-smoke)
+    row build-asan ON bench_replication "" bench_replication ;;
+  --failover-smoke)
+    row build-asan ON "test_failover bench_replication" test_failover \
+      bench_replication
+    TSAN_DIR="${3:-build-tsan}"
+    build "$TSAN_DIR" thread test_failover
+    "$TSAN_DIR"/tests/test_failover ;;
+  --restore-smoke)
+    row build-asan ON "test_restore mrrestore" test_restore ""
+    PIT_DIR="${TMPDIR:-/tmp}/moira-test/restore-pit"
+    if [ ! -d "$PIT_DIR" ]; then
+      echo "restore-smoke: missing $PIT_DIR (test_restore should have left it)" >&2
+      exit 1
+    fi
     "$BUILD_DIR"/examples/mrrestore "$PIT_DIR" --to-seq 5 >/dev/null
     "$BUILD_DIR"/examples/mrrestore "$PIT_DIR" --dump >/dev/null
-  else
-    echo "restore-smoke: missing $PIT_DIR (test_restore should have left it)" >&2
-    exit 1
-  fi
-  echo "restore-smoke: ok"
-  exit 0
-fi
-
-if [ "$1" = "--bench-smoke" ]; then
-  BUILD_DIR="${2:-build}"
-  cmake -B "$BUILD_DIR" -S . >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_queries
-  SMOKE_DIR="$BUILD_DIR/bench-smoke"
-  rm -rf "$SMOKE_DIR"
-  mkdir -p "$SMOKE_DIR"
-  BENCH_BIN="$(pwd)/$BUILD_DIR/bench/bench_queries"
-  # An unmatchable filter skips the timing loops but still runs the report
-  # paths, which write BENCH_*.json into the working directory.
-  (cd "$SMOKE_DIR" && "$BENCH_BIN" --benchmark_filter='^$')
-  python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-  exit 0
-fi
-
-BUILD_DIR="${1:-build-asan}"
-cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON
-cmake --build "$BUILD_DIR" -j
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+    echo "restore-smoke: ok" ;;
+  --quota-smoke)
+    row build-asan ON test_quota test_quota ""
+    PLAIN_DIR="${3:-build}"
+    build "$PLAIN_DIR" "" bench_quota
+    bench "$PLAIN_DIR" quota bench_quota ;;
+  --tsan-smoke)
+    row build-tsan thread test_tcp test_tcp "" ;;
+  *)
+    BUILD_DIR="${1:-build-asan}"
+    cmake -B "$BUILD_DIR" -S . -DMOIRA_SANITIZE=ON
+    cmake --build "$BUILD_DIR" -j
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j ;;
+esac

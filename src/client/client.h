@@ -138,7 +138,6 @@ class MrClient final : public MoiraClientApi {
   const std::vector<std::string>& last_fields() const { return last_fields_; }
   // KDC round trips made (ticket-cache observability).
   int ticket_requests() const { return ticket_requests_; }
-  void InvalidateTicket() { has_ticket_ = false; }
 
  private:
   int32_t RoundTrip(const MrRequest& request, const TupleSink* sink);

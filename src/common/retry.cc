@@ -22,7 +22,7 @@ UnixTime RetryController::RecordFailure() {
   if (backoff < 0) {
     backoff = 0;
   }
-  if (policy_.jitter_permille > 0 && backoff > 0) {
+  if (backoff > 0 && policy_.jitter_permille > 0) {
     // Deterministic scale in [1000 - j, 1000 + j] permille.
     uint64_t span = 2 * policy_.jitter_permille + 1;
     int64_t scale =

@@ -510,18 +510,6 @@ void Dcm::HostScanPhase(const ServiceRow& service, DcmRunSummary* summary) {
   Table* servers = mc_->servers();
   Table* sh = mc_->serverhosts();
   const UnixTime dfgen = MoiraContext::IntCell(servers, service.row, "dfgen");
-  // Per-service breaker tunables, falling back to the global knobs.
-  int breaker_threshold = resilience_.breaker_threshold;
-  UnixTime breaker_cooldown = resilience_.breaker_cooldown;
-  if (auto tunables = resilience_.per_service.find(service.name);
-      tunables != resilience_.per_service.end()) {
-    if (tunables->second.threshold > 0) {
-      breaker_threshold = tunables->second.threshold;
-    }
-    if (tunables->second.cooldown > 0) {
-      breaker_cooldown = tunables->second.cooldown;
-    }
-  }
   // The patch staged for this service, if its last generating pass was
   // incremental.
   const PatchState* patch_state = nullptr;
@@ -672,12 +660,12 @@ void Dcm::HostScanPhase(const ServiceRow& service, DcmRunSummary* summary) {
         if (half_open_probe) {
           MoiraContext::SetCellInternal(sh, row, "breaker", Value(kBreakerOpen));
           MoiraContext::SetCellInternal(sh, row, "breaker_until",
-                                        Value(after + breaker_cooldown));
+                                        Value(after + resilience_.breaker_cooldown));
           ++summary->probe_failures;
-        } else if (consec >= breaker_threshold) {
+        } else if (consec >= resilience_.breaker_threshold) {
           MoiraContext::SetCellInternal(sh, row, "breaker", Value(kBreakerOpen));
           MoiraContext::SetCellInternal(sh, row, "breaker_until",
-                                        Value(after + breaker_cooldown));
+                                        Value(after + resilience_.breaker_cooldown));
           MoiraContext::SetCellInternal(
               sh, row, "breaker_opens",
               Value(MoiraContext::IntCell(sh, row, "breaker_opens") + 1));

@@ -88,22 +88,12 @@ struct DcmRunSummary {
 // Knobs for the DCM's resilience layer: the in-pass retry policy handed to
 // the UpdateClient and the per-host circuit breaker.  Disabled reproduces the
 // paper's one-attempt-per-pass behaviour exactly.
-// Per-service-class breaker overrides: a replicated service whose hosts must
-// converge quickly can trip faster and cool down sooner than a bulk file
-// service.  Zero fields fall back to the global knobs.
-struct BreakerTunables {
-  int threshold = 0;          // 0 -> DcmResilienceConfig::breaker_threshold
-  UnixTime cooldown = 0;      // 0 -> DcmResilienceConfig::breaker_cooldown
-};
-
 struct DcmResilienceConfig {
   bool enabled = true;
   // Consecutive soft failures (across passes) that open a host's breaker.
   int breaker_threshold = 3;
   // How long an open breaker quarantines its host before a half-open probe.
   UnixTime breaker_cooldown = kSecondsPerHour;
-  // Overrides keyed by uppercase service name.
-  std::map<std::string, BreakerTunables> per_service;
   RetryPolicy retry;            // default: one attempt, no in-pass retries
   UpdateDeadlines deadlines;    // default: unbounded phases
 };

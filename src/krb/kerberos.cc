@@ -4,6 +4,7 @@
 
 #include "src/comerr/moira_errors.h"
 #include "src/common/checksum.h"
+#include "src/common/fault_schedule.h"
 #include "src/krb/block_cipher.h"
 
 namespace moira {
@@ -232,6 +233,13 @@ void ServiceVerifier::ExpireReplayCache() {
   auto it = replay_cache_.begin();
   while (it != replay_cache_.end() && it->first < horizon) {
     it = replay_cache_.erase(it);
+  }
+}
+
+void ArmKdcOutage(const FaultSchedule& schedule, int round, int permille,
+                  KerberosRealm* realm) {
+  if (realm != nullptr) {
+    realm->SetDown(schedule.Dice(round, FaultSchedule::kKdcTarget).Roll(permille));
   }
 }
 

@@ -25,6 +25,8 @@
 
 namespace moira {
 
+class FaultSchedule;
+
 // The Kerberos service name the Moira server registers and authenticates as.
 inline constexpr char kMoiraServiceName[] = "moira";
 
@@ -102,6 +104,13 @@ class KerberosRealm {
   uint64_t nonce_counter_ = 1;
   bool down_ = false;  // injected KDC outage
 };
+
+// Seeded KDC outage for `round`, drawn from the schedule's KDC target: the
+// realm goes down with probability permille/1000.  It always sets the realm,
+// so permille 0 brings it back up.  Both the DCM and the replication fault
+// injectors arm the KDC through this call.  A null realm is left alone.
+void ArmKdcOutage(const FaultSchedule& schedule, int round, int permille,
+                  KerberosRealm* realm);
 
 // Server-side verifier: owned by each authenticating service, holds the
 // service key and the replay cache.

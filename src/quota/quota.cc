@@ -98,21 +98,18 @@ void ScheduleQuotaSweep(CronScheduler* cron, MoiraContext* mc, Journal* journal,
 }
 
 QuotaIngestStats QuotaTelemetryDriver::RunRound(const QuotaFaultPlan& plan) {
-  ++rounds_;
+  const int round = rounds_++;
   QuotaIngestStats total;
   auto add = [&total](const QuotaIngestStats& s) {
     total.applied += s.applied;
     total.deduped += s.deduped;
     total.rejected += s.rejected;
   };
-  for (AttachedServer& s : servers_) {
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    AttachedServer& s = servers_[i];
     s.server->ChurnUsage(churn_rng_.Next());
-    // Both dice are rolled unconditionally so the churn stream (and the
-    // defer decisions) stay identical across runs with different plans.
-    bool defer = fault_rng_.Below(1000) < static_cast<uint64_t>(plan.defer_permille);
-    bool duplicate =
-        fault_rng_.Below(1000) < static_cast<uint64_t>(plan.duplicate_permille);
-    if (defer) {
+    FaultDice dice = faults_.Dice(round, i);
+    if (dice.Roll(plan.defer_permille)) {
       continue;  // transport outage: deltas keep accumulating on the server
     }
     std::vector<UsageReportLine> lines = s.server->DrainUsageReports();
@@ -121,10 +118,10 @@ QuotaIngestStats QuotaTelemetryDriver::RunRound(const QuotaFaultPlan& plan) {
       continue;
     }
     add(IngestUsageReports(*mc_, journal_, s.machine, s.pending));
-    if (duplicate) {
+    if (dice.Roll(plan.duplicate_permille)) {
       // At-least-once retry: the tail of what was just shipped arrives
       // again; the per-machine sequence check must absorb it.
-      size_t n = 1 + fault_rng_.Below(std::min<uint64_t>(s.pending.size(), 5));
+      size_t n = 1 + dice.Below(std::min<uint64_t>(s.pending.size(), 5));
       add(IngestUsageReports(
           *mc_, journal_, s.machine,
           std::vector<UsageReportLine>(s.pending.end() - n, s.pending.end())));

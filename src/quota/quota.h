@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/fault_schedule.h"
 #include "src/common/random.h"
 #include "src/core/context.h"
 #include "src/dcm/cron.h"
@@ -90,12 +91,13 @@ class QuotaTelemetryDriver {
     std::vector<UsageReportLine> pending;  // drained but not yet shipped
   };
 
-  // Churn and fault injection draw from separate seeded streams, and the
-  // fault dice are rolled every server-round regardless of the plan — so two
-  // runs differing only in their fault plan see byte-identical churn (the
-  // oracle tests compare a faulty run against an exactly-once run).
+  // Churn draws from its own sequential stream; faults draw from a
+  // FaultSchedule seeded ~seed, on the stream of (round, the server's attach
+  // index).  So two runs differing only in their fault plan see
+  // byte-identical churn (the oracle tests compare a faulty run against an
+  // exactly-once run), and one server's draws never shift another's.
   QuotaTelemetryDriver(MoiraContext* mc, Journal* journal, uint64_t seed)
-      : mc_(mc), journal_(journal), churn_rng_(seed), fault_rng_(~seed) {}
+      : mc_(mc), journal_(journal), churn_rng_(seed), faults_(~seed) {}
 
   void AttachServer(std::string machine, NfsServerSim* server) {
     servers_.push_back(AttachedServer{std::move(machine), server, {}});
@@ -112,7 +114,7 @@ class QuotaTelemetryDriver {
   MoiraContext* mc_;
   Journal* journal_;
   SplitMix64 churn_rng_;
-  SplitMix64 fault_rng_;
+  FaultSchedule faults_;
   std::vector<AttachedServer> servers_;
   int rounds_ = 0;
 };

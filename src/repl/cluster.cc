@@ -1,6 +1,5 @@
 #include "src/repl/cluster.h"
 
-#include "src/backup/backup.h"
 #include "src/comerr/moira_errors.h"
 
 namespace moira {
@@ -62,7 +61,6 @@ ReplCluster::ReplCluster(ReplClusterOptions options)
     ropts.server_options.write_quorum = options_.write_quorum;
     ropts.server_options.cluster_size = options_.nodes;
     ropts.server_options.quorum_ack_local = options_.quorum_ack_local;
-    ropts.server_options.quorum_attempts = options_.quorum_attempts;
     nodes_.push_back(std::make_unique<ReplicaServer>(realm_.get(), ropts));
   }
   // All-to-all peer wiring through the partition matrix, then the initial
@@ -129,10 +127,6 @@ std::vector<ReplicaServer*> ReplCluster::WritablePrimaries() {
 MrClient::Connector ReplCluster::ClientConnector(int i) {
   return net_.Connector(kClientEndpoint, names_[static_cast<size_t>(i)],
                         nodes_[static_cast<size_t>(i)].get());
-}
-
-std::string ReplCluster::DumpNode(int i) {
-  return BackupManager::DumpToString(nodes_[static_cast<size_t>(i)]->db());
 }
 
 void AttachDcmReadSource(Dcm* dcm, ReplicaServer* replica) {

@@ -40,13 +40,6 @@ class NetworkPartition {
     Block(a, b);
     Block(b, a);
   }
-  void Heal(const std::string& from, const std::string& to) {
-    blocked_.erase({from, to});
-  }
-  void HealBoth(const std::string& a, const std::string& b) {
-    Heal(a, b);
-    Heal(b, a);
-  }
   void HealAll() { blocked_.clear(); }
   bool Allowed(const std::string& from, const std::string& to) const {
     return blocked_.find({from, to}) == blocked_.end();
@@ -73,7 +66,6 @@ struct ReplClusterOptions {
   // write_quorum 0 = majority of cluster_size (= nodes).
   int write_quorum = 0;
   bool quorum_ack_local = false;
-  int quorum_attempts = 3;
   UnixTime start_time = 568000000;
 };
 
@@ -105,10 +97,6 @@ class ReplCluster {
   // A partition-aware connector from the external "client" endpoint to node
   // i (client traffic can be partitioned too, but is allowed by default).
   MrClient::Connector ClientConnector(int i);
-
-  // Canonical full-database dump of node i (BackupManager format): the
-  // byte-identical convergence oracle.
-  std::string DumpNode(int i);
 
   static constexpr const char* kClientEndpoint = "client";
 

@@ -1,32 +1,29 @@
 #include "src/repl/repl_fault.h"
 
-#include "src/common/random.h"
+#include <utility>
+
+#include "src/common/fault_schedule.h"
 #include "src/repl/cluster.h"
 
 namespace moira {
 namespace {
 
-// One independent stream per (seed, round, index); the golden-ratio stride
-// matches the DCM fault plan's keying.  Replica indices stay well below the
-// reserved directory-server indices (8190/8191) used by FaultPlan, so a
-// shared seed never aliases streams.
-SplitMix64 StreamFor(uint64_t seed, int round, int index) {
-  return SplitMix64(seed +
-                    0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(round) * 8192 +
-                                             static_cast<uint64_t>(index)));
+// Two distinct node indices below n, drawn in order (n >= 2).
+std::pair<size_t, size_t> DrawPair(FaultDice& dice, size_t n) {
+  const size_t a = static_cast<size_t>(dice.Below(n));
+  size_t b = static_cast<size_t>(dice.Below(n - 1));
+  if (b >= a) {
+    ++b;
+  }
+  return {a, b};
 }
 
 }  // namespace
 
-void ReplFaultPlan::ArmRound(const std::vector<ReplicaServer*>& replicas,
-                             KerberosRealm* realm, int round) const {
-  ArmRound(replicas, realm, round, nullptr, {});
-}
-
-void ReplFaultPlan::ArmRound(const std::vector<ReplicaServer*>& replicas,
-                             KerberosRealm* realm, int round,
-                             NetworkPartition* net,
-                             const std::vector<std::string>& names) const {
+void ArmRound(const ReplFaultSpec& spec, const std::vector<ReplicaServer*>& replicas,
+              KerberosRealm* realm, int round, NetworkPartition* net,
+              const std::vector<std::string>& names) {
+  const FaultSchedule schedule(spec.seed);
   if (net != nullptr) {
     net->HealAll();  // last round's cuts heal; this round re-draws below
   }
@@ -38,12 +35,11 @@ void ReplFaultPlan::ArmRound(const std::vector<ReplicaServer*>& replicas,
     if (replica->crashed()) {
       replica->Restart();  // last round's crash heals; state resyncs via snapshot
     }
-    SplitMix64 rng = StreamFor(spec_.seed, round, static_cast<int>(i));
-    const bool crash = spec_.crash_permille > 0 && rng.Chance(spec_.crash_permille, 1000);
-    const bool flap = spec_.flap_permille > 0 && rng.Chance(spec_.flap_permille, 1000);
-    const bool slow = spec_.slow_permille > 0 && rng.Chance(spec_.slow_permille, 1000);
-    const bool torn =
-        spec_.torn_push_permille > 0 && rng.Chance(spec_.torn_push_permille, 1000);
+    FaultDice dice = schedule.Dice(round, i);
+    const bool crash = dice.Roll(spec.crash_permille);
+    const bool flap = dice.Roll(spec.flap_permille);
+    const bool slow = dice.Roll(spec.slow_permille);
+    const bool torn = dice.Roll(spec.torn_push_permille);
     if (crash) {
       replica->Crash();
       continue;  // a dead replica neither flaps nor applies slowly
@@ -54,32 +50,17 @@ void ReplFaultPlan::ArmRound(const std::vector<ReplicaServer*>& replicas,
     if (torn) {
       replica->ArmTornPush();
     }
-    replica->set_apply_limit(slow ? spec_.slow_apply_limit : 0);
+    replica->set_apply_limit(slow ? spec.slow_apply_limit : 0);
   }
-  if (realm != nullptr && spec_.kdc_down_permille > 0) {
-    // Reserved index 8190, matching FaultPlan::ArmDirectories' KDC stream.
-    SplitMix64 rng = StreamFor(spec_.seed, round, 8190);
-    realm->SetDown(rng.Chance(spec_.kdc_down_permille, 1000));
-  }
+  ArmKdcOutage(schedule, round, spec.kdc_down_permille, realm);
   if (net != nullptr && names.size() >= 2) {
-    // Reserved index 8189 for the network draws (below the directory-server
-    // indices, above any realistic node count).
-    SplitMix64 rng = StreamFor(spec_.seed, round, 8189);
-    if (spec_.partition_permille > 0 && rng.Chance(spec_.partition_permille, 1000)) {
-      const size_t a = static_cast<size_t>(rng.Below(names.size()));
-      size_t b = static_cast<size_t>(rng.Below(names.size() - 1));
-      if (b >= a) {
-        ++b;
-      }
+    FaultDice dice = schedule.Dice(round, FaultSchedule::kNetworkTarget);
+    if (dice.Roll(spec.partition_permille)) {
+      auto [a, b] = DrawPair(dice, names.size());
       net->BlockBoth(names[a], names[b]);
     }
-    if (spec_.asym_partition_permille > 0 &&
-        rng.Chance(spec_.asym_partition_permille, 1000)) {
-      const size_t a = static_cast<size_t>(rng.Below(names.size()));
-      size_t b = static_cast<size_t>(rng.Below(names.size() - 1));
-      if (b >= a) {
-        ++b;
-      }
+    if (dice.Roll(spec.asym_partition_permille)) {
+      auto [a, b] = DrawPair(dice, names.size());
       net->Block(names[a], names[b]);
     }
   }

@@ -1,9 +1,9 @@
 // Seeded fault injection for the replication layer.
 //
-// Mirrors the DCM fault harness (src/update/sim_host.h): every fault draw
-// comes from its own SplitMix64 stream keyed on (seed, round, replica index),
-// so a given seed produces the same fault schedule regardless of how many
-// random draws any round consumes.  Faults modelled per round:
+// Every fault draw comes from the FaultSchedule stream of (seed, round,
+// replica index), or of a reserved target for the realm and the network, so
+// a given seed produces the same fault schedule regardless of how many random
+// draws any round consumes.  Faults modelled per round:
 //   - crash: the replica dies (stops answering) for one round, then reboots
 //     with its state lost and must resynchronize via a snapshot transfer;
 //   - link flap: the primary link drops; the next catch-up reconnects,
@@ -22,9 +22,8 @@
 #define MOIRA_SRC_REPL_REPL_FAULT_H_
 
 #include <cstdint>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "src/krb/kerberos.h"
 #include "src/repl/replica.h"
@@ -45,30 +44,18 @@ struct ReplFaultSpec {
   int asym_partition_permille = 0;  // a random ordered pair loses one direction
 };
 
-class ReplFaultPlan {
- public:
-  explicit ReplFaultPlan(const ReplFaultSpec& spec) : spec_(spec) {}
-
-  // Applies round `round`'s draws: reboots replicas crashed in an earlier
-  // round (so a crash outage lasts exactly one round), then rolls each
-  // replica's crash/flap/slow fate and the realm-wide KDC outage.
-  void ArmRound(const std::vector<ReplicaServer*>& replicas, KerberosRealm* realm,
-                int round) const;
-
-  // As above, plus the network dimensions: heals the whole partition matrix
-  // (last round's cuts last exactly one round, like crashes), then draws this
-  // round's full and asymmetric partitions between nodes named in `names`,
-  // and each node's torn-push fate.  `net` may be null (network draws skipped,
-  // same per-node schedule as the 3-argument form).
-  void ArmRound(const std::vector<ReplicaServer*>& replicas, KerberosRealm* realm,
-                int round, NetworkPartition* net,
-                const std::vector<std::string>& names) const;
-
-  const ReplFaultSpec& spec() const { return spec_; }
-
- private:
-  ReplFaultSpec spec_;
-};
+// Applies round `round`'s draws.  First it heals last round's faults, so
+// each lasts exactly one round: the partition matrix is cleared and crashed
+// replicas reboot (their state resyncs via snapshot).  Then it rolls each
+// replica's crash/flap/slow/torn-push fate, the realm-wide KDC outage, and,
+// when `net` is given, this round's full and asymmetric partitions between
+// the nodes named in `names`.  So an all-zero spec heals every fault except
+// a torn push that is armed and not yet spent.  `realm` and `net` may be
+// null (those draws are skipped; the per-replica schedule is the same either
+// way).
+void ArmRound(const ReplFaultSpec& spec, const std::vector<ReplicaServer*>& replicas,
+              KerberosRealm* realm, int round, NetworkPartition* net = nullptr,
+              const std::vector<std::string>& names = {});
 
 }  // namespace moira
 

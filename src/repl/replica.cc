@@ -11,6 +11,12 @@
 namespace moira {
 namespace {
 
+// Batch size of one kReplFetch round trip.
+constexpr int kMaxEntriesPerFetch = 256;
+// On-demand fetch batches a read ahead of applied_seq waits for before it is
+// answered MR_REPL_BEHIND.
+constexpr int kReadCatchUpBatches = 4;
+
 std::string SingleReply(int32_t code) {
   return EncodeReply(MrReply{kMrProtocolVersion, code, {}});
 }
@@ -312,7 +318,7 @@ int32_t ReplicaServer::CatchUpInternal(uint64_t target_seq, int max_batches) {
     // flapped link heals.  Split-brain safety never rests on this floor; the
     // push and vote paths check the full VoteFloor.
     int32_t code = link_->ReplFetch(
-        options_.name, applied_seq_ + 1, options_.max_entries_per_fetch, epoch_,
+        options_.name, applied_seq_ + 1, kMaxEntriesPerFetch, epoch_,
         [&](Tuple tuple) {
           std::optional<JournalEntry> entry =
               tuple.empty() ? std::nullopt : JournalEntry::FromLine(tuple[0]);
@@ -823,7 +829,7 @@ std::string ReplicaServer::OnMessage(uint64_t conn_id, std::string_view payload)
           // pull) before giving up and redirecting them to the primary.
           if (options_.catch_up_on_read && link_ != nullptr) {
             ++stats_.read_catch_ups;
-            CatchUpInternal(want, options_.read_catch_up_batches);
+            CatchUpInternal(want, kReadCatchUpBatches);
           }
           if (want > applied_seq_) {
             ++stats_.reads_behind;

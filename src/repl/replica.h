@@ -62,12 +62,9 @@ struct ReplicaOptions {
   // The replica seeds its database (schema + defaults) at this time; it must
   // match the primary's seed time or the two initial states diverge.
   UnixTime start_time = 568000000;
-  // Batch size of one kReplFetch round trip.
-  int max_entries_per_fetch = 256;
-  // A read whose token is ahead of applied_seq "waits briefly": up to this
-  // many on-demand fetch batches before answering MR_REPL_BEHIND.
+  // A read whose token is ahead of applied_seq "waits briefly": a few
+  // on-demand fetch batches before answering MR_REPL_BEHIND.
   bool catch_up_on_read = true;
-  int read_catch_up_batches = 4;
   // Consecutive missed heartbeats before the replica gives up on its primary
   // and starts failover (probe peers, adopt or stand for election).
   int missed_heartbeats = 3;
@@ -134,7 +131,7 @@ class ReplicaServer final : public MessageHandler {
   };
   HeartbeatEvent HeartbeatTick();
 
-  // --- fault hooks (seeded ReplFaultPlan) ---
+  // --- fault hooks (seeded by ArmRound, src/repl/repl_fault.h) ---
   // Crash: the replica loses its in-memory state and stops serving.
   void Crash() { crashed_ = true; }
   bool crashed() const { return crashed_; }

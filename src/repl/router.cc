@@ -24,10 +24,6 @@ void ReplicatedClient::AddReplica(std::unique_ptr<MrClient> replica) {
   replicas_.push_back(std::move(replica));
 }
 
-void ReplicatedClient::ReplacePrimary(std::unique_ptr<MrClient> primary) {
-  primary_ = std::move(primary);
-}
-
 void ReplicatedClient::SetEndpoints(std::vector<ReplEndpoint> endpoints,
                                     ClientFactory factory, std::string client_name) {
   endpoints_ = std::move(endpoints);

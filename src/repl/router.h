@@ -61,9 +61,6 @@ class ReplicatedClient final : public MoiraClientApi {
   void set_write_token(uint64_t token) { token_ = token; }
 
   MrClient& primary() { return *primary_; }
-  // Replaces the primary client after an operator failover promotion.  The
-  // token survives: the promoted replica continues the same sequence.
-  void ReplacePrimary(std::unique_ptr<MrClient> primary);
   size_t replica_count() const { return replicas_.size(); }
   MrClient& replica(size_t i) { return *replicas_[i]; }
 

@@ -176,26 +176,12 @@ std::optional<JournalEntry> JournalEntry::FromLine(std::string_view line) {
   return entry;
 }
 
-void Journal::SetFile(std::string path) {
-  dir_.clear();
-  segments_.clear();
-  live_first_seq_ = live_last_seq_ = 0;
-  live_count_ = 0;
-  file_path_ = std::move(path);
-  file_.close();
-  file_.clear();
-  if (!file_path_.empty()) {
-    file_.open(file_path_, std::ios::app | std::ios::binary);
-  }
-}
-
 std::string Journal::LivePath() const { return (fs::path(dir_) / kLiveName).string(); }
 
 void Journal::OpenLive() {
-  file_path_ = LivePath();
   file_.close();
   file_.clear();
-  file_.open(file_path_, std::ios::app | std::ios::binary);
+  file_.open(LivePath(), std::ios::app | std::ios::binary);
 }
 
 int Journal::LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live) {
@@ -369,13 +355,11 @@ uint64_t Journal::Append(JournalEntry entry) {
     // restart.
     file_ << entry.ToLine();
     file_.flush();
-    if (!dir_.empty()) {
-      if (live_first_seq_ == 0) {
-        live_first_seq_ = entry.seq;
-      }
-      live_last_seq_ = entry.seq;
-      ++live_count_;
+    if (live_first_seq_ == 0) {
+      live_first_seq_ = entry.seq;
     }
+    live_last_seq_ = entry.seq;
+    ++live_count_;
   }
   uint64_t seq = entry.seq;
   entries_.push_back(std::move(entry));
@@ -481,49 +465,11 @@ void Journal::Clear() {
     file_.close();
     file_.clear();
     // Truncate the live file so restart cannot resurrect cleared entries.
-    file_.open(file_path_, std::ios::trunc | std::ios::binary);
-    file_.close();
-    file_.clear();
-    file_.open(file_path_, std::ios::app | std::ios::binary);
+    file_.open(LivePath(), std::ios::trunc | std::ios::binary);
+    OpenLive();
     live_first_seq_ = live_last_seq_ = 0;
     live_count_ = 0;
   }
-}
-
-int Journal::LoadFile(const std::string& path) {
-  const bool was_empty = entries_.empty();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return -1;
-  }
-  int count = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    if (std::optional<JournalEntry> entry = JournalEntry::FromLine(line)) {
-      if (entry->seq > last_seq_) {
-        last_seq_ = entry->seq;
-      }
-      if (entry->epoch > epoch_) {
-        epoch_ = entry->epoch;
-      }
-      entries_.push_back(std::move(*entry));
-      ++count;
-    } else {
-      // A torn write (crash mid-append) leaves a short final line; count it
-      // rather than silently dropping it so operators can see data loss.
-      ++corrupt_lines_skipped_;
-    }
-  }
-  // A file that starts past seq 1 was truncated/rotated before it was
-  // written; restore base_seq_ so a restarted primary refuses to stream the
-  // missing prefix (MR_REPL_TRUNCATED) instead of sending a gapped range.
-  if (was_empty && !entries_.empty() && entries_.front().seq - 1 > base_seq_) {
-    base_seq_ = entries_.front().seq - 1;
-  }
-  return count;
 }
 
 // --- Checkpoint directory naming --------------------------------------------

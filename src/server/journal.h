@@ -2,8 +2,9 @@
 // the Moira server daemon contains a listing of all successful changes to the
 // database", improving on the nightly backup by bounding transaction loss.
 //
-// Entries are kept in memory and optionally appended to a journal file, one
-// escaped line per change; mrrestore can replay entries newer than a backup.
+// Entries are kept in memory and, once attached to a data directory,
+// appended to its changelog, one escaped line per change; mrrestore can
+// replay entries newer than a backup.
 //
 // The journal doubles as the replication log (src/repl): every committed
 // entry carries a monotone sequence number assigned at append time, replicas
@@ -78,11 +79,6 @@ class Journal {
  public:
   Journal() = default;
 
-  // If set, every entry is also appended to this file.  The stream is kept
-  // open and flushed after every append (see Append).  Legacy single-file
-  // mode: rotation and on-disk truncation need a directory (below).
-  void SetFile(std::string path);
-
   // Attaches the journal to a data directory and recovers it from what is on
   // disk: sealed segments and the live file are scanned in order, every entry
   // with seq > after_seq is loaded into memory (entries at or below
@@ -94,7 +90,7 @@ class Journal {
   // directory cannot be created or read.
   int AttachDirectory(const std::string& dir, uint64_t after_seq = 0);
 
-  // Directory-mode root ("" when unattached or in single-file mode).
+  // Directory-mode root ("" when memory-only).
   const std::string& directory() const { return dir_; }
 
   // Seals the live file into journal.<first>-<last> and reopens an empty
@@ -120,8 +116,8 @@ class Journal {
 
   // Records one entry.  Assigns the next sequence number when entry.seq is 0
   // (entries carrying a seq — e.g. reloaded from disk — keep it and advance
-  // the counter past it).  When a journal file is attached the line is
-  // written and flushed before this returns, so an entry is durable before it
+  // the counter past it).  In directory mode the line is written to the live
+  // file and flushed before this returns, so an entry is durable before it
   // is acknowledged to the client or streamed to a replica.  Returns the
   // entry's sequence number.
   uint64_t Append(JournalEntry entry);
@@ -179,14 +175,8 @@ class Journal {
   // emptied, so disk matches memory.
   void Clear();
 
-  // Loads entries from a journal file (does not clear existing ones).
-  // Returns the number of entries read, or -1 if the file cannot be opened.
-  // Unparsable lines — e.g. a torn final line from a crash mid-append — are
-  // skipped and counted in corrupt_lines_skipped().  When the journal was
-  // empty and the file starts past seq 1 (a truncated/rotated journal),
-  // base_seq_ is restored to first_seq - 1 so a restarted primary reports
-  // MR_REPL_TRUNCATED instead of streaming a gapped range.
-  int LoadFile(const std::string& path);
+  // Unparsable lines AttachDirectory skipped — e.g. a torn final line from a
+  // crash mid-append.
   int corrupt_lines_skipped() const { return corrupt_lines_skipped_; }
 
  private:
@@ -199,14 +189,13 @@ class Journal {
   int LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live);
 
   std::vector<JournalEntry> entries_;
-  std::string file_path_;
   std::ofstream file_;
   uint64_t last_seq_ = 0;
   uint64_t base_seq_ = 0;  // entries 1..base_seq_ have been truncated
   uint64_t epoch_ = 1;     // current replication epoch (monotone)
   int corrupt_lines_skipped_ = 0;
 
-  // Directory mode (empty dir_ = legacy single-file or memory-only mode).
+  // Directory mode (empty dir_ = memory-only).
   std::string dir_;
   std::vector<JournalSegment> segments_;
   uint64_t live_first_seq_ = 0;  // 0 = live file holds no entries

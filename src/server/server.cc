@@ -9,6 +9,13 @@
 namespace moira {
 namespace {
 
+// Bounded wait: push sweeps over unacked peers before the quorum gate gives
+// up.  Each sweep re-ships the window a peer is missing, so this also bounds
+// the catch-up work a slow peer can demand on the ack path.
+constexpr int kQuorumAttempts = 3;
+// Applied idempotency tags remembered for replay dedup (FIFO eviction).
+constexpr size_t kIdempotencyWindow = 4096;
+
 std::string SingleReply(int32_t code) {
   return EncodeReply(MrReply{kMrProtocolVersion, code, {}});
 }
@@ -473,7 +480,7 @@ void MoiraServer::Fence(uint64_t newer_epoch) {
 }
 
 void MoiraServer::RecordAppliedTag(const std::string& tag, uint64_t seq) {
-  if (tag.empty() || options_.idempotency_window == 0) {
+  if (tag.empty()) {
     return;
   }
   auto [it, inserted] = applied_tags_.emplace(tag, seq);
@@ -481,7 +488,7 @@ void MoiraServer::RecordAppliedTag(const std::string& tag, uint64_t seq) {
     return;  // first application wins; replays keep acking the original seq
   }
   tag_order_.push_back(tag);
-  while (tag_order_.size() > options_.idempotency_window) {
+  while (tag_order_.size() > kIdempotencyWindow) {
     applied_tags_.erase(tag_order_.front());
     tag_order_.pop_front();
   }
@@ -498,8 +505,7 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
   const int needed =
       options_.write_quorum > 0 ? options_.write_quorum : (cluster + 1) / 2;
   const uint64_t epoch = journal_.epoch();
-  const int attempts = options_.quorum_attempts > 0 ? options_.quorum_attempts : 1;
-  for (int sweep = 0; sweep < attempts; ++sweep) {
+  for (int sweep = 0; sweep < kQuorumAttempts; ++sweep) {
     int acks = 1;  // self: Journal::Append flushed before we got here
     for (QuorumPeer* peer : quorum_peers_) {
       uint64_t& acked = peer_acked_[peer->name()];

@@ -56,19 +56,12 @@ struct ServerOptions {
   // peers + 1.  A promoted replica sets this so the old primary still counts
   // toward the denominator.
   int cluster_size = 0;
-  // Bounded wait: push sweeps over unacked peers before giving up.  Each
-  // sweep re-ships the window a peer is missing, so this also bounds the
-  // catch-up work a slow peer can demand on the ack path.
-  int quorum_attempts = 3;
   // Degraded-mode policy when quorum stays unreachable: false = refuse the
   // ack (client sees MR_QUORUM_TIMEOUT; the write is journalled locally and
   // may still commit — replaying its tag resolves the ambiguity), true =
   // acknowledge locally and fire the quorum alarm (availability over
   // durability; such writes can be lost to failover).
   bool quorum_ack_local = false;
-  // Applied idempotency tags remembered for replay dedup (FIFO eviction);
-  // 0 disables tag recording.
-  size_t idempotency_window = 4096;
 };
 
 // One push target of the quorum gate: ships journal lines primary -> replica
@@ -135,7 +128,7 @@ class MoiraServer final : public MessageHandler {
   int32_t CheckConnPrivilege(uint64_t conn_id, const std::string& query);
 
   // Records an applied idempotency tag -> seq (FIFO-bounded by
-  // ServerOptions::idempotency_window).  Also called by ReplicaServer while
+  // kIdempotencyWindow, server.cc).  Also called by ReplicaServer while
   // replaying journal entries, so replayed-tag dedup survives a failover.
   void RecordAppliedTag(const std::string& tag, uint64_t seq);
 
@@ -228,7 +221,7 @@ class MoiraServer final : public MessageHandler {
                             const std::vector<std::string>& args);
   // Runs the quorum gate for the journalled write at target_seq: pushes each
   // unacked peer's missing window until write_quorum members hold it or
-  // quorum_attempts sweeps are exhausted.  Returns MR_SUCCESS,
+  // kQuorumAttempts sweeps (server.cc) are exhausted.  Returns MR_SUCCESS,
   // MR_QUORUM_TIMEOUT, or MR_REPL_EPOCH (a peer fenced us).
   int32_t QuorumGate(uint64_t target_seq);
 

@@ -2,7 +2,7 @@
 
 #include "src/comerr/moira_errors.h"
 #include "src/common/checksum.h"
-#include "src/common/random.h"
+#include "src/common/fault_schedule.h"
 #include "src/common/strutil.h"
 #include "src/update/patch.h"
 
@@ -317,65 +317,36 @@ void SimHost::RegisterCommand(std::string command, std::function<int(SimHost&)> 
   commands_[std::move(command)] = std::move(handler);
 }
 
-namespace {
-
-void ArmHost(const FaultPlanSpec& spec, SimHost* host, uint64_t seed) {
-  // One independent, reproducible stream per (seed, pass, host).
-  SplitMix64 rng(seed);
-  host->SetFailMode(HostFailMode::kNone, 0);
-  if (spec.down_permille > 0 && rng.Chance(spec.down_permille, 1000)) {
-    // Down for the whole pass, however many attempts the client makes.
-    host->SetFailMode(HostFailMode::kRefuseConnection, 1 << 20);
-    return;
-  }
-  if (spec.flaky_permille > 0 && rng.Chance(spec.flaky_permille, 1000)) {
-    host->SetFailMode(HostFailMode::kFlaky, spec.flaky_fail_count);
-    return;
-  }
-  if (spec.slow_permille > 0 && rng.Chance(spec.slow_permille, 1000)) {
-    host->SetSlowDelay(spec.slow_seconds);
-    host->SetFailMode(HostFailMode::kSlow, 1);
-    return;
-  }
-  if (spec.corrupt_permille > 0 && rng.Chance(spec.corrupt_permille, 1000)) {
-    host->SetFailMode(HostFailMode::kCorruptTransfer, 1);
-    return;
-  }
-  if (spec.torn_permille > 0 && rng.Chance(spec.torn_permille, 1000)) {
-    host->SetFailMode(HostFailMode::kTornFlush, 1);
-  }
-}
-
-}  // namespace
-
-void FaultPlan::ArmPass(const std::vector<SimHost*>& hosts, int pass) const {
+void ArmPass(const FaultPlanSpec& spec, const std::vector<std::unique_ptr<SimHost>>& hosts,
+             int pass) {
+  const FaultSchedule schedule(spec.seed);
   for (size_t i = 0; i < hosts.size(); ++i) {
-    ArmHost(spec_, hosts[i],
-            spec_.seed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(pass) * 8192 + i));
+    SimHost* host = hosts[i].get();
+    FaultDice dice = schedule.Dice(pass, i);
+    host->SetFailMode(HostFailMode::kNone, 0);
+    if (dice.Roll(spec.down_permille)) {
+      // Down for the whole pass, however many attempts the client makes.
+      host->SetFailMode(HostFailMode::kRefuseConnection, 1 << 20);
+    } else if (dice.Roll(spec.flaky_permille)) {
+      host->SetFailMode(HostFailMode::kFlaky, spec.flaky_fail_count);
+    } else if (dice.Roll(spec.slow_permille)) {
+      host->SetSlowDelay(spec.slow_seconds);
+      host->SetFailMode(HostFailMode::kSlow, 1);
+    } else if (dice.Roll(spec.corrupt_permille)) {
+      host->SetFailMode(HostFailMode::kCorruptTransfer, 1);
+    } else if (dice.Roll(spec.torn_permille)) {
+      host->SetFailMode(HostFailMode::kTornFlush, 1);
+    }
   }
 }
 
-void FaultPlan::ArmPass(const std::vector<std::unique_ptr<SimHost>>& hosts,
-                        int pass) const {
-  for (size_t i = 0; i < hosts.size(); ++i) {
-    ArmHost(spec_, hosts[i].get(),
-            spec_.seed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(pass) * 8192 + i));
-  }
-}
-
-void FaultPlan::ArmDirectories(KerberosRealm* realm, HostDirectory* directory,
-                               int pass) const {
-  if (realm != nullptr) {
-    SplitMix64 rng(spec_.seed +
-                   0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(pass) * 8192 + 8190));
-    realm->SetDown(spec_.kdc_down_permille > 0 &&
-                   rng.Chance(spec_.kdc_down_permille, 1000));
-  }
+void ArmDirectories(const FaultPlanSpec& spec, KerberosRealm* realm,
+                    HostDirectory* directory, int pass) {
+  const FaultSchedule schedule(spec.seed);
+  ArmKdcOutage(schedule, pass, spec.kdc_down_permille, realm);
   if (directory != nullptr) {
-    SplitMix64 rng(spec_.seed +
-                   0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(pass) * 8192 + 8191));
-    directory->SetDown(spec_.hesiod_down_permille > 0 &&
-                       rng.Chance(spec_.hesiod_down_permille, 1000));
+    directory->SetDown(
+        schedule.Dice(pass, FaultSchedule::kHesiodTarget).Roll(spec.hesiod_down_permille));
   }
 }
 

@@ -97,7 +97,7 @@ class SimHost {
   // Connection attempts received (successful or refused): quarantined hosts
   // should stop accumulating these while their breaker is open.
   int connect_attempts() const { return connect_attempts_; }
-  // The currently armed fault (what FaultPlan::ArmPass drew for this pass).
+  // The currently armed fault (what ArmPass drew for this pass).
   HostFailMode fail_mode() const { return fail_mode_; }
   int fail_count() const { return fail_count_; }
 
@@ -151,9 +151,9 @@ class HostDirectory {
 };
 
 // Deterministic fleet-wide fault injection: before each DCM pass, every host
-// draws its fault mode for that pass from a stream seeded by (seed, pass,
-// host index), so the same spec replays the exact same fault schedule no
-// matter how many passes a configuration needs to converge.
+// draws its fault mode for that pass from the FaultSchedule stream of
+// (seed, pass, host index), so the same spec replays the exact same fault
+// schedule no matter how many passes a configuration needs to converge.
 struct FaultPlanSpec {
   uint64_t seed = 1988;
   // Per-pass probability (permille) that a host is flaky: it refuses the
@@ -171,34 +171,25 @@ struct FaultPlanSpec {
   // the update still reports success; self-healing relies on the next
   // patch's base-CRC check forcing a full ship).
   int torn_permille = 0;
-  // Directory-server outages (ROADMAP PR-4 residual): probability per pass
-  // that the KDC refuses ticket requests, and that Hesiod (the
-  // HostDirectory) fails lookups.  Already-issued tickets keep working, so
-  // cached-ticket paths ride out a KDC blip.
+  // Directory-server outages: probability per pass that the KDC refuses
+  // ticket requests, and that Hesiod (the HostDirectory) fails lookups.
+  // Already-issued tickets keep working, so cached-ticket paths ride out a
+  // KDC blip.
   int kdc_down_permille = 0;
   int hesiod_down_permille = 0;
 };
 
-class FaultPlan {
- public:
-  explicit FaultPlan(const FaultPlanSpec& spec) : spec_(spec) {}
+// Arms each host's fail mode for pass number `pass` (0-based).  Hosts not
+// selected by any draw are reset to healthy, so an all-zero spec heals the
+// fleet.
+void ArmPass(const FaultPlanSpec& spec, const std::vector<std::unique_ptr<SimHost>>& hosts,
+             int pass);
 
-  // Arms each host's fail mode for pass number `pass` (0-based).  Hosts not
-  // selected by any draw are reset to healthy.
-  void ArmPass(const std::vector<SimHost*>& hosts, int pass) const;
-  void ArmPass(const std::vector<std::unique_ptr<SimHost>>& hosts, int pass) const;
-
-  // Arms the directory servers for pass number `pass` from their own
-  // deterministic streams (host indices stay below 8192, so the reserved
-  // indices 8190/8191 never collide with a host's stream).  Either pointer
-  // may be null.
-  void ArmDirectories(KerberosRealm* realm, HostDirectory* directory, int pass) const;
-
-  const FaultPlanSpec& spec() const { return spec_; }
-
- private:
-  FaultPlanSpec spec_;
-};
+// Arms the directory servers for pass number `pass` from the schedule's
+// reserved KDC and Hesiod targets.  Both are always set, so an all-zero spec
+// brings them back up.  Either pointer may be null.
+void ArmDirectories(const FaultPlanSpec& spec, KerberosRealm* realm,
+                    HostDirectory* directory, int pass);
 
 }  // namespace moira
 

@@ -78,8 +78,6 @@ class UpdateClient {
 
   // KDC round trips made so far (observability for the ticket cache).
   int ticket_requests() const { return ticket_requests_; }
-  // Drops the cached ticket (e.g. after a DCM restart in tests).
-  void InvalidateTicket() { has_ticket_ = false; }
 
  private:
   UpdateOutcome AttemptOnce(SimHost* host, const std::string& target,

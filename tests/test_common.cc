@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
+#include "src/common/fault_schedule.h"
 #include "src/common/hash_table.h"
 #include "src/common/random.h"
 #include "src/common/retry.h"
@@ -130,6 +132,52 @@ TEST(SplitMix64, BoundsRespected) {
   }
 }
 
+
+TEST(FaultSchedule, ZeroPermilleConsumesNoDraw) {
+  FaultSchedule schedule(1988);
+  FaultDice with_zeros = schedule.Dice(3, 5);
+  FaultDice without = schedule.Dice(3, 5);
+  EXPECT_FALSE(with_zeros.Roll(0));
+  EXPECT_FALSE(with_zeros.Roll(-1));
+  // The dimensions left at 0 drew nothing: both streams are still in step.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(with_zeros.Below(1000), without.Below(1000)) << i;
+  }
+}
+
+TEST(FaultSchedule, FullPermilleAlwaysFires) {
+  FaultSchedule schedule(7);
+  for (int round = 0; round < 20; ++round) {
+    FaultDice dice = schedule.Dice(round, FaultSchedule::kKdcTarget);
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_TRUE(dice.Roll(1000));
+    }
+  }
+}
+
+TEST(FaultSchedule, StreamsAreIndependentPerRoundAndTarget) {
+  FaultSchedule schedule(42);
+  auto draws = [](FaultDice dice) {
+    std::vector<uint64_t> out;
+    for (int i = 0; i < 16; ++i) {
+      out.push_back(dice.Below(1u << 20));
+    }
+    return out;
+  };
+  const std::vector<uint64_t> target_one = draws(schedule.Dice(2, 1));
+  // However much another (round, target) draws, this one's stream is the
+  // same, because each stream is derived afresh from the seed.
+  FaultDice other = schedule.Dice(2, 0);
+  for (int i = 0; i < 1000; ++i) {
+    other.Roll(500);
+  }
+  EXPECT_EQ(target_one, draws(schedule.Dice(2, 1)));
+  // Neighbouring rounds, targets and the reserved targets draw differently.
+  EXPECT_NE(target_one, draws(schedule.Dice(2, 0)));
+  EXPECT_NE(target_one, draws(schedule.Dice(1, 1)));
+  EXPECT_NE(target_one, draws(schedule.Dice(2, FaultSchedule::kNetworkTarget)));
+  EXPECT_NE(target_one, draws(FaultSchedule(43).Dice(2, 1)));
+}
 
 TEST(RetryController, ExhaustsAttemptBudget) {
   SimulatedClock clock(0);

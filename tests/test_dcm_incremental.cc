@@ -206,7 +206,7 @@ TEST(DcmIncrementalTest, TornFlushIsCaughtByPatchBaseCrcAndFullShipHeals) {
   site.clock.Advance(7 * kSecondsPerHour);  // only HESIOD due
   FaultPlanSpec fault;
   fault.torn_permille = 1000;
-  FaultPlan(fault).ArmPass(site.hosts, 0);
+  ArmPass(fault, site.hosts, 0);
   DcmRunSummary second = site.dcm->RunOnce();
   EXPECT_EQ(1, second.patch_ships);
   EXPECT_EQ(0, second.patch_fallbacks);
@@ -233,54 +233,6 @@ TEST(DcmIncrementalTest, TornFlushIsCaughtByPatchBaseCrcAndFullShipHeals) {
   ASSERT_NE(nullptr, healed);
   EXPECT_EQ(*staged_passwd, *healed);
   EXPECT_NE(healed->find("/bin/torn2"), std::string::npos);
-}
-
-TEST(DcmIncrementalTest, PerServiceBreakerTunablesOverrideGlobals) {
-  Site site;
-  DcmResilienceConfig config;
-  config.breaker_threshold = 3;
-  config.breaker_cooldown = kSecondsPerHour;
-  // NFS hosts must converge fast: trip after one soft failure, but cool down
-  // for two hours instead of one.
-  config.per_service["NFS"] = BreakerTunables{1, 2 * kSecondsPerHour};
-  site.dcm->set_resilience(config);
-
-  SimHost* nfs = site.Host(site.builder->nfs_server_names()[0]);
-  SimHost* hesiod = site.Host(site.builder->hesiod_server_name());
-  nfs->SetFailMode(HostFailMode::kRefuseConnection, 1 << 20);
-  hesiod->SetFailMode(HostFailMode::kRefuseConnection, 1 << 20);
-
-  // Pass 1: both hosts fail softly once.  Only the NFS host's breaker opens
-  // (per-service threshold 1); HESIOD needs the global 3.
-  DcmRunSummary pass = site.dcm->RunOnce();
-  EXPECT_EQ(1, pass.breaker_opens);
-  EXPECT_EQ(2, pass.host_soft_failures);
-
-  // Pass 2: the NFS host is quarantined, HESIOD fails again.
-  site.clock.Advance(15 * kSecondsPerMinute);
-  pass = site.dcm->RunOnce();
-  EXPECT_EQ(1, pass.breaker_skips);
-  EXPECT_EQ(1, pass.host_soft_failures);
-  EXPECT_EQ(0, pass.breaker_opens);
-
-  // Pass 3, one hour after the NFS breaker opened: the global cool-down
-  // would probe now, but the per-service two-hour one keeps the quarantine.
-  // HESIOD reaches three consecutive soft failures and opens.
-  site.clock.Advance(45 * kSecondsPerMinute);
-  pass = site.dcm->RunOnce();
-  EXPECT_EQ(1, pass.breaker_skips);
-  EXPECT_EQ(1, pass.breaker_opens);
-  EXPECT_EQ(0, pass.probe_successes + pass.probe_failures);
-
-  // Pass 4, two hours in: the NFS cool-down expires and its half-open probe
-  // succeeds against the healed host.  HESIOD's (global, one-hour) cool-down
-  // also expired; its probe fails and re-opens the breaker.
-  site.clock.Advance(kSecondsPerHour);
-  nfs->SetFailMode(HostFailMode::kNone);
-  pass = site.dcm->RunOnce();
-  EXPECT_EQ(1, pass.probe_successes);
-  EXPECT_EQ(1, pass.probe_failures);
-  EXPECT_GE(pass.hosts_updated, 1);
 }
 
 TEST(DcmIncrementalTest, RandomizedChurnScheduleMatchesFullRegeneration) {

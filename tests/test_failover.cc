@@ -519,14 +519,8 @@ TEST(FailoverDcmTest, GenerationReadsOffloadToClusterReplicaAndDegrade) {
   EXPECT_EQ(0, second.generation_rows_replica);
 }
 
-// --- Randomized partition/flap/crash sweep with the lost-write oracle ---
-
-TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
-  ReplClusterOptions options;
-  options.missed_heartbeats = 2;
-  ReplCluster cluster(options);
-  std::unique_ptr<ReplicatedClient> router = MakeRouter(cluster);
-
+// FailoverSweepTest's fault mix: every replication fault dimension at once.
+ReplFaultSpec SweepFaultSpec() {
   ReplFaultSpec spec;
   spec.seed = 1988;
   spec.crash_permille = 150;
@@ -537,7 +531,62 @@ TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
   spec.torn_push_permille = 200;
   spec.partition_permille = 300;
   spec.asym_partition_permille = 300;
-  ReplFaultPlan plan(spec);
+  return spec;
+}
+
+// The schedule FailoverSweepTest's spec draws on a 3-node cluster over 10
+// rounds, recorded before the injectors shared one FaultSchedule: per round
+// each node ("X" crashed, "o" up) and then every blocked ordered pair, plus
+// the realm's outage per round ("K" down).  A change to the stream keying or
+// to the draw order fails here.  (That an all-zero spec also brings the realm
+// back up is ReplTest.FaultPlanInjectsDirectoryOutagesDeterministically.)
+TEST(FailoverSweepTest, PinnedScheduleAndZeroSpecHeals) {
+  ReplCluster cluster;
+  const ReplFaultSpec spec = SweepFaultSpec();
+  std::vector<ReplicaServer*> raw;
+  std::vector<std::string> names;
+  for (int i = 0; i < cluster.size(); ++i) {
+    raw.push_back(cluster.node(i));
+    names.push_back(cluster.node_name(i));
+  }
+  auto snapshot = [&] {
+    std::string line;
+    for (ReplicaServer* node : raw) {
+      line += node->crashed() ? "X" : "o";
+    }
+    for (const std::string& from : names) {
+      for (const std::string& to : names) {
+        if (from != to && !cluster.net().Allowed(from, to)) {
+          line += " " + from + ">" + to;
+        }
+      }
+    }
+    return line;
+  };
+  std::vector<std::string> rounds;
+  std::string kdc;
+  for (int round = 0; round < 10; ++round) {
+    ArmRound(spec, raw, &cluster.realm(), round, &cluster.net(), names);
+    rounds.push_back(snapshot());
+    kdc += cluster.realm().down() ? "K" : "-";
+  }
+  EXPECT_EQ(rounds, (std::vector<std::string>{"ooo", "ooo n1>n2 n2>n1", "ooo", "ooo",
+                                              "ooo", "Xoo", "ooo", "oXo n1>n0", "ooo",
+                                              "oXo n1>n0"}));
+  EXPECT_EQ("---------K", kdc);
+  ArmRound(ReplFaultSpec{}, raw, &cluster.realm(), 10, &cluster.net(), names);
+  EXPECT_EQ("ooo", snapshot());
+}
+
+// --- Randomized partition/flap/crash sweep with the lost-write oracle ---
+
+TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
+  ReplClusterOptions options;
+  options.missed_heartbeats = 2;
+  ReplCluster cluster(options);
+  std::unique_ptr<ReplicatedClient> router = MakeRouter(cluster);
+
+  const ReplFaultSpec spec = SweepFaultSpec();
 
   std::vector<ReplicaServer*> raw;
   std::vector<std::string> names;
@@ -558,7 +607,7 @@ TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
   };
 
   for (int round = 0; round < 25; ++round) {
-    plan.ArmRound(raw, &cluster.realm(), round, &cluster.net(), names);
+    ArmRound(spec, raw, &cluster.realm(), round, &cluster.net(), names);
     for (int tick = 0; tick < 3; ++tick) {
       cluster.Tick();
       check_one_primary_per_epoch();
@@ -577,14 +626,7 @@ TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
   }
 
   // Heal everything and drain.
-  cluster.net().HealAll();
-  cluster.realm().SetDown(false);
-  for (ReplicaServer* node : raw) {
-    if (node->crashed()) {
-      node->Restart();
-    }
-    node->set_apply_limit(0);
-  }
+  ArmRound(ReplFaultSpec{}, raw, &cluster.realm(), 25, &cluster.net(), names);
   ReplicaServer* final_primary = TickUntilPrimary(cluster, 40);
   ASSERT_NE(nullptr, final_primary);
   // One last write flushes the router's pending queue onto the survivor.

@@ -117,22 +117,23 @@ TEST(JournalEntryTest, RejectsMalformedLines) {
 
 TEST(JournalTest, FilePersistenceAndReload) {
   fs::path dir = TempDir("journal");
-  std::string path = (dir / "journal").string();
   {
     Journal journal;
-    journal.SetFile(path);
+    ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
     journal.Append(JournalEntry{0, 1, "a", "app", "q1", {"x"}});
     journal.Append(JournalEntry{0, 2, "b", "app", "q2", {}});
   }
   Journal reloaded;
-  EXPECT_EQ(2, reloaded.LoadFile(path));
+  EXPECT_EQ(2, reloaded.AttachDirectory(dir.string()));
   ASSERT_EQ(2u, reloaded.entries().size());
   EXPECT_EQ("q1", reloaded.entries()[0].query);
   // Sequence numbers were assigned at append time and survive the reload.
   EXPECT_EQ(1u, reloaded.entries()[0].seq);
   EXPECT_EQ(2u, reloaded.last_seq());
   EXPECT_EQ(1u, reloaded.EntriesSince(1).size());
-  EXPECT_EQ(-1, reloaded.LoadFile((dir / "missing").string()));
+  // A data directory that cannot be created is refused.
+  Journal refused;
+  EXPECT_EQ(-1, refused.AttachDirectory((dir / "journal" / "sub").string()));
 }
 
 class BackupTest : public MoiraEnv {

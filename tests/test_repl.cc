@@ -67,40 +67,18 @@ TEST(JournalReplTest, ResetSequenceContinuesNumbering) {
 
 TEST(JournalReplTest, AppendIsDurableBeforeAck) {
   fs::path dir = TempDir("repl-durable");
-  std::string path = (dir / "journal").string();
   Journal journal;
-  journal.SetFile(path);
+  ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.Append(JournalEntry{0, 123, "p", "c", "q", {"a"}});
-  // The stream is still open; the line must already be flushed to the file.
-  std::ifstream in(path);
+  // The stream is still open; the line must already be flushed to the live
+  // file.
+  std::ifstream in(dir / "journal");
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   std::optional<JournalEntry> entry = JournalEntry::FromLine(line);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(1u, entry->seq);
   EXPECT_EQ("q", entry->query);
-}
-
-TEST(JournalReplTest, TornTrailingLineSkippedOnReload) {
-  fs::path dir = TempDir("repl-torn");
-  std::string path = (dir / "journal").string();
-  {
-    Journal journal;
-    journal.SetFile(path);
-    journal.Append(JournalEntry{0, 100, "p", "c", "q1", {"x"}});
-    journal.Append(JournalEntry{0, 101, "p", "c", "q2", {"y"}});
-  }
-  {
-    // A crash mid-append leaves a torn final line.
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "3:10";
-  }
-  Journal reloaded;
-  EXPECT_EQ(2, reloaded.LoadFile(path));
-  EXPECT_EQ(1, reloaded.corrupt_lines_skipped());
-  ASSERT_EQ(2u, reloaded.entries().size());
-  EXPECT_EQ(2u, reloaded.last_seq());
-  EXPECT_EQ("q2", reloaded.entries()[1].query);
 }
 
 TEST(JournalReplTest, LineFuzzRoundTrip) {
@@ -159,28 +137,6 @@ TEST(JournalReplTest, LineFuzzRoundTrip) {
     ASSERT_TRUE(again.has_value()) << "iter " << iter;
     EXPECT_EQ(parsed->ToLine(), again->ToLine()) << "iter " << iter;
   }
-}
-
-TEST(JournalReplTest, LoadFileRestoresBaseSeq) {
-  // A journal file that starts past seq 1 was truncated/rotated before it
-  // was written.  Reloading it must restore base_seq, or a restarted primary
-  // passes the truncation check and streams a gapped range to replicas
-  // instead of MR_REPL_TRUNCATED (see HandleReplFetch).
-  fs::path dir = TempDir("repl-baseseq");
-  std::string path = (dir / "journal").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    for (uint64_t seq = 5; seq <= 8; ++seq) {
-      out << JournalEntry{seq, 100, "p", "c", "q", {}}.ToLine();
-    }
-  }
-  Journal reloaded;
-  ASSERT_EQ(4, reloaded.LoadFile(path));
-  EXPECT_EQ(4u, reloaded.base_seq());
-  EXPECT_EQ(5u, reloaded.first_seq());
-  EXPECT_EQ(8u, reloaded.last_seq());
-  // A replica asking for the missing prefix hits the truncation guard.
-  EXPECT_TRUE(1u <= reloaded.base_seq());
 }
 
 // --- Replication over the wire ---
@@ -509,8 +465,7 @@ TEST_F(ReplTest, FaultPlanInjectsDirectoryOutagesDeterministically) {
   spec.seed = 7;
   spec.kdc_down_permille = 1000;
   spec.hesiod_down_permille = 1000;
-  FaultPlan plan(spec);
-  plan.ArmDirectories(realm_.get(), &hosts, /*pass=*/0);
+  ArmDirectories(spec, realm_.get(), &hosts, /*pass=*/0);
   EXPECT_TRUE(realm_->down());
   EXPECT_TRUE(hosts.down());
   // A downed directory answers no lookups; tickets are refused.
@@ -521,9 +476,18 @@ TEST_F(ReplTest, FaultPlanInjectsDirectoryOutagesDeterministically) {
   // Zero permille always heals — same API, deterministic either way.
   FaultPlanSpec clear;
   clear.seed = 7;
-  FaultPlan(clear).ArmDirectories(realm_.get(), &hosts, /*pass=*/1);
+  ArmDirectories(clear, realm_.get(), &hosts, /*pass=*/1);
   EXPECT_FALSE(realm_->down());
   EXPECT_FALSE(hosts.down());
+  // The replication injector arms the same KDC outage, and heals it the same
+  // way.
+  ReplFaultSpec repl;
+  repl.seed = 7;
+  repl.kdc_down_permille = 1000;
+  ArmRound(repl, {}, realm_.get(), /*round=*/0);
+  EXPECT_TRUE(realm_->down());
+  ArmRound(ReplFaultSpec{}, {}, realm_.get(), /*round=*/1);
+  EXPECT_FALSE(realm_->down());
 }
 
 TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
@@ -542,9 +506,8 @@ TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
   spec.slow_permille = 300;
   spec.slow_apply_limit = 2;
   spec.kdc_down_permille = 200;
-  ReplFaultPlan plan(spec);
   for (int round = 0; round < 12; ++round) {
-    plan.ArmRound(raw, realm_.get(), round);
+    ArmRound(spec, raw, realm_.get(), round);
     clock_.Advance(30);
     for (int w = 0; w < 4; ++w) {
       std::string name = "m" + std::to_string(round) + "x" + std::to_string(w) + ".mit.edu";
@@ -558,12 +521,8 @@ TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
     }
   }
   // Heal everything and drain.
-  realm_->SetDown(false);
+  ArmRound(ReplFaultSpec{}, raw, realm_.get(), 12);
   for (ReplicaServer* replica : raw) {
-    if (replica->crashed()) {
-      replica->Restart();
-    }
-    replica->set_apply_limit(0);
     ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
   }
   const std::string golden = PrimaryDump();

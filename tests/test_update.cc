@@ -301,29 +301,36 @@ TEST_F(SimHostTest, TicketCachedForItsLifetime) {
   EXPECT_EQ(2, client_.ticket_requests());
 }
 
-TEST(FaultPlanTest, SameSeedReplaysSameSchedule) {
-  SimulatedClock clock(0);
-  KerberosRealm realm(&clock);
-  auto make_fleet = [&] {
-    std::vector<std::unique_ptr<SimHost>> fleet;
-    for (int i = 0; i < 20; ++i) {
-      fleet.push_back(std::make_unique<SimHost>("H" + std::to_string(i) + ".MIT.EDU",
-                                                &realm, &clock));
-    }
-    return fleet;
-  };
-  std::vector<std::unique_ptr<SimHost>> fleet_a = make_fleet();
-  std::vector<std::unique_ptr<SimHost>> fleet_b = make_fleet();
+// FaultPlanTest's fleet (20 hosts) and its mix of down, flaky and corrupt
+// hosts.
+std::vector<std::unique_ptr<SimHost>> MakeFleet(KerberosRealm* realm, const Clock* clock) {
+  std::vector<std::unique_ptr<SimHost>> fleet;
+  for (int i = 0; i < 20; ++i) {
+    fleet.push_back(
+        std::make_unique<SimHost>("H" + std::to_string(i) + ".MIT.EDU", realm, clock));
+  }
+  return fleet;
+}
+
+FaultPlanSpec MixedFaultSpec() {
   FaultPlanSpec spec;
   spec.seed = 7;
   spec.flaky_permille = 300;
   spec.down_permille = 150;
   spec.corrupt_permille = 100;
-  FaultPlan plan(spec);
+  return spec;
+}
+
+TEST(FaultPlanTest, SameSeedReplaysSameSchedule) {
+  SimulatedClock clock(0);
+  KerberosRealm realm(&clock);
+  std::vector<std::unique_ptr<SimHost>> fleet_a = MakeFleet(&realm, &clock);
+  std::vector<std::unique_ptr<SimHost>> fleet_b = MakeFleet(&realm, &clock);
+  const FaultPlanSpec spec = MixedFaultSpec();
   std::set<HostFailMode> seen;
   for (int pass = 0; pass < 5; ++pass) {
-    plan.ArmPass(fleet_a, pass);
-    plan.ArmPass(fleet_b, pass);
+    ArmPass(spec, fleet_a, pass);
+    ArmPass(spec, fleet_b, pass);
     for (size_t i = 0; i < fleet_a.size(); ++i) {
       EXPECT_EQ(fleet_a[i]->fail_mode(), fleet_b[i]->fail_mode());
       EXPECT_EQ(fleet_a[i]->fail_count(), fleet_b[i]->fail_count());
@@ -333,6 +340,43 @@ TEST(FaultPlanTest, SameSeedReplaysSameSchedule) {
   // The draw actually injects a mix of faults (and leaves some hosts healthy).
   EXPECT_TRUE(seen.contains(HostFailMode::kNone));
   EXPECT_GE(seen.size(), 3u);
+}
+
+// The schedule FaultPlanTest's spec draws for its fleet over 5 passes,
+// recorded before the injectors shared one FaultSchedule: one line per pass
+// of "<fail_mode>:<fail_count>" per host.  A change to the stream keying or
+// to the draw order fails here.
+TEST(FaultPlanTest, PinnedScheduleAndZeroSpecHeals) {
+  SimulatedClock clock(0);
+  KerberosRealm realm(&clock);
+  std::vector<std::unique_ptr<SimHost>> fleet = MakeFleet(&realm, &clock);
+  std::vector<std::string> passes;
+  for (int pass = 0; pass < 5; ++pass) {
+    ArmPass(MixedFaultSpec(), fleet, pass);
+    std::string line;
+    for (const auto& host : fleet) {
+      line += (line.empty() ? "" : " ") + std::to_string(static_cast<int>(host->fail_mode())) +
+              ":" + std::to_string(host->fail_count());
+    }
+    passes.push_back(line);
+  }
+  const std::string down = "1:1048576";
+  EXPECT_EQ(passes[0], "0:0 0:0 6:2 0:0 0:0 0:0 6:2 0:0 8:1 6:2 " + down +
+                           " 0:0 0:0 6:2 0:0 0:0 0:0 8:1 6:2 " + down);
+  EXPECT_EQ(passes[1], "0:0 0:0 0:0 0:0 0:0 0:0 6:2 0:0 0:0 0:0 0:0 0:0 6:2 0:0 0:0 0:0 "
+                       "8:1 6:2 " + down + " 6:2");
+  EXPECT_EQ(passes[2], "0:0 8:1 6:2 " + down + " 6:2 " + down + " 6:2 " + down +
+                           " 6:2 0:0 0:0 6:2 0:0 0:0 0:0 0:0 0:0 8:1 6:2 " + down);
+  EXPECT_EQ(passes[3], down + " 0:0 0:0 8:1 6:2 " + down +
+                           " 0:0 0:0 0:0 0:0 0:0 0:0 0:0 0:0 6:2 0:0 6:2 " + down +
+                           " 8:1 6:2");
+  EXPECT_EQ(passes[4], "0:0 8:1 6:2 " + down + " " + down + " 6:2 " + down +
+                           " 0:0 0:0 0:0 0:0 0:0 0:0 0:0 0:0 0:0 0:0 6:2 0:0 8:1");
+  ArmPass(FaultPlanSpec{}, fleet, 5);
+  for (const auto& host : fleet) {
+    EXPECT_EQ(HostFailMode::kNone, host->fail_mode()) << host->name();
+    EXPECT_EQ(0, host->fail_count()) << host->name();
+  }
 }
 
 TEST(HostDirectoryTest, RegisterAndFind) {
