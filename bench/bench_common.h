@@ -1,10 +1,13 @@
 // Shared fixture for the Moira benchmark harness: a paper-scale synthetic
-// site (DESIGN.md experiment index) built once per process.
+// site (DESIGN.md experiment index) built once per process, and the header
+// every BENCH_*.json report starts with.
 #ifndef MOIRA_BENCH_BENCH_COMMON_H_
 #define MOIRA_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -57,6 +60,17 @@ inline BenchSite& PaperSite() {
 inline BenchSite& SmallSite() {
   static BenchSite* site = new BenchSite(TestSiteSpec());
   return *site;
+}
+
+// Opens a BENCH_*.json object with the report's "benchmark" name and the
+// machine it ran on: the online CPU count and the build type
+// (bench/CMakeLists.txt defines MOIRA_BENCH_BUILD_TYPE).  The caller writes
+// the report's arrays and closes the object.
+inline void WriteBenchJsonHeader(std::FILE* f, const char* benchmark) {
+  std::fprintf(f,
+               "{\n  \"benchmark\": \"%s\",\n"
+               "  \"machine\": {\"nproc\": %u, \"build_type\": \"%s\"},\n",
+               benchmark, std::thread::hardware_concurrency(), MOIRA_BENCH_BUILD_TYPE);
 }
 
 }  // namespace moira

@@ -590,7 +590,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_propagation\",\n");
+  moira::WriteBenchJsonHeader(f, "bench_propagation");
   bool resilience_ok = moira::RunResilienceReport(f);
   std::fprintf(f, ",\n");
   bool incremental_ok = moira::RunIncrementalReport(f);

@@ -599,7 +599,8 @@ void WriteBenchJson(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_queries_access_paths\",\n  \"samples\": [\n");
+  WriteBenchJsonHeader(f, "bench_queries_access_paths");
+  std::fprintf(f, "  \"samples\": [\n");
   const std::vector<PathSample>& samples = PathSamples();
   for (size_t i = 0; i < samples.size(); ++i) {
     const PathSample& s = samples[i];

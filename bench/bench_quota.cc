@@ -532,7 +532,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_quota\",\n");
+  moira::WriteBenchJsonHeader(f, "bench_quota");
   bool ok = moira::RunQuotaReport(f);
   std::fprintf(f, "\n}\n");
   std::fclose(f);

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/backup/backup.h"
 #include "src/client/client.h"
 #include "src/comerr/moira_errors.h"
@@ -516,7 +517,7 @@ bool RunReplicationReport(const char* path) {
     std::printf("FAIL: cannot write %s\n", path);
     return false;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_replication\",\n");
+  WriteBenchJsonHeader(f, "bench_replication");
   std::fprintf(f, "  \"scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {
     WriteRunJson(f, scaling[i], clean.seed, false);

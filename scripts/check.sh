@@ -9,9 +9,11 @@
 #   bench     build, plain: bench_queries.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
 #             flaky fleet converges, and faster than the baseline.
-#   dcm       build, plain: test_dcm_incremental; bench_propagation at 100k
-#             users, where journal deltas examine and ship >= 50x less and
-#             patched fleets match a full regeneration byte for byte.
+#   dcm       build, plain: test_update (with the keyed-patch splice's
+#             property test against the Parse reference) and
+#             test_dcm_incremental; bench_propagation at 100k users, where
+#             journal deltas examine and ship >= 50x less and patched fleets
+#             match a full regeneration byte for byte.
 #   repl      build-asan, ASan: bench_replication, with >= 3x read scaling
 #             under seeded faults, read-your-writes and convergence.
 #   failover  build-asan, ASan: test_failover; bench_replication, where the
@@ -84,7 +86,8 @@ case "$1" in
     row build-asan ON bench_propagation "" bench_propagation \
       MOIRA_BENCH_INCREMENTAL_MAX_USERS=10000 ;;
   --dcm-smoke)
-    row build "" "bench_propagation test_dcm_incremental" test_dcm_incremental \
+    row build "" "bench_propagation test_update test_dcm_incremental" \
+      "test_update test_dcm_incremental" \
       bench_propagation MOIRA_BENCH_INCREMENTAL_MAX_USERS=100000 ;;
   --repl-smoke)
     row build-asan ON bench_replication "" bench_replication ;;

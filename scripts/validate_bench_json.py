@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Validates the BENCH_*.json files the benchmark binaries emit.
 
-A valid file is a JSON object with a string "benchmark" name and at least
-one non-empty array of flat sample records; every record field must be a
-finite number, a string, or a boolean.  Known reports additionally carry
-required arrays and record fields (BENCH_replication.json must show the
-scaling sweep, the faulted run, and the acceptance gates).  Exits non-zero
-(failing the check_bench / check_repl targets) on the first malformed file.
+A valid file is a JSON object with a string "benchmark" name, a "machine"
+record of the host it ran on ({"nproc": positive integer, "build_type":
+non-empty string}), and at least one non-empty array of flat sample records;
+every record field must be a finite number, a string, or a boolean.  Known
+reports additionally carry required arrays and record fields
+(BENCH_replication.json must show the scaling sweep, the faulted run, and
+the acceptance gates).  Exits non-zero (failing the check_bench /
+check_repl targets) on the first malformed file.
 """
 import json
 import math
@@ -71,6 +73,15 @@ def main(paths):
             fail("%s: %s" % (path, e))
         if not isinstance(doc, dict) or not isinstance(doc.get("benchmark"), str):
             fail("%s: missing string 'benchmark' key" % path)
+        machine = doc.get("machine")
+        if not isinstance(machine, dict):
+            fail("%s: missing 'machine' record" % path)
+        nproc = machine.get("nproc")
+        if isinstance(nproc, bool) or not isinstance(nproc, int) or nproc < 1:
+            fail("%s: machine.nproc is not a positive integer" % path)
+        build_type = machine.get("build_type")
+        if not isinstance(build_type, str) or not build_type:
+            fail("%s: machine.build_type is not a non-empty string" % path)
         arrays = [(k, v) for k, v in doc.items() if isinstance(v, list)]
         if not arrays:
             fail("%s: no sample arrays" % path)

@@ -5,26 +5,54 @@
 namespace moira {
 namespace {
 
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 (Kounavis & Berry, ISCC 2005): kCrcTables[0] is the classic
+// bytewise table, and kCrcTables[k][b] is the CRC contribution of byte b
+// followed by k zero bytes, so eight input bytes fold into the running crc
+// with eight independent lookups instead of eight dependent ones.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Little-endian 32-bit load from any alignment, on any host byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, std::string_view data) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t c = crc ^ 0xffffffffu;
-  for (char ch : data) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = LoadLe32(p) ^ c;
+    uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

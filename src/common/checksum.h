@@ -8,7 +8,8 @@
 
 namespace moira {
 
-// Standard CRC-32 (IEEE 802.3 polynomial, reflected).
+// Standard CRC-32 (IEEE 802.3 polynomial, reflected), computed eight bytes
+// at a time (slicing-by-8); the values are those of the bytewise algorithm.
 uint32_t Crc32(std::string_view data);
 
 // Incremental form: feed `data` into a running crc (start with 0).

@@ -54,15 +54,21 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 }
 
 std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
+  std::vector<std::string_view> fields;
+  SplitViews(s, sep, &fields);
+  return std::vector<std::string>(fields.begin(), fields.end());
+}
+
+void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* fields) {
+  fields->clear();
   size_t start = 0;
   while (true) {
     size_t pos = s.find(sep, start);
     if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
+      fields->push_back(s.substr(start));
+      return;
     }
-    out.emplace_back(s.substr(start, pos - start));
+    fields->push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
 }

@@ -22,6 +22,9 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 // Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
+// The same split as views into `s`, replacing the contents of `fields` (so a
+// caller splitting many lines reuses one vector's storage).
+void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* fields);
 
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

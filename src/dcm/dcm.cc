@@ -192,15 +192,12 @@ bool Dcm::ResolveEdits(const std::map<std::string, MemberEdit>& edits,
     if (edit.replace) {
       fresh = edit.replacement;
     } else {
-      KeyedFile file = KeyedFile::Parse(*old_contents, edit.rule);
-      for (const PatchOp& op : edit.ops) {
-        if (op.kind == PatchOp::kDelete) {
-          file.DeleteBlock(op.key);
-        } else {
-          file.SetBlock(op.key, op.block);
-        }
+      std::optional<std::string> spliced =
+          SpliceKeyedOps(*old_contents, edit.rule, edit.ops);
+      if (!spliced.has_value()) {
+        return false;  // the staged member is not canonical: regenerate
       }
-      fresh = file.Serialize();
+      fresh = std::move(*spliced);
     }
     if (fresh == *old_contents) {
       continue;  // the mutation had no effect on this member's bytes

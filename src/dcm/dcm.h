@@ -180,8 +180,9 @@ class Dcm {
                             DcmRunSummary* summary);
 
   // Applies keyed/replace edits to `archive` in place and appends a
-  // FilePatch per member whose bytes changed.  Returns false when an edit
-  // references a missing member (caller escalates to a full regeneration).
+  // FilePatch per member whose bytes changed.  Returns false when a keyed
+  // edit references a missing member or one not in canonical keyed form
+  // (caller escalates to a full regeneration).
   bool ResolveEdits(const std::map<std::string, MemberEdit>& edits,
                     const std::string& script, Archive* archive,
                     ArchivePatch* out);

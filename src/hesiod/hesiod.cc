@@ -1,5 +1,8 @@
 #include "src/hesiod/hesiod.h"
 
+#include <algorithm>
+#include <cctype>
+
 #include "src/common/strutil.h"
 
 namespace moira {
@@ -9,7 +12,8 @@ constexpr int kMaxCnameDepth = 8;
 
 // Splits a record line into whitespace-separated tokens, keeping a trailing
 // quoted string as one token (quotes stripped).
-bool TokenizeLine(std::string_view line, std::vector<std::string>* tokens) {
+bool TokenizeLine(std::string_view line, std::vector<std::string_view>* tokens) {
+  tokens->clear();
   size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
@@ -39,9 +43,19 @@ bool TokenizeLine(std::string_view line, std::vector<std::string>* tokens) {
 
 }  // namespace
 
-int HesiodServer::LoadDb(std::string_view text) {
+int HesiodServer::AppendDb(std::string_view text) {
+  // Appends `s` to text_, lowercased; returns where it starts.
+  auto append_lower = [this](std::string_view s) {
+    size_t pos = text_.size();
+    text_.append(s);
+    for (size_t i = pos; i < text_.size(); ++i) {
+      text_[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(text_[i])));
+    }
+    return pos;
+  };
   int loaded = 0;
   size_t pos = 0;
+  std::vector<std::string_view> tokens;
   while (pos <= text.size()) {
     size_t eol = text.find('\n', pos);
     std::string_view line = eol == std::string_view::npos ? text.substr(pos)
@@ -51,43 +65,61 @@ int HesiodServer::LoadDb(std::string_view text) {
     if (line.empty() || line[0] == ';') {
       continue;
     }
-    std::vector<std::string> tokens;
     if (!TokenizeLine(line, &tokens) || tokens.size() < 4 || tokens[1] != "HS") {
       return -1;
     }
-    HesiodRecord record;
+    Record record;
     if (tokens[2] == "UNSPECA") {
-      record.kind = HesiodRecord::Kind::kUnspecA;
-      record.data = tokens[3];
+      record.data_pos = text_.size();
+      text_.append(tokens[3]);
     } else if (tokens[2] == "CNAME") {
-      record.kind = HesiodRecord::Kind::kCname;
-      record.data = ToLowerCopy(tokens[3]);
+      record.cname = true;
+      record.data_pos = append_lower(tokens[3]);
     } else {
       return -1;
     }
-    records_.emplace(ToLowerCopy(tokens[0]), std::move(record));
+    record.data_len = tokens[3].size();
+    record.key_pos = append_lower(tokens[0]);
+    record.key_len = tokens[0].size();
+    records_.push_back(record);
     ++loaded;
   }
   return loaded;
 }
 
-void HesiodServer::Clear() { records_.clear(); }
+void HesiodServer::SortRecords() {
+  std::stable_sort(records_.begin(), records_.end(),
+                   [this](const Record& a, const Record& b) { return KeyOf(a) < KeyOf(b); });
+}
+
+int HesiodServer::LoadDb(std::string_view text) {
+  int loaded = AppendDb(text);
+  SortRecords();
+  return loaded;
+}
+
+void HesiodServer::Clear() {
+  text_.clear();
+  records_.clear();
+}
 
 std::vector<std::string> HesiodServer::Resolve(std::string_view name,
                                                std::string_view type) const {
   std::string key = ToLowerCopy(std::string(name) + "." + std::string(type));
   std::vector<std::string> out;
   for (int depth = 0; depth < kMaxCnameDepth; ++depth) {
-    auto [begin, end] = records_.equal_range(key);
-    if (begin == end) {
+    auto it = std::lower_bound(
+        records_.begin(), records_.end(), key,
+        [this](const Record& r, const std::string& k) { return KeyOf(r) < k; });
+    if (it == records_.end() || KeyOf(*it) != key) {
       return out;
     }
     std::string next_key;
-    for (auto it = begin; it != end; ++it) {
-      if (it->second.kind == HesiodRecord::Kind::kUnspecA) {
-        out.push_back(it->second.data);
+    for (; it != records_.end() && KeyOf(*it) == key; ++it) {
+      if (!it->cname) {
+        out.emplace_back(DataOf(*it));
       } else if (next_key.empty()) {
-        next_key = it->second.data;
+        next_key = DataOf(*it);
       }
     }
     if (!out.empty() || next_key.empty()) {
@@ -102,12 +134,14 @@ int HesiodServer::Reload(const std::vector<std::string>& db_texts) {
   Clear();
   int total = 0;
   for (const std::string& text : db_texts) {
-    int loaded = LoadDb(text);
+    int loaded = AppendDb(text);
     if (loaded < 0) {
+      SortRecords();
       return -1;
     }
     total += loaded;
   }
+  SortRecords();
   ++reload_count_;
   return total;
 }

@@ -4,22 +4,17 @@
 // generates: UNSPECA records carrying quoted string data, and CNAME records
 // aliasing one name to another.  The real server loads the files into memory
 // at startup and is restarted by the Moira install script after an update;
-// this implementation does the same via Reload().
+// this implementation does the same via Reload().  Records live in one
+// vector sorted by key, built in bulk per load and binary-searched by
+// Resolve(); their keys and payloads share one text buffer.
 #ifndef MOIRA_SRC_HESIOD_HESIOD_H_
 #define MOIRA_SRC_HESIOD_HESIOD_H_
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace moira {
-
-struct HesiodRecord {
-  enum class Kind { kUnspecA, kCname };
-  Kind kind = Kind::kUnspecA;
-  std::string data;  // the quoted payload, or the CNAME target key
-};
 
 class HesiodServer {
  public:
@@ -43,7 +38,32 @@ class HesiodServer {
   int Reload(const std::vector<std::string>& db_texts);
 
  private:
-  std::multimap<std::string, HesiodRecord> records_;  // key: lowercase name.type
+  // One record: spans of text_ holding its lowercase "name.type" key and its
+  // payload (the quoted UNSPECA data, or the lowercase CNAME target key).
+  struct Record {
+    size_t key_pos = 0;
+    size_t key_len = 0;
+    size_t data_pos = 0;
+    size_t data_len = 0;
+    bool cname = false;
+  };
+
+  std::string_view KeyOf(const Record& record) const {
+    return std::string_view(text_).substr(record.key_pos, record.key_len);
+  }
+  std::string_view DataOf(const Record& record) const {
+    return std::string_view(text_).substr(record.data_pos, record.data_len);
+  }
+
+  // Parses one file's records onto the end of records_, unsorted; returns
+  // the number appended, or -1 at a malformed line.
+  int AppendDb(std::string_view text);
+  // Restores key order after appends.  Stable, so records sharing a key keep
+  // the order they were loaded in (file order, then load order).
+  void SortRecords();
+
+  std::string text_;
+  std::vector<Record> records_;  // ascending by key
   int reload_count_ = 0;
 };
 

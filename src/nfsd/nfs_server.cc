@@ -34,8 +34,9 @@ constexpr char kDefaultLogin[] = "# Athena default .login\nsource /usr/athena/li
 
 int NfsServerSim::ApplyCredentials(const std::string& contents) {
   credentials_.clear();
+  std::vector<std::string_view> fields;
   return ForEachLine(contents, [&](std::string_view line) {
-    std::vector<std::string> fields = Split(std::string(line), ':');
+    SplitViews(line, ':', &fields);
     if (fields.size() < 2) {
       return false;
     }
@@ -52,15 +53,18 @@ int NfsServerSim::ApplyCredentials(const std::string& contents) {
       }
       credential.gids.push_back(*gid);
     }
-    credentials_[fields[0]] = std::move(credential);
+    // The file is sorted by login, so each insert lands at the end.
+    credentials_.insert_or_assign(credentials_.end(), std::string(fields[0]),
+                                  std::move(credential));
     return true;
   });
 }
 
 int NfsServerSim::ApplyQuotas(const std::string& partition, const std::string& contents) {
   std::set<int64_t> seen;
+  std::vector<std::string_view> fields;
   return ForEachLine(contents, [&](std::string_view line) {
-    std::vector<std::string> fields = Split(std::string(line), ' ');
+    SplitViews(line, ' ', &fields);
     if (fields.size() != 2) {
       return false;
     }
@@ -83,8 +87,9 @@ int NfsServerSim::ApplyQuotas(const std::string& partition, const std::string& c
 }
 
 int NfsServerSim::ApplyDirs(const std::string& contents) {
+  std::vector<std::string_view> fields;
   return ForEachLine(contents, [&](std::string_view line) {
-    std::vector<std::string> fields = Split(std::string(line), ' ');
+    SplitViews(line, ' ', &fields);
     if (fields.size() != 4) {
       return false;
     }
@@ -93,18 +98,18 @@ int NfsServerSim::ApplyDirs(const std::string& contents) {
     if (!uid.has_value() || !gid.has_value()) {
       return false;
     }
-    const std::string& path = fields[0];
+    std::string_view path = fields[0];
     if (lockers_.contains(path)) {
       return true;  // "If the directory does not already exist..."
     }
     // mkdir, chown, chgrp, chmod.
-    NfsLocker locker{path, *uid, *gid, fields[3]};
-    lockers_.emplace(path, std::move(locker));
+    std::string dir(path);
+    lockers_.emplace(dir, NfsLocker{dir, *uid, *gid, std::string(fields[3])});
     ++lockers_created_;
     // HOMEDIR lockers are loaded with the default init files.
     if (fields[3] == "HOMEDIR") {
-      host_->WriteFileDirect(path + "/.cshrc", kDefaultCshrc);
-      host_->WriteFileDirect(path + "/.login", kDefaultLogin);
+      host_->WriteFileDirect(dir + "/.cshrc", kDefaultCshrc);
+      host_->WriteFileDirect(dir + "/.login", kDefaultLogin);
     }
     return true;
   });

@@ -366,27 +366,14 @@ uint64_t Journal::Append(JournalEntry entry) {
   return seq;
 }
 
-std::vector<JournalEntry> Journal::EntriesSince(UnixTime since) const {
-  std::vector<JournalEntry> out;
-  for (const JournalEntry& entry : entries_) {
-    if (entry.when > since) {
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
 std::vector<JournalEntry> Journal::EntriesFromSeq(uint64_t from_seq, size_t max) const {
-  std::vector<JournalEntry> out;
-  for (const JournalEntry& entry : entries_) {
-    if (entry.seq >= from_seq) {
-      out.push_back(entry);
-      if (out.size() >= max) {
-        break;
-      }
-    }
-  }
-  return out;
+  // entries_ ascends by seq: Append numbers past last_seq_, and
+  // AttachDirectory loads the segments and then the live file in order.
+  auto first = std::partition_point(
+      entries_.begin(), entries_.end(),
+      [from_seq](const JournalEntry& entry) { return entry.seq < from_seq; });
+  size_t count = std::min(max, static_cast<size_t>(entries_.end() - first));
+  return std::vector<JournalEntry>(first, first + static_cast<ptrdiff_t>(count));
 }
 
 uint64_t Journal::first_seq() const {

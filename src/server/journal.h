@@ -124,9 +124,6 @@ class Journal {
 
   const std::vector<JournalEntry>& entries() const { return entries_; }
 
-  // Entries recorded strictly after `since`.
-  std::vector<JournalEntry> EntriesSince(UnixTime since) const;
-
   // Up to `max` retained entries with seq >= from_seq, in order.
   std::vector<JournalEntry> EntriesFromSeq(uint64_t from_seq,
                                            size_t max = SIZE_MAX) const;

@@ -1,5 +1,6 @@
 #include "src/update/patch.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/checksum.h"
@@ -37,24 +38,37 @@ bool GetCounted(std::string_view* in, std::string* s) {
   return true;
 }
 
-}  // namespace
-
-std::string KeyedFile::KeyOf(std::string_view line, KeyRule rule) {
+// The key a line belongs to under a rule.
+std::string_view KeyOf(std::string_view line, KeyRule rule) {
   if (rule == KeyRule::kUpToColon) {
-    size_t colon = line.find(':');
-    return std::string(line.substr(0, colon == std::string_view::npos
-                                          ? line.size()
-                                          : colon));
+    return line.substr(0, line.find(':'));
   }
-  size_t start = line.find_first_not_of(" \t");
-  if (start == std::string_view::npos) {
-    return std::string();
+  size_t start = 0;
+  while (start < line.size() && (line[start] == ' ' || line[start] == '\t')) {
+    ++start;
   }
-  size_t end = line.find_first_of(" \t", start);
-  return std::string(line.substr(start, end == std::string_view::npos
-                                            ? line.size() - start
-                                            : end - start));
+  size_t end = start;
+  while (end < line.size() && line[end] != ' ' && line[end] != '\t') {
+    ++end;
+  }
+  return line.substr(start, end - start);
 }
+
+bool IsPrologueLine(std::string_view line) {
+  return !line.empty() && (line[0] == ';' || line[0] == '#');
+}
+
+// Appends an upsert's block as SetBlock stores it (a delete appends nothing).
+void AppendOp(const PatchOp& op, std::string* out) {
+  if (op.kind == PatchOp::kUpsert && !op.block.empty()) {
+    out->append(op.block);
+    if (op.block.back() != '\n') {
+      out->push_back('\n');
+    }
+  }
+}
+
+}  // namespace
 
 KeyedFile KeyedFile::Parse(std::string_view text, KeyRule rule) {
   KeyedFile file(rule);
@@ -65,7 +79,7 @@ KeyedFile KeyedFile::Parse(std::string_view text, KeyRule rule) {
     std::string_view line = text.substr(
         pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
     pos = nl == std::string_view::npos ? text.size() : nl + 1;
-    if (in_prologue && !line.empty() && (line[0] == ';' || line[0] == '#')) {
+    if (in_prologue && IsPrologueLine(line)) {
       file.AppendPrologue(line);
       continue;
     }
@@ -78,7 +92,7 @@ KeyedFile KeyedFile::Parse(std::string_view text, KeyRule rule) {
 }
 
 void KeyedFile::AppendLine(std::string_view line) {
-  std::string& block = blocks_[KeyOf(line, rule_)];
+  std::string& block = blocks_[std::string(KeyOf(line, rule_))];
   block.append(line);
   if (block.empty() || block.back() != '\n') {
     block.push_back('\n');
@@ -100,11 +114,6 @@ void KeyedFile::SetBlock(const std::string& key, std::string block) {
 }
 
 void KeyedFile::DeleteBlock(const std::string& key) { blocks_.erase(key); }
-
-const std::string* KeyedFile::FindBlock(std::string_view key) const {
-  auto it = blocks_.find(std::string(key));
-  return it == blocks_.end() ? nullptr : &it->second;
-}
 
 std::string KeyedFile::Serialize() const {
   std::string out = prologue_;
@@ -206,26 +215,92 @@ std::optional<ArchivePatch> ArchivePatch::Parse(std::string_view bytes) {
   return patch;
 }
 
+std::optional<std::string> SpliceKeyedOps(std::string_view text, KeyRule rule,
+                                          const std::vector<PatchOp>& ops) {
+  // The last op on each key, in ascending key order.
+  std::vector<const PatchOp*> pending;
+  pending.reserve(ops.size());
+  size_t added = 0;
+  for (const PatchOp& op : ops) {
+    pending.push_back(&op);
+    added += op.block.size() + 1;
+  }
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const PatchOp* a, const PatchOp* b) { return a->key < b->key; });
+  size_t kept = 0;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    if (i + 1 == pending.size() || pending[i + 1]->key != pending[i]->key) {
+      pending[kept++] = pending[i];
+    }
+  }
+  pending.resize(kept);
+
+  std::string out;
+  out.reserve(text.size() + added);
+  size_t pos = 0;
+  while (pos < text.size() && IsPrologueLine(text.substr(pos))) {
+    size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) {
+      return std::nullopt;  // Serialize ends every line with a newline
+    }
+    pos = nl + 1;
+  }
+  // text[0, copied) is in `out` or was dropped with a replaced block.
+  size_t copied = 0;
+  auto flush = [&](size_t upto) {
+    out.append(text.substr(copied, upto - copied));
+    copied = upto;
+  };
+  auto next = pending.begin();
+  std::string_view block_key;
+  bool in_block = false;
+  bool replacing = false;
+  while (pos < text.size()) {
+    size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos || nl == pos) {
+      return std::nullopt;  // a missing final newline or an empty line
+    }
+    std::string_view key = KeyOf(text.substr(pos, nl - pos), rule);
+    if (!in_block || key != block_key) {
+      if (in_block && key < block_key) {
+        return std::nullopt;  // blocks out of order, or a key in two runs
+      }
+      // A block starts here: new keys sorting before it go first, and an op
+      // on its own key replaces it.
+      for (; next != pending.end() && (*next)->key < key; ++next) {
+        flush(pos);
+        AppendOp(**next, &out);
+      }
+      replacing = next != pending.end() && (*next)->key == key;
+      if (replacing) {
+        flush(pos);
+        AppendOp(**next, &out);
+        ++next;
+      }
+      block_key = key;
+      in_block = true;
+    }
+    pos = nl + 1;
+    if (replacing) {
+      copied = pos;
+    }
+  }
+  flush(text.size());
+  for (; next != pending.end(); ++next) {
+    AppendOp(**next, &out);
+  }
+  return out;
+}
+
 std::optional<std::string> ApplyFilePatch(std::string_view base,
                                           const FilePatch& patch) {
   if (Crc32(base) != patch.base_crc) {
     return std::nullopt;
   }
-  std::string result;
-  if (patch.replace) {
-    result = patch.contents;
-  } else {
-    KeyedFile file = KeyedFile::Parse(base, patch.key_rule);
-    for (const PatchOp& op : patch.ops) {
-      if (op.kind == PatchOp::kDelete) {
-        file.DeleteBlock(op.key);
-      } else {
-        file.SetBlock(op.key, op.block);
-      }
-    }
-    result = file.Serialize();
-  }
-  if (Crc32(result) != patch.result_crc) {
+  std::optional<std::string> result =
+      patch.replace ? std::optional<std::string>(patch.contents)
+                    : SpliceKeyedOps(base, patch.key_rule, patch.ops);
+  if (!result.has_value() || Crc32(*result) != patch.result_crc) {
     return std::nullopt;
   }
   return result;

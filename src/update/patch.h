@@ -3,9 +3,9 @@
 //
 // Every server file the DCM patches incrementally is a *keyed text file*: a
 // sequence of blocks, each owned by one record key (a Hesiod name, a login,
-// a uid), preceded by an optional comment prologue.  KeyedFile is the
-// canonical in-memory form; both the full generators and the patch appliers
-// serialize through it (prologue verbatim, blocks sorted by key), so
+// a uid), preceded by an optional comment prologue.  The full generators
+// write it through KeyedFile (prologue verbatim, blocks sorted by key), and
+// the patch appliers (SpliceKeyedOps) edit that canonical form in place, so
 // "apply this patch to the old file" and "regenerate the file from the
 // database" produce byte-identical output whenever they agree on block
 // contents.
@@ -37,7 +37,9 @@ enum class KeyRule : uint8_t {
   kUpToColon = 1,
 };
 
-// Canonical keyed text file: comment prologue + key-sorted blocks.
+// Canonical keyed text file: comment prologue + key-sorted blocks.  The
+// generators build files through it; Parse, SetBlock and DeleteBlock are the
+// reference model SpliceKeyedOps is tested against.
 class KeyedFile {
  public:
   explicit KeyedFile(KeyRule rule = KeyRule::kFirstToken) : rule_(rule) {}
@@ -54,17 +56,9 @@ class KeyedFile {
 
   void SetBlock(const std::string& key, std::string block);
   void DeleteBlock(const std::string& key);
-  // Returns the block for a key, or nullptr.
-  const std::string* FindBlock(std::string_view key) const;
 
   // Prologue, then blocks in ascending key order.
   std::string Serialize() const;
-
-  KeyRule rule() const { return rule_; }
-  const std::map<std::string, std::string>& blocks() const { return blocks_; }
-
-  // The key a line belongs to under a rule.
-  static std::string KeyOf(std::string_view line, KeyRule rule);
 
  private:
   KeyRule rule_;
@@ -110,9 +104,21 @@ class ArchivePatch {
   std::vector<FilePatch> files_;
 };
 
+// Applies keyed upserts and deletes to `text` in one pass over its lines,
+// copying unchanged spans.  The last op on a key wins; an upsert writes its
+// block (newline added if missing) in the key's sorted place, replacing any
+// block the key had, and a delete drops it.  `text` must be in the canonical
+// form KeyedFile::Serialize writes: the Parse prologue, then non-empty,
+// newline-terminated lines whose keys never decrease (so each key is one
+// contiguous block).  On such input the result equals Parse, then
+// SetBlock/DeleteBlock per op, then Serialize, byte for byte; any other
+// input returns nullopt.
+std::optional<std::string> SpliceKeyedOps(std::string_view text, KeyRule rule,
+                                          const std::vector<PatchOp>& ops);
+
 // Applies one file's patch to its base bytes.  Returns the patched contents,
-// or nullopt if the base does not hash to base_crc or the result does not
-// hash to result_crc (the caller falls back to a full ship).
+// or nullopt if the base does not hash to base_crc, is not canonical, or the
+// result does not hash to result_crc (the caller falls back to a full ship).
 std::optional<std::string> ApplyFilePatch(std::string_view base,
                                           const FilePatch& patch);
 

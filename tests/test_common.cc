@@ -68,10 +68,55 @@ TEST(HashTable, ClearEmpties) {
   EXPECT_EQ(nullptr, table.Fetch("a"));
 }
 
+// The bytewise table CRC-32 (one lookup per byte), kept here as the
+// reference the sliced kernel must reproduce bit for bit.
+uint32_t BytewiseCrc32(uint32_t crc, std::string_view data) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = crc ^ 0xffffffffu;
+  for (char ch : data) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
 TEST(Crc32, KnownVectors) {
-  // Standard test vector for CRC-32/IEEE.
+  // Standard test vectors for CRC-32/IEEE: the check value, the empty
+  // string, a tail shorter than one 8-byte step, and several steps plus a
+  // tail.
   EXPECT_EQ(0xCBF43926u, Crc32("123456789"));
   EXPECT_EQ(0u, Crc32(""));
+  EXPECT_EQ(0xE8B7BE43u, Crc32("a"));
+  EXPECT_EQ(0x414FA339u, Crc32("The quick brown fox jumps over the lazy dog"));
+}
+
+TEST(Crc32, MatchesBytewiseAtEverySplitAndAlignment) {
+  SplitMix64 rng(335);
+  std::string buffer(96 + 8, '\0');
+  for (char& ch : buffer) {
+    ch = static_cast<char>(rng.Next());
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    std::string_view data = std::string_view(buffer).substr(align, 96);
+    for (size_t length = 0; length <= data.size(); ++length) {
+      ASSERT_EQ(BytewiseCrc32(0, data.substr(0, length)), Crc32(data.substr(0, length)))
+          << "align " << align << " length " << length;
+    }
+    const uint32_t whole = BytewiseCrc32(0, data);
+    for (size_t split = 0; split <= data.size(); ++split) {
+      ASSERT_EQ(whole, Crc32Update(Crc32(data.substr(0, split)), data.substr(split)))
+          << "align " << align << " split " << split;
+    }
+  }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {

@@ -1,6 +1,9 @@
 // Tests for the Hesiod name server substrate (paper section 5.8.2).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/hesiod/hesiod.h"
 
 namespace moira {
@@ -100,6 +103,59 @@ TEST(Hesiod, ReloadReplacesRecords) {
   EXPECT_EQ(1, server.reload_count());
   EXPECT_TRUE(server.Resolve("babette", "passwd").empty());
   EXPECT_EQ(1u, server.Resolve("fresh", "passwd").size());
+}
+
+// A file with `copies` records for dup.t, numbered in file order and
+// interleaved with records whose keys sort on both sides of it.
+std::string DuplicateKeyDb(int first, int copies) {
+  std::string text;
+  for (int i = first; i < first + copies; ++i) {
+    text += "zz" + std::to_string(i) + ".t HS UNSPECA \"z\"\n";
+    text += "DUP.t HS UNSPECA \"" + std::to_string(i) + "\"\n";
+    text += "aa" + std::to_string(i) + ".t HS UNSPECA \"a\"\n";
+  }
+  return text;
+}
+
+std::vector<std::string> Numbered(int first, int count) {
+  std::vector<std::string> out;
+  for (int i = first; i < first + count; ++i) {
+    out.push_back(std::to_string(i));
+  }
+  return out;
+}
+
+TEST(Hesiod, DuplicateKeysKeepFileOrderAcrossReload) {
+  HesiodServer server;
+  ASSERT_EQ(300 + 150, server.Reload({DuplicateKeyDb(0, 100), DuplicateKeyDb(100, 50)}));
+  std::vector<std::string> expected = Numbered(0, 150);
+  EXPECT_EQ(expected, server.Resolve("dup", "t"));
+  // Lookups fold case whatever case the file used.
+  EXPECT_EQ(expected, server.Resolve("Dup", "T"));
+  // A second restart on new files gives the same order again.
+  ASSERT_EQ(3 * 80, server.Reload({DuplicateKeyDb(7, 80)}));
+  EXPECT_EQ(Numbered(7, 80), server.Resolve("DUP", "t"));
+}
+
+TEST(Hesiod, DuplicateKeysKeepLoadOrderAcrossLoadDb) {
+  HesiodServer server;
+  ASSERT_EQ(3 * 60, server.LoadDb(DuplicateKeyDb(0, 60)));
+  ASSERT_EQ(3 * 40, server.LoadDb(DuplicateKeyDb(60, 40)));
+  EXPECT_EQ(Numbered(0, 100), server.Resolve("dup", "t"));
+  EXPECT_EQ(1u, server.Resolve("AA59", "t").size());
+  EXPECT_EQ(2u * 3 * 50, server.record_count());
+}
+
+TEST(Hesiod, CnameChainAcrossFilesAndCase) {
+  HesiodServer server;
+  // The chain's links are spread over files loaded out of order, with
+  // mixed-case keys and targets.
+  ASSERT_EQ(3, server.Reload({"C.t HS UNSPECA \"end\"\n",
+                              "a.T HS CNAME B.t\n",
+                              "b.t HS CNAME c.T\n"}));
+  EXPECT_EQ(std::vector<std::string>{"end"}, server.Resolve("A", "t"));
+  EXPECT_EQ(std::vector<std::string>{"end"}, server.Resolve("b", "T"));
+  EXPECT_TRUE(server.Resolve("d", "t").empty());
 }
 
 TEST(Hesiod, EmptyAndCommentOnlyFiles) {

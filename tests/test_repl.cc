@@ -58,6 +58,45 @@ TEST(JournalReplTest, EntriesFromSeqAndTruncation) {
   EXPECT_EQ(11u, journal.Append(JournalEntry{0, 200, "p", "c", "q", {}}));
 }
 
+std::vector<uint64_t> Seqs(const std::vector<JournalEntry>& entries) {
+  std::vector<uint64_t> out;
+  for (const JournalEntry& entry : entries) {
+    out.push_back(entry.seq);
+  }
+  return out;
+}
+
+TEST(JournalReplTest, EntriesFromSeqWindowBoundaries) {
+  using V = std::vector<uint64_t>;
+  Journal journal;
+  for (int i = 0; i < 5; ++i) {
+    journal.Append(JournalEntry{});
+  }
+  EXPECT_EQ((V{1, 2, 3, 4, 5}), Seqs(journal.EntriesFromSeq(0)));
+  EXPECT_EQ((V{3, 4, 5}), Seqs(journal.EntriesFromSeq(3)));
+  EXPECT_EQ((V{5}), Seqs(journal.EntriesFromSeq(5)));
+  EXPECT_EQ(V{}, Seqs(journal.EntriesFromSeq(6)));
+  EXPECT_EQ((V{2, 3}), Seqs(journal.EntriesFromSeq(2, 2)));
+  EXPECT_EQ((V{5}), Seqs(journal.EntriesFromSeq(5, 2)));
+  EXPECT_EQ(V{}, Seqs(journal.EntriesFromSeq(1, 0)));
+  // A failover promotion leaves a gap: 6..9 were never held here.
+  journal.ResetSequence(10);
+  journal.Append(JournalEntry{});
+  journal.Append(JournalEntry{});
+  EXPECT_EQ((V{5, 10, 11}), Seqs(journal.EntriesFromSeq(5)));
+  EXPECT_EQ((V{10, 11}), Seqs(journal.EntriesFromSeq(6)));
+  EXPECT_EQ((V{10}), Seqs(journal.EntriesFromSeq(9, 1)));
+  EXPECT_EQ((V{11}), Seqs(journal.EntriesFromSeq(11)));
+  EXPECT_EQ(V{}, Seqs(journal.EntriesFromSeq(12)));
+  // After pruning, a start below first_seq begins at the oldest retained
+  // entry.
+  EXPECT_EQ(4u, journal.TruncateThrough(4));
+  EXPECT_EQ(5u, journal.first_seq());
+  EXPECT_EQ((V{5, 10, 11}), Seqs(journal.EntriesFromSeq(1)));
+  EXPECT_EQ((V{5, 10}), Seqs(journal.EntriesFromSeq(4, 2)));
+  EXPECT_EQ(V{}, Seqs(journal.EntriesFromSeq(12)));
+}
+
 TEST(JournalReplTest, ResetSequenceContinuesNumbering) {
   Journal journal;
   journal.ResetSequence(41);

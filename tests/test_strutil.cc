@@ -32,6 +32,14 @@ TEST(SplitJoin, RoundTrips) {
   EXPECT_EQ(std::vector<std::string>{""}, Split("", ':'));
 }
 
+TEST(SplitJoin, SplitViewsReplacesFields) {
+  std::vector<std::string_view> fields = {"stale"};
+  SplitViews("login:1:2:", ':', &fields);
+  EXPECT_EQ((std::vector<std::string_view>{"login", "1", "2", ""}), fields);
+  SplitViews("", ' ', &fields);
+  EXPECT_EQ(std::vector<std::string_view>{""}, fields);
+}
+
 TEST(ParseInt, AcceptsSignedDecimals) {
   EXPECT_EQ(42, ParseInt("42").value());
   EXPECT_EQ(-7, ParseInt("-7").value());

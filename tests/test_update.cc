@@ -1,15 +1,20 @@
-// Tests for the archive container, the simulated server hosts, and the
-// Moira-to-server update protocol (paper section 5.9).
+// Tests for the archive container, keyed-file patches, the simulated server
+// hosts, and the Moira-to-server update protocol (paper section 5.9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/comerr/moira_errors.h"
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/krb/kerberos.h"
 #include "src/update/archive.h"
+#include "src/update/patch.h"
 #include "src/update/sim_host.h"
 #include "src/update/update_client.h"
 
@@ -408,6 +413,191 @@ TEST(UpdateClientTest, NullHostIsHardConnFailure) {
   EXPECT_TRUE(outcome.hard);
   EXPECT_EQ(0, outcome.attempts);
   EXPECT_EQ(UpdatePhase::kNone, outcome.phase);
+}
+
+// --- Keyed-file patches ---
+
+// The Parse-based model SpliceKeyedOps must reproduce byte for byte.
+std::string ReferenceApply(std::string_view text, KeyRule rule,
+                           const std::vector<PatchOp>& ops) {
+  KeyedFile file = KeyedFile::Parse(text, rule);
+  for (const PatchOp& op : ops) {
+    if (op.kind == PatchOp::kDelete) {
+      file.DeleteBlock(op.key);
+    } else {
+      file.SetBlock(op.key, op.block);
+    }
+  }
+  return file.Serialize();
+}
+
+// A random key that is legal under both rules and never reads as a prologue
+// line; the alphabet spans '-' < '0' < 'A' < '_' < 'a' so byte order matters.
+std::string RandomKey(SplitMix64& rng) {
+  static constexpr char kAlphabet[] = "-.09AZ_az";
+  std::string key;
+  int length = static_cast<int>(rng.Between(1, 4));
+  for (int i = 0; i < length; ++i) {
+    key.push_back(kAlphabet[rng.Below(sizeof(kAlphabet) - 1)]);
+  }
+  return key;
+}
+
+// One to three lines owned by `key`; under kFirstToken some are indented.
+std::string RandomBlock(SplitMix64& rng, const std::string& key, KeyRule rule) {
+  std::string block;
+  int lines = static_cast<int>(rng.Between(1, 3));
+  for (int i = 0; i < lines; ++i) {
+    std::string payload = "v" + std::to_string(rng.Below(1000)) + " x:y";
+    if (rule == KeyRule::kUpToColon) {
+      block += key + ":" + payload + "\n";
+    } else {
+      block += (rng.Chance(1, 8) ? " \t" : "") + key + " " + payload + "\n";
+    }
+  }
+  return block;
+}
+
+// A canonical file (as the generators write it) with 0..200 blocks.
+std::string RandomCanonicalFile(SplitMix64& rng, KeyRule rule,
+                                std::vector<std::string>* keys) {
+  KeyedFile file(rule);
+  if (rng.Chance(1, 2)) {
+    file.AppendPrologue("; generated by moira");
+    file.AppendPrologue("# do not edit");
+  }
+  keys->clear();
+  int blocks = static_cast<int>(rng.Below(201));
+  for (int i = 0; i < blocks; ++i) {
+    std::string key = RandomKey(rng);
+    std::string block = RandomBlock(rng, key, rule);
+    size_t pos = 0;
+    while (pos < block.size()) {
+      size_t nl = block.find('\n', pos);
+      file.AppendLine(std::string_view(block).substr(pos, nl - pos));
+      pos = nl + 1;
+    }
+    keys->push_back(key);
+  }
+  return file.Serialize();
+}
+
+// Up to 20 ops: upserts of existing and new keys (including keys sorting
+// before the first block and after the last), deletes of present and absent
+// keys, and repeats of keys already edited.
+std::vector<PatchOp> RandomOps(SplitMix64& rng, KeyRule rule,
+                               const std::vector<std::string>& keys) {
+  std::vector<PatchOp> ops;
+  int count = static_cast<int>(rng.Below(21));
+  for (int i = 0; i < count; ++i) {
+    std::string key;
+    uint64_t pick = rng.Below(6);
+    if (pick == 0 && !ops.empty()) {
+      key = ops[rng.Below(ops.size())].key;
+    } else if (pick <= 2 && !keys.empty()) {
+      key = keys[rng.Below(keys.size())];
+    } else if (pick == 3) {
+      key = "!" + RandomKey(rng);  // sorts before every generated key
+    } else if (pick == 4) {
+      key = "~" + RandomKey(rng);  // sorts after every generated key
+    } else {
+      key = RandomKey(rng);
+    }
+    PatchOp op;
+    op.key = key;
+    if (rng.Chance(1, 4)) {
+      op.kind = PatchOp::kDelete;
+    } else {
+      op.block = RandomBlock(rng, key, rule);
+      if (rng.Chance(1, 8)) {
+        op.block.pop_back();  // SetBlock supplies the final newline
+      } else if (rng.Chance(1, 16)) {
+        op.block.clear();  // an empty upsert serializes as nothing
+      }
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+TEST(KeyedPatchTest, SpliceMatchesParseReference) {
+  for (KeyRule rule : {KeyRule::kFirstToken, KeyRule::kUpToColon}) {
+    SplitMix64 rng(rule == KeyRule::kFirstToken ? 2005 : 1988);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<std::string> keys;
+      std::string text = RandomCanonicalFile(rng, rule, &keys);
+      ASSERT_EQ(text, ReferenceApply(text, rule, {}));
+      // Three passes in a row: each result is the next pass's base, as on a
+      // host that takes one patch per DCM pass.
+      for (int pass = 0; pass < 3; ++pass) {
+        std::vector<PatchOp> ops = RandomOps(rng, rule, keys);
+        std::string expected = ReferenceApply(text, rule, ops);
+        std::optional<std::string> spliced = SpliceKeyedOps(text, rule, ops);
+        ASSERT_TRUE(spliced.has_value()) << "trial " << trial << " pass " << pass;
+        ASSERT_EQ(expected, *spliced) << "trial " << trial << " pass " << pass;
+        for (const PatchOp& op : ops) {
+          keys.push_back(op.key);
+        }
+        text = std::move(*spliced);
+      }
+    }
+  }
+}
+
+TEST(KeyedPatchTest, SpliceRefusesNonCanonicalInput) {
+  const std::vector<PatchOp> ops = {PatchOp{PatchOp::kUpsert, "m", "m 1\n"}};
+  // Blocks out of order.
+  EXPECT_FALSE(SpliceKeyedOps("b 1\na 1\n", KeyRule::kFirstToken, ops).has_value());
+  EXPECT_FALSE(SpliceKeyedOps("b:1\na:1\n", KeyRule::kUpToColon, ops).has_value());
+  // One key in two runs.
+  EXPECT_FALSE(
+      SpliceKeyedOps("a 1\nb 1\na 2\n", KeyRule::kFirstToken, ops).has_value());
+  // An empty line, between blocks or right after the prologue.
+  EXPECT_FALSE(SpliceKeyedOps("a 1\n\nb 1\n", KeyRule::kFirstToken, ops).has_value());
+  EXPECT_FALSE(SpliceKeyedOps("; p\n\na 1\n", KeyRule::kFirstToken, ops).has_value());
+  // A missing final newline, on a block line or on a prologue line.
+  EXPECT_FALSE(SpliceKeyedOps("a 1\nb 1", KeyRule::kFirstToken, ops).has_value());
+  EXPECT_FALSE(SpliceKeyedOps("; p", KeyRule::kFirstToken, ops).has_value());
+  // The refusal does not depend on the ops touching the bad spot.
+  EXPECT_FALSE(SpliceKeyedOps("a 1\nb 1", KeyRule::kFirstToken, {}).has_value());
+  // Canonical input with no ops comes back unchanged.
+  EXPECT_EQ("; p\na 1\na 2\nb 1\n",
+            SpliceKeyedOps("; p\na 1\na 2\nb 1\n", KeyRule::kFirstToken, {}));
+  EXPECT_EQ("", SpliceKeyedOps("", KeyRule::kUpToColon, {}));
+}
+
+TEST(KeyedPatchTest, ApplyFilePatchChecksBothCrcs) {
+  const std::string base = "a:1\nc:3\n";
+  FilePatch patch;
+  patch.key_rule = KeyRule::kUpToColon;
+  patch.ops = {PatchOp{PatchOp::kUpsert, "b", "b:2"}};
+  patch.base_crc = Crc32(base);
+  patch.result_crc = Crc32("a:1\nb:2\nc:3\n");
+  EXPECT_EQ("a:1\nb:2\nc:3\n", ApplyFilePatch(base, patch));
+
+  FilePatch wrong_base = patch;
+  wrong_base.base_crc ^= 1;
+  EXPECT_FALSE(ApplyFilePatch(base, wrong_base).has_value());
+
+  FilePatch wrong_result = patch;
+  wrong_result.result_crc ^= 1;
+  EXPECT_FALSE(ApplyFilePatch(base, wrong_result).has_value());
+
+  // A base that matches its CRC but is not canonical is refused too.
+  const std::string unsorted = "c:3\na:1\n";
+  FilePatch on_unsorted = patch;
+  on_unsorted.base_crc = Crc32(unsorted);
+  EXPECT_FALSE(ApplyFilePatch(unsorted, on_unsorted).has_value());
+
+  // Whole-file replacements are CRC-checked the same way.
+  FilePatch replace;
+  replace.replace = true;
+  replace.contents = "new\n";
+  replace.base_crc = Crc32(base);
+  replace.result_crc = Crc32("new\n");
+  EXPECT_EQ("new\n", ApplyFilePatch(base, replace));
+  replace.result_crc ^= 1;
+  EXPECT_FALSE(ApplyFilePatch(base, replace).has_value());
 }
 
 }  // namespace
