@@ -3,6 +3,7 @@
 // paper-scale database, exercising indexed lookups, wildcard scans,
 // recursive membership, and mutation paths.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -483,11 +484,8 @@ std::vector<BenchGate>& Gates() {
   return *gates;
 }
 
-std::unique_ptr<Database> MakeUsersRelation(size_t rows, Table** out) {
-  static SimulatedClock clock(568000000);
-  auto db = std::make_unique<Database>(&clock);
-  CreateMoiraSchema(db.get());
-  Table* users = db->GetTable(kUsersTable);
+// Appends `rows` synthetic users to a table with the users schema.
+void FillUsers(Table* users, size_t rows) {
   const int login = users->ColumnIndex("login");
   const int users_id = users->ColumnIndex("users_id");
   const int uid = users->ColumnIndex("uid");
@@ -512,7 +510,14 @@ std::unique_ptr<Database> MakeUsersRelation(size_t rows, Table** out) {
     row[mit_id] = Value("id" + std::to_string(i));
     users->Append(std::move(row));
   }
-  *out = users;
+}
+
+std::unique_ptr<Database> MakeUsersRelation(size_t rows, Table** out) {
+  static SimulatedClock clock(568000000);
+  auto db = std::make_unique<Database>(&clock);
+  CreateMoiraSchema(db.get());
+  *out = db->GetTable(kUsersTable);
+  FillUsers(*out, rows);
   return db;
 }
 
@@ -593,6 +598,75 @@ bool RunIndexMaintenanceReport() {
   return ok;
 }
 
+// --- index memory on the users relation ---
+//
+// Heap bytes per index entry: the users indexes CreateMoiraSchema declares
+// (five exact, two folded) are built over a filled copy of the relation, and
+// the mallinfo2 delta around the builds is divided by the entries they hold.
+// The gate: at most 32 bytes per entry at 10k and 100k rows.  A heap the
+// delta cannot see (a sanitizer's allocator) fails the gate rather than
+// passing it unmeasured.
+
+struct IndexMemorySample {
+  size_t table_rows;
+  size_t entries;
+  double bytes_per_entry;
+};
+
+std::vector<IndexMemorySample>& IndexMemorySamples() {
+  static auto* samples = new std::vector<IndexMemorySample>();
+  return *samples;
+}
+
+size_t HeapBytesInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+bool RunIndexMemoryReport() {
+  std::printf("Index memory on users (CreateMoiraSchema indexes built on a filled copy)\n");
+  std::printf("%9s %9s %15s\n", "rows", "entries", "bytes/entry");
+  SimulatedClock clock(568000000);
+  Database schema_db(&clock);
+  CreateMoiraSchema(&schema_db);
+  const Table* users = schema_db.GetTable(kUsersTable);
+  bool ok = true;
+  for (size_t rows : {size_t{10000}, size_t{100000}}) {
+    Table copy(users->schema());
+    FillUsers(&copy, rows);
+    const size_t before = HeapBytesInUse();
+    for (const IndexDesc& desc : users->IndexDescs()) {
+      const std::string& column = users->schema().columns[desc.column].name;
+      if (desc.folded) {
+        copy.CreateFoldedIndex(column);
+      } else {
+        copy.CreateIndex(column);
+      }
+    }
+    const size_t after = HeapBytesInUse();
+    size_t entries = 0;
+    for (const IndexDesc& desc : copy.IndexDescs()) {
+      entries += desc.entries;
+    }
+    const double per_entry =
+        after > before && entries > 0
+            ? static_cast<double>(after - before) / static_cast<double>(entries)
+            : 0.0;
+    IndexMemorySamples().push_back({rows, entries, per_entry});
+    std::printf("%9zu %9zu %15.1f\n", rows, entries, per_entry);
+    const bool pass = per_entry > 0.0 && per_entry <= 32.0;
+    Gates().push_back(
+        {"index_bytes_per_entry_" + std::to_string(rows / 1000) + "k_le_32", per_entry, pass});
+    if (!pass) {
+      std::printf("FAIL: %.1f heap bytes per index entry at %zu rows (gate: 0 < x <= 32)\n",
+                  per_entry, rows);
+    }
+    ok = ok && pass;
+  }
+  std::printf("\n");
+  return ok;
+}
+
 void WriteBenchJson(const char* path) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -640,6 +714,14 @@ void WriteBenchJson(const char* path) {
                  s.operation, s.table_rows, s.samples, s.p50_ns,
                  i + 1 < upkeep.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"index_memory\": [\n");
+  const std::vector<IndexMemorySample>& memory = IndexMemorySamples();
+  for (size_t i = 0; i < memory.size(); ++i) {
+    const IndexMemorySample& s = memory[i];
+    std::fprintf(f,
+                 "    {\"table_rows\": %zu, \"entries\": %zu, \"bytes_per_entry\": %.1f}%s\n",
+                 s.table_rows, s.entries, s.bytes_per_entry, i + 1 < memory.size() ? "," : "");
+  }
   std::fprintf(f, "  ],\n  \"gates\": [\n");
   const std::vector<BenchGate>& gates = Gates();
   for (size_t i = 0; i < gates.size(); ++i) {
@@ -685,10 +767,11 @@ int main(int argc, char** argv) {
   moira::PrintRegistryReport();
   moira::RunAccessPathReport();
   moira::RunJoinReport();
-  // The index-upkeep gates run even under an unmatchable --benchmark_filter,
-  // which is how scripts/check.sh --bench-smoke fails on an upkeep
-  // regression.
+  // The index upkeep and memory gates run even under an unmatchable
+  // --benchmark_filter, which is how scripts/check.sh --bench-smoke fails on
+  // an index regression.
   bool ok = moira::RunIndexMaintenanceReport();
+  ok = moira::RunIndexMemoryReport() && ok;
   moira::WriteBenchJson("BENCH_queries.json");
   moira::PaperSite();  // build the site outside any timing loop
   benchmark::Initialize(&argc, argv);

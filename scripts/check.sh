@@ -1,12 +1,15 @@
 #!/bin/sh
-# Tier-1 test suite under AddressSanitizer + UndefinedBehaviorSanitizer, and
-# eight smoke modes.  Each mode is one row of the case table at the bottom:
+# Tier-1 test suite under AddressSanitizer + UndefinedBehaviorSanitizer, with
+# asserts and libstdc++ assertions on (-UNDEBUG -D_GLIBCXX_ASSERTIONS, see
+# CMakeLists.txt), and eight smoke modes.  Each mode is one row of the case table at the bottom:
 # a default build tree and sanitizer, the targets to build, the test binaries
 # to run whole, and a bench whose report paths run once (timing loops
 # filtered out) in a fresh <build-dir>/<mode>-smoke.  The bench exits
 # non-zero when one of its gates fails, and the BENCH_*.json it writes must
 # validate.
-#   bench     build, plain: bench_queries.
+#   bench     build, plain: test_db (with the index block-edge property
+#             test) and test_join_consistency; bench_queries, whose index
+#             upkeep and index memory gates must pass.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
 #             flaky fleet converges, and faster than the baseline.
 #   dcm       build, plain: test_update (with the keyed-patch splice's
@@ -81,7 +84,8 @@ MODE="${MODE%-smoke}"
 ARG_DIR="$2"
 case "$1" in
   --bench-smoke)
-    row build "" bench_queries "" bench_queries ;;
+    row build "" "bench_queries test_db test_join_consistency" \
+      "test_db test_join_consistency" bench_queries ;;
   --fault-smoke)
     row build-asan ON bench_propagation "" bench_propagation \
       MOIRA_BENCH_INCREMENTAL_MAX_USERS=10000 ;;

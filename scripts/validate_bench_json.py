@@ -22,6 +22,7 @@ REQUIRED_ARRAYS = {
         "join_samples": ["workload", "fact_rows", "cost_based", "ns_per_op",
                          "rows_examined_per_op", "index_probes_per_op"],
         "index_maintenance": ["operation", "table_rows", "samples", "p50_ns"],
+        "index_memory": ["table_rows", "entries", "bytes_per_entry"],
         "gates": ["name", "value", "pass"],
     },
     "bench_propagation": {

@@ -88,13 +88,13 @@ double EstimateMatchRows(const Table& table, const std::vector<Condition>& condi
   const AccessPath path = PlanAccess(table, conditions);
   switch (path.kind) {
     case AccessPath::Kind::kIndexEq: {
-      const IndexDesc desc = table.IndexDescs()[path.index_pos];
+      const IndexDesc& desc = table.IndexDescs()[path.index_pos];
       return desc.distinct_keys > 0
                  ? static_cast<double>(desc.entries) / static_cast<double>(desc.distinct_keys)
                  : 0.0;
     }
     case AccessPath::Kind::kIndexIn: {
-      const IndexDesc desc = table.IndexDescs()[path.index_pos];
+      const IndexDesc& desc = table.IndexDescs()[path.index_pos];
       const double per_key =
           desc.distinct_keys > 0
               ? static_cast<double>(desc.entries) / static_cast<double>(desc.distinct_keys)
@@ -115,7 +115,7 @@ double EstimateMatchRows(const Table& table, const std::vector<Condition>& condi
 }
 
 AccessPath PlanAccess(const Table& table, const std::vector<Condition>& conditions) {
-  const std::vector<IndexDesc> indexes = table.IndexDescs();
+  const std::vector<IndexDesc>& indexes = table.IndexDescs();
   AccessPath path;
 
   // 1. Equality probes, most selective index first.  An exact index answers

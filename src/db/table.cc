@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "src/common/strutil.h"
 #include "src/db/exec.h"
@@ -50,12 +53,40 @@ bool ConditionHolds(const Condition& cond, const Row& row) {
   return false;
 }
 
-// True if an entry next to `it` carries the same key, i.e. `it` is not the
-// key's only entry.
-template <typename Set>
-bool KeyHasTwin(const Set& entries, typename Set::const_iterator it) {
-  return (it != entries.begin() && !(std::prev(it)->first < it->first)) ||
-         (std::next(it) != entries.end() && !(it->first < std::next(it)->first));
+constexpr size_t kBlockEntries = 256;
+constexpr size_t kPrefixBytes = 16;
+constexpr uint8_t kIntTag = 0;
+constexpr uint8_t kLongTag = 1 + kPrefixBytes + 1;  // a string longer than the prefix
+
+// The fold ToLowerCopy applies, so folded keys order as FoldCaseKey's do.
+unsigned char FoldByte(unsigned char c) { return static_cast<unsigned char>(std::tolower(c)); }
+
+uint64_t LoadBigEndian(const unsigned char* bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v = (v << 8) | bytes[i];
+  }
+  return v;
+}
+
+// Three-way byte comparison of two keys past their prefixes, folding each
+// side whose flag is set; a proper prefix sorts first.
+int CompareTails(std::string_view a, bool fold_a, std::string_view b, bool fold_b) {
+  if (!fold_a && !fold_b) {
+    const int c = a.compare(b);
+    return (c > 0) - (c < 0);
+  }
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    unsigned char x = static_cast<unsigned char>(a[i]);
+    unsigned char y = static_cast<unsigned char>(b[i]);
+    x = fold_a ? FoldByte(x) : x;
+    y = fold_b ? FoldByte(y) : y;
+    if (x != y) {
+      return x < y ? -1 : 1;
+    }
+  }
+  return (a.size() > b.size()) - (a.size() < b.size());
 }
 
 }  // namespace
@@ -84,38 +115,55 @@ void Table::CreateFoldedIndex(std::string_view column) {
 }
 
 void Table::BuildIndex(int column, bool folded) {
-  for (const Index& index : indexes_) {
-    if (index.column == column && index.folded == folded) {
+  for (const IndexDesc& desc : descs_) {
+    if (desc.column == column && desc.folded == folded) {
       return;
     }
   }
+  IndexDesc& desc = descs_.emplace_back();
+  desc.column = column;
+  desc.folded = folded;
   Index& index = indexes_.emplace_back();
-  index.column = column;
-  index.folded = folded;
+  // Bulk load: sort the live rows' entries once and cut them into full
+  // blocks.
+  std::vector<IndexEntry> entries;
+  entries.reserve(live_count_);
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].live) {
-      IndexInsert(&index, i);
+      IndexEntry entry = EncodeKey(slots_[i].row[column], folded);
+      entry.row = static_cast<uint32_t>(i);
+      entries.push_back(entry);
     }
   }
-}
-
-std::vector<IndexDesc> Table::IndexDescs() const {
-  std::vector<IndexDesc> out;
-  out.reserve(indexes_.size());
-  for (const Index& index : indexes_) {
-    out.push_back(IndexDesc{index.column, index.folded, index.distinct_keys,
-                            index.entries.size()});
+  std::sort(entries.begin(), entries.end(), [&](const IndexEntry& a, const IndexEntry& b) {
+    return CompareEntries(desc, a, b) < 0;
+  });
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || CompareKeys(desc, entries[i - 1], entries[i]) != 0) {
+      ++desc.distinct_keys;
+    }
   }
-  return out;
+  desc.entries = entries.size();
+  for (size_t i = 0; i < entries.size(); i += kBlockEntries) {
+    index.blocks.emplace_back(entries.begin() + static_cast<ptrdiff_t>(i),
+                              entries.begin() + static_cast<ptrdiff_t>(
+                                                    std::min(i + kBlockEntries, entries.size())));
+    index.fences.push_back(index.blocks.back().back());
+  }
 }
 
 size_t Table::Append(Row row) {
   assert(row.size() == schema_.columns.size());
+  if (slots_.size() >= std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "moira: table '%s' is full: index entries hold 32-bit row numbers\n",
+                 name().c_str());
+    std::abort();
+  }
   slots_.push_back(Slot{std::move(row), /*live=*/true});
   size_t row_index = slots_.size() - 1;
   ++live_count_;
-  for (Index& index : indexes_) {
-    IndexInsert(&index, row_index);
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    IndexInsert(i, row_index);
   }
   Touch(&stats_.appends);
   return row_index;
@@ -132,26 +180,26 @@ void Table::UpdateNoStats(size_t row_index, int column, Value value) {
 
 void Table::Write(size_t row_index, int column, Value value) {
   assert(IsLive(row_index));
-  for (Index& index : indexes_) {
-    if (index.column == column) {
-      IndexErase(&index, row_index);
+  for (size_t i = 0; i < descs_.size(); ++i) {
+    if (descs_[i].column == column) {
+      IndexErase(i, row_index);
     }
   }
   slots_[row_index].row[column] = std::move(value);
-  for (Index& index : indexes_) {
-    if (index.column == column) {
-      IndexInsert(&index, row_index);
+  for (size_t i = 0; i < descs_.size(); ++i) {
+    if (descs_[i].column == column) {
+      IndexInsert(i, row_index);
     }
   }
 }
 
 void Table::Delete(size_t row_index) {
   assert(IsLive(row_index));
-  for (Index& index : indexes_) {
-    IndexErase(&index, row_index);
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    IndexErase(i, row_index);
   }
   slots_[row_index].live = false;
-  slots_[row_index].row.clear();
+  slots_[row_index].row = Row();  // clear() would keep the cell array
   --live_count_;
   Touch(&stats_.deletes);
 }
@@ -194,12 +242,17 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     }
     return true;
   };
-  // Appends the live rows of an index run [it, end) that pass the residual
-  // predicates.
-  auto collect = [&](auto it, auto end) {
-    for (; it != end; ++it) {
-      if (slots_[it->second].live && satisfies(it->second)) {
-        out.push_back(it->second);
+  // Appends the live rows of the entries [begin, end) of an index that pass
+  // the residual predicates.
+  auto collect = [&](const Index& index, IndexPos begin, IndexPos end) {
+    for (size_t b = begin.block; b < index.blocks.size() && b <= end.block; ++b) {
+      const std::vector<IndexEntry>& block = index.blocks[b];
+      const size_t last = b == end.block ? end.entry : block.size();
+      for (size_t e = b == begin.block ? begin.entry : 0; e < last; ++e) {
+        const size_t row = block[e].row;
+        if (slots_[row].live && satisfies(row)) {
+          out.push_back(row);
+        }
       }
     }
   };
@@ -207,16 +260,15 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     case AccessPath::Kind::kIndexEq: {
       ++stats_.index_hits;
       // One key's run is ordered by row index: already storage order.
-      auto [begin, end] = indexes_[path.index_pos].entries.equal_range(path.eq_key);
-      collect(begin, end);
+      collect(indexes_[path.index_pos], LowerBound(path.index_pos, path.eq_key),
+              UpperBound(path.index_pos, path.eq_key));
       break;
     }
     case AccessPath::Kind::kIndexIn: {
       ++stats_.set_probes;
       const Index& index = indexes_[path.index_pos];
       for (const Value& key : path.in_keys) {
-        auto [begin, end] = index.entries.equal_range(key);
-        collect(begin, end);
+        collect(index, LowerBound(path.index_pos, key), UpperBound(path.index_pos, key));
       }
       // Per-key probes arrive key-ordered, not storage-ordered; this is the
       // union's merge step (keys are distinct, so runs are disjoint).
@@ -228,20 +280,20 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
       const AccessPath::Bound& lo = path.range_lower;
       const AccessPath::Bound& hi = path.range_upper;
       // A contradictory window (lower above upper, or a touching pair with
-      // an exclusive end) is empty; skip before deriving iterators, where an
-      // inverted pair would walk off the set.
+      // an exclusive end) is empty; skip before seeking its ends.
       bool empty = lo.present && hi.present &&
                    (hi.key < lo.key ||
                     (!(lo.key < hi.key) && !(lo.inclusive && hi.inclusive)));
       if (!empty) {
-        const auto& entries = indexes_[path.index_pos].entries;
-        auto begin = !lo.present    ? entries.begin()
-                     : lo.inclusive ? entries.lower_bound(lo.key)
-                                    : entries.upper_bound(lo.key);
-        auto end = !hi.present    ? entries.end()
-                   : hi.inclusive ? entries.upper_bound(hi.key)
-                                  : entries.lower_bound(hi.key);
-        collect(begin, end);
+        const Index& index = indexes_[path.index_pos];
+        const IndexPos index_end{index.blocks.size(), 0};
+        IndexPos begin = !lo.present    ? IndexPos{}
+                         : lo.inclusive ? LowerBound(path.index_pos, lo.key)
+                                        : UpperBound(path.index_pos, lo.key);
+        IndexPos end = !hi.present    ? index_end
+                       : hi.inclusive ? UpperBound(path.index_pos, hi.key)
+                                      : LowerBound(path.index_pos, hi.key);
+        collect(index, begin, end);
         // Key order -> storage order.
         std::sort(out.begin(), out.end());
       }
@@ -249,10 +301,11 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     }
     case AccessPath::Kind::kIndexPrefix: {
       ++stats_.prefix_scans;
-      const auto& entries = indexes_[path.index_pos].entries;
-      auto begin = entries.lower_bound(Value(path.lower));
-      auto end = path.upper.empty() ? entries.end() : entries.lower_bound(Value(path.upper));
-      collect(begin, end);
+      const Index& index = indexes_[path.index_pos];
+      IndexPos begin = LowerBound(path.index_pos, Value(path.lower));
+      IndexPos end = path.upper.empty() ? IndexPos{index.blocks.size(), 0}
+                                        : LowerBound(path.index_pos, Value(path.upper));
+      collect(index, begin, end);
       std::sort(out.begin(), out.end());
       break;
     }
@@ -297,25 +350,185 @@ void Table::Touch(int64_t* counter) {
   stats_.modtime = now_ ? now_() : 0;
 }
 
-Value Table::IndexKey(const Index& index, size_t row_index) const {
-  const Value& cell = slots_[row_index].row[index.column];
-  return index.folded ? FoldCaseKey(cell) : cell;
+int Table::IndexEntry::ComparePrefix(const IndexEntry& other) const {
+  if ((tag == kIntTag) != (other.tag == kIntTag)) {
+    return tag == kIntTag ? -1 : 1;  // ints before strings, as in Value
+  }
+  if (hi != other.hi) {
+    return hi < other.hi ? -1 : 1;
+  }
+  if (lo != other.lo) {
+    return lo < other.lo ? -1 : 1;
+  }
+  return (tag > other.tag) - (tag < other.tag);
 }
 
-void Table::IndexInsert(Index* index, size_t row_index) {
-  auto it = index->entries.emplace(IndexKey(*index, row_index), row_index).first;
-  if (!KeyHasTwin(index->entries, it)) {
-    ++index->distinct_keys;
+Table::IndexEntry Table::EncodeKey(const Value& key, bool fold) {
+  static_assert(sizeof(IndexEntry) == 24, "an index entry is 24 bytes");
+  IndexEntry entry;
+  if (key.is_int()) {
+    entry.hi = static_cast<uint64_t>(key.AsInt()) ^ (uint64_t{1} << 63);
+    entry.tag = kIntTag;
+    return entry;
   }
+  const std::string& s = key.AsString();
+  unsigned char prefix[kPrefixBytes] = {};
+  const size_t n = std::min(s.size(), kPrefixBytes);
+  for (size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    prefix[i] = fold ? FoldByte(c) : c;
+  }
+  entry.hi = LoadBigEndian(prefix);
+  entry.lo = LoadBigEndian(prefix + 8);
+  entry.tag = static_cast<uint8_t>(1 + std::min(s.size(), kPrefixBytes + 1));
+  return entry;
 }
 
-void Table::IndexErase(Index* index, size_t row_index) {
-  auto it = index->entries.find(IndexEntry{IndexKey(*index, row_index), row_index});
-  assert(it != index->entries.end());
-  if (!KeyHasTwin(index->entries, it)) {
-    --index->distinct_keys;
+int Table::CompareKeys(const IndexDesc& desc, const IndexEntry& a, const IndexEntry& b) const {
+  const int c = a.ComparePrefix(b);
+  if (c != 0 || a.tag != kLongTag) {
+    return c;
   }
-  index->entries.erase(it);
+  auto tail = [&](const IndexEntry& e) {
+    return std::string_view(slots_[e.row].row[desc.column].AsString()).substr(kPrefixBytes);
+  };
+  return CompareTails(tail(a), desc.folded, tail(b), desc.folded);
+}
+
+int Table::CompareToProbe(const IndexDesc& desc, const IndexEntry& a, const IndexEntry& probe,
+                          const Value& key) const {
+  const int c = a.ComparePrefix(probe);
+  if (c != 0 || a.tag != kLongTag) {
+    return c;
+  }
+  return CompareTails(
+      std::string_view(slots_[a.row].row[desc.column].AsString()).substr(kPrefixBytes),
+      desc.folded, std::string_view(key.AsString()).substr(kPrefixBytes), /*fold_b=*/false);
+}
+
+int Table::CompareEntries(const IndexDesc& desc, const IndexEntry& a,
+                          const IndexEntry& b) const {
+  const int c = CompareKeys(desc, a, b);
+  return c != 0 ? c : (a.row > b.row) - (a.row < b.row);
+}
+
+template <typename Before>
+Table::IndexPos Table::Seek(const Index& index, Before before) {
+  const size_t b = static_cast<size_t>(
+      std::partition_point(index.fences.begin(), index.fences.end(), before) -
+      index.fences.begin());
+  if (b == index.blocks.size()) {
+    return IndexPos{b, 0};
+  }
+  // The fence, block b's last entry, fails `before`, so the point is inside.
+  const std::vector<IndexEntry>& block = index.blocks[b];
+  return IndexPos{b, static_cast<size_t>(
+                         std::partition_point(block.begin(), block.end(), before) -
+                         block.begin())};
+}
+
+Table::IndexPos Table::LowerBound(size_t index_pos, const Value& key) const {
+  const IndexDesc& desc = descs_[index_pos];
+  const IndexEntry probe = EncodeKey(key, /*fold=*/false);
+  return Seek(indexes_[index_pos], [&](const IndexEntry& e) {
+    return CompareToProbe(desc, e, probe, key) < 0;
+  });
+}
+
+Table::IndexPos Table::UpperBound(size_t index_pos, const Value& key) const {
+  const IndexDesc& desc = descs_[index_pos];
+  const IndexEntry probe = EncodeKey(key, /*fold=*/false);
+  return Seek(indexes_[index_pos], [&](const IndexEntry& e) {
+    return CompareToProbe(desc, e, probe, key) <= 0;
+  });
+}
+
+void Table::IndexInsert(size_t index_pos, size_t row_index) {
+  Index& index = indexes_[index_pos];
+  IndexDesc& desc = descs_[index_pos];
+  std::vector<std::vector<IndexEntry>>& blocks = index.blocks;
+  IndexEntry entry = EncodeKey(slots_[row_index].row[desc.column], desc.folded);
+  entry.row = static_cast<uint32_t>(row_index);
+  const IndexPos pos = Seek(index, [&](const IndexEntry& e) {
+    return CompareEntries(desc, e, entry) < 0;
+  });
+
+  // The key is new unless an entry beside its place carries it.
+  const IndexEntry* prev = pos.entry > 0   ? &blocks[pos.block][pos.entry - 1]
+                           : pos.block > 0 ? &index.fences[pos.block - 1]
+                                           : nullptr;
+  const IndexEntry* next = pos.block < blocks.size() ? &blocks[pos.block][pos.entry] : nullptr;
+  if ((prev == nullptr || CompareKeys(desc, *prev, entry) != 0) &&
+      (next == nullptr || CompareKeys(desc, *next, entry) != 0)) {
+    ++desc.distinct_keys;
+  }
+  ++desc.entries;
+
+  if (pos.entry == 0) {
+    // Between blocks pos.block - 1 and pos.block, either of which may not
+    // exist: the earlier one with room takes it at its end, else the later
+    // one at its front, else a new block.
+    if (pos.block > 0 && blocks[pos.block - 1].size() < kBlockEntries) {
+      blocks[pos.block - 1].push_back(entry);
+      index.fences[pos.block - 1] = entry;
+    } else if (pos.block < blocks.size() && blocks[pos.block].size() < kBlockEntries) {
+      blocks[pos.block].insert(blocks[pos.block].begin(), entry);
+    } else {
+      blocks.insert(blocks.begin() + static_cast<ptrdiff_t>(pos.block),
+                    std::vector<IndexEntry>{entry});
+      index.fences.insert(index.fences.begin() + static_cast<ptrdiff_t>(pos.block), entry);
+    }
+    return;
+  }
+  // Inside a block, so its fence stays; a full block halves first.
+  size_t b = pos.block;
+  size_t at = pos.entry;
+  if (blocks[b].size() == kBlockEntries) {
+    constexpr size_t kHalf = kBlockEntries / 2;
+    std::vector<IndexEntry> upper(blocks[b].begin() + kHalf, blocks[b].end());
+    blocks[b].resize(kHalf);
+    index.fences.insert(index.fences.begin() + static_cast<ptrdiff_t>(b), blocks[b].back());
+    blocks.insert(blocks.begin() + static_cast<ptrdiff_t>(b + 1), std::move(upper));
+    if (at >= kHalf) {
+      ++b;
+      at -= kHalf;
+    }
+  }
+  blocks[b].insert(blocks[b].begin() + static_cast<ptrdiff_t>(at), entry);
+}
+
+void Table::IndexErase(size_t index_pos, size_t row_index) {
+  Index& index = indexes_[index_pos];
+  IndexDesc& desc = descs_[index_pos];
+  std::vector<std::vector<IndexEntry>>& blocks = index.blocks;
+  IndexEntry entry = EncodeKey(slots_[row_index].row[desc.column], desc.folded);
+  entry.row = static_cast<uint32_t>(row_index);
+  const IndexPos pos = Seek(index, [&](const IndexEntry& e) {
+    return CompareEntries(desc, e, entry) < 0;
+  });
+  assert(pos.block < blocks.size() && blocks[pos.block][pos.entry].row == row_index);
+  std::vector<IndexEntry>& block = blocks[pos.block];
+
+  // The key goes unless an entry beside this one carries it too.
+  const IndexEntry* prev = pos.entry > 0   ? &block[pos.entry - 1]
+                           : pos.block > 0 ? &index.fences[pos.block - 1]
+                                           : nullptr;
+  const IndexEntry* next = pos.entry + 1 < block.size()      ? &block[pos.entry + 1]
+                           : pos.block + 1 < blocks.size() ? &blocks[pos.block + 1].front()
+                                                             : nullptr;
+  if ((prev == nullptr || CompareKeys(desc, *prev, entry) != 0) &&
+      (next == nullptr || CompareKeys(desc, *next, entry) != 0)) {
+    --desc.distinct_keys;
+  }
+  --desc.entries;
+
+  block.erase(block.begin() + static_cast<ptrdiff_t>(pos.entry));
+  if (block.empty()) {
+    blocks.erase(blocks.begin() + static_cast<ptrdiff_t>(pos.block));
+    index.fences.erase(index.fences.begin() + static_cast<ptrdiff_t>(pos.block));
+  } else if (pos.entry == block.size()) {
+    index.fences[pos.block] = block.back();
+  }
 }
 
 }  // namespace moira

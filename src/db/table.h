@@ -9,16 +9,33 @@
 // predicates (kLt/kLe/kGt/kGe/kBetween) — see src/db/exec.h for the planner
 // that chooses among them.
 //
-// Each index is one ordered set of exact (key, row index) entries.  A cell
-// write therefore finds and moves its row's entry in O(log n) however long
-// the key's duplicate run is, and it touches only the indexes on the written
-// column.  An equality probe's run comes out in storage order.
+// Each index holds one exact (key, row) entry per live row, kept in sorted
+// blocks of at most 256 entries plus a contiguous fence vector of each
+// block's last entry: a probe binary-searches the fences, then one block.
+// An entry is 24 bytes: a 16-byte order-preserving key prefix (an int with
+// its sign bit flipped in the first 8 bytes, or a string's first 16 bytes,
+// zero-padded and, in a folded index, folded as FoldCaseKey folds), the
+// 32-bit row number, and a tag (0 for an int, else 1 + min(length, 17)).
+// Entries order by ints-before-strings, prefix, tag, then row number, which
+// is the Value (or folded) key order: only when two strings longer than 16
+// bytes share their prefix is the rest of each key read from its row.  A
+// key's run is therefore ordered by row, i.e. storage order.
+//
+// Upkeep is exact and O(log n + 256): a cell write finds and moves its row's
+// entry however long the key's duplicate run is, and touches only the
+// indexes on the written column.  An insert that falls between two blocks
+// (or before the first, or after the last) goes to a neighbour with room,
+// the earlier first, and else opens a new block there, so a run that grows
+// at its end (the table's tail, or one key's run) leaves full blocks
+// behind.  A full block that must take an entry inside it is halved.  A
+// block that empties goes with its fence.  An index built over existing
+// rows is bulk-loaded into full blocks.  Row numbers are 32-bit, so a table
+// holds at most 2^32 - 1 slots; Append aborts past that in every build.
 #ifndef MOIRA_SRC_DB_TABLE_H_
 #define MOIRA_SRC_DB_TABLE_H_
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -140,8 +157,9 @@ class Table {
   // Idempotent, and independent of any exact index on the same column.
   void CreateFoldedIndex(std::string_view column);
 
-  // Describes every index (for the planner and for tests).
-  std::vector<IndexDesc> IndexDescs() const;
+  // Describes every index (for the planner and for tests), in creation
+  // order; kept in step with every write.
+  const std::vector<IndexDesc>& IndexDescs() const { return descs_; }
 
   // Appends a row (must match the schema arity); returns its stable index.
   size_t Append(Row row);
@@ -156,7 +174,7 @@ class Table {
   // DCM", and the incremental-generation check must not see DCM writes.
   void UpdateNoStats(size_t row_index, int column, Value value);
 
-  // Tombstones a row.
+  // Tombstones a row and frees its cells.
   void Delete(size_t row_index);
 
   bool IsLive(size_t row_index) const {
@@ -209,36 +227,54 @@ class Table {
     bool live = true;
   };
 
-  // Index entries are exact (key, row index) pairs.  The transparent
-  // overloads let probes and range bounds look up by key alone; one key's
-  // run is ordered by row index, i.e. storage order.
-  using IndexEntry = std::pair<Value, size_t>;
-  struct EntryLess {
-    using is_transparent = void;
-    bool operator()(const IndexEntry& a, const IndexEntry& b) const {
-      if (a.first < b.first) {
-        return true;
-      }
-      return !(b.first < a.first) && a.second < b.second;
-    }
-    bool operator()(const IndexEntry& a, const Value& key) const { return a.first < key; }
-    bool operator()(const Value& key, const IndexEntry& a) const { return key < a.first; }
+  // One index entry (layout in the header comment).
+  struct IndexEntry {
+    uint64_t hi = 0;  // key prefix bytes 0-7, big-endian, so integer order
+    uint64_t lo = 0;  //   is byte order; bytes 8-15
+    uint32_t row = 0;
+    uint8_t tag = 0;  // 0 for an int, else 1 + min(string length, 17)
+
+    // Three-way comparison of the keys as far as prefix and tag order them;
+    // 0 is final unless both keys are strings longer than the prefix.
+    int ComparePrefix(const IndexEntry& other) const;
   };
 
+  // The blocks of one index; its column, folding and statistics are the
+  // IndexDesc at the same position in descs_.
   struct Index {
-    int column = 0;
-    bool folded = false;
-    size_t distinct_keys = 0;
-    std::set<IndexEntry, EntryLess> entries;
+    std::vector<std::vector<IndexEntry>> blocks;  // each sorted, never empty
+    std::vector<IndexEntry> fences;               // fences[b] == blocks[b].back()
+  };
+
+  // Entry `entry` of block `block`; {blocks.size(), 0} is the end.
+  struct IndexPos {
+    size_t block = 0;
+    size_t entry = 0;
   };
 
   void Touch(int64_t* counter);
   void BuildIndex(int column, bool folded);
   // The cell write Update and UpdateNoStats share.
   void Write(size_t row_index, int column, Value value);
-  Value IndexKey(const Index& index, size_t row_index) const;
-  void IndexInsert(Index* index, size_t row_index);
-  void IndexErase(Index* index, size_t row_index);
+  // The prefix and tag of `key` (row 0), folded when `fold` is set.
+  static IndexEntry EncodeKey(const Value& key, bool fold);
+  // Three-way comparisons: of two stored entries' keys; of a stored entry's
+  // key with a probe key (already in the index's key space); and of two
+  // stored entries, row number last.
+  int CompareKeys(const IndexDesc& desc, const IndexEntry& a, const IndexEntry& b) const;
+  int CompareToProbe(const IndexDesc& desc, const IndexEntry& a, const IndexEntry& probe,
+                     const Value& key) const;
+  int CompareEntries(const IndexDesc& desc, const IndexEntry& a, const IndexEntry& b) const;
+  // The first entry for which `before` is false; `before` must be true on a
+  // prefix of the index order.
+  template <typename Before>
+  static IndexPos Seek(const Index& index, Before before);
+  // The first entry whose key is >= `key` (LowerBound) or > `key`
+  // (UpperBound).
+  IndexPos LowerBound(size_t index_pos, const Value& key) const;
+  IndexPos UpperBound(size_t index_pos, const Value& key) const;
+  void IndexInsert(size_t index_pos, size_t row_index);
+  void IndexErase(size_t index_pos, size_t row_index);
   // Executes a plan produced by PlanAccess (src/db/exec.cc), bumping the
   // access-path counters.
   std::vector<size_t> ExecutePath(const AccessPath& path,
@@ -247,6 +283,7 @@ class Table {
   TableSchema schema_;
   std::vector<Slot> slots_;
   std::vector<Index> indexes_;
+  std::vector<IndexDesc> descs_;  // descs_[i] describes indexes_[i]
   size_t live_count_ = 0;
   // Mutation counters are bumped by writers; the access-path counters are
   // bumped by const reads, hence mutable (and atomic — see TableStats).

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -585,6 +587,64 @@ TEST_F(DbDeathTest, SelectorUnknownColumnAbortsInAllBuilds) {
   EXPECT_DEATH(From(table_).Join(table_, "no_such_column", "name"), "no column");
 }
 
+// The rows a condition list selects, by evaluating every condition on every
+// live row's cell as its definition reads: the oracle of the index property
+// tests.  Ascending by construction, so it also pins Match's storage order.
+std::vector<size_t> BruteForceMatch(const Table& t, const std::vector<Condition>& conds) {
+  std::vector<size_t> out;
+  for (size_t row = 0; row < t.SlotCount(); ++row) {
+    if (!t.IsLive(row)) continue;
+    bool ok = true;
+    for (const Condition& c : conds) {
+      const Value& cell = t.Cell(row, c.column);
+      switch (c.op) {
+        case Condition::Op::kEq:
+          ok = cell == c.operand;
+          break;
+        case Condition::Op::kEqNoCase:
+          ok = cell.is_string() && c.operand.is_string()
+                   ? EqualsIgnoreCase(cell.AsString(), c.operand.AsString())
+                   : cell == c.operand;
+          break;
+        case Condition::Op::kWild:
+          ok = WildcardMatch(c.operand.AsString(), cell.ToString());
+          break;
+        case Condition::Op::kWildNoCase:
+          ok = WildcardMatch(c.operand.AsString(), cell.ToString(), /*fold_case=*/true);
+          break;
+        case Condition::Op::kLt:
+          ok = cell < c.operand;
+          break;
+        case Condition::Op::kLe:
+          ok = !(c.operand < cell);
+          break;
+        case Condition::Op::kGt:
+          ok = c.operand < cell;
+          break;
+        case Condition::Op::kGe:
+          ok = !(cell < c.operand);
+          break;
+        case Condition::Op::kBetween:
+          ok = !(cell < c.operand) && !(c.operand2 < cell);
+          break;
+        case Condition::Op::kNe:
+          ok = cell != c.operand;
+          break;
+        case Condition::Op::kAnyBits:
+          ok = cell.is_int() && c.operand.is_int() && (cell.AsInt() & c.operand.AsInt()) != 0;
+          break;
+        case Condition::Op::kIn:
+          ok = std::find(c.operand_set.begin(), c.operand_set.end(), cell) !=
+               c.operand_set.end();
+          break;
+      }
+      if (!ok) break;
+    }
+    if (ok) out.push_back(row);
+  }
+  return out;
+}
+
 // Property: across a randomized mutation history, every Match — equality,
 // folded equality, wildcard, folded wildcard, ranges, sets — agrees with a
 // brute-force scan that evaluates the predicates directly, and every index's
@@ -659,63 +719,10 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
     }
   }
 
-  auto brute_force = [&](const std::vector<Condition>& conds) {
-    std::vector<size_t> out;
-    for (size_t row = 0; row < t->SlotCount(); ++row) {
-      if (!t->IsLive(row)) continue;
-      bool ok = true;
-      for (const Condition& c : conds) {
-        const Value& cell = t->Cell(row, c.column);
-        switch (c.op) {
-          case Condition::Op::kEq:
-            ok = cell == c.operand;
-            break;
-          case Condition::Op::kEqNoCase:
-            ok = EqualsIgnoreCase(cell.AsString(), c.operand.AsString());
-            break;
-          case Condition::Op::kWild:
-            ok = WildcardMatch(c.operand.AsString(), cell.ToString());
-            break;
-          case Condition::Op::kWildNoCase:
-            ok = WildcardMatch(c.operand.AsString(), cell.ToString(),
-                               /*fold_case=*/true);
-            break;
-          case Condition::Op::kLt:
-            ok = cell < c.operand;
-            break;
-          case Condition::Op::kLe:
-            ok = !(c.operand < cell);
-            break;
-          case Condition::Op::kGt:
-            ok = c.operand < cell;
-            break;
-          case Condition::Op::kGe:
-            ok = !(cell < c.operand);
-            break;
-          case Condition::Op::kBetween:
-            ok = !(cell < c.operand) && !(c.operand2 < cell);
-            break;
-          case Condition::Op::kNe:
-            ok = cell != c.operand;
-            break;
-          case Condition::Op::kAnyBits:
-            ok = cell.is_int() && c.operand.is_int() &&
-                 (cell.AsInt() & c.operand.AsInt()) != 0;
-            break;
-          case Condition::Op::kIn:
-            ok = std::binary_search(c.operand_set.begin(), c.operand_set.end(), cell);
-            break;
-        }
-        if (!ok) break;
-      }
-      if (ok) out.push_back(row);
-    }
-    return out;
-  };
   // Match must also return storage order without help: the brute force is
   // ascending by construction.
   auto check = [&](std::vector<Condition> conds, const char* what) {
-    EXPECT_EQ(brute_force(conds), t->Match(conds)) << what;
+    EXPECT_EQ(BruteForceMatch(*t, conds), t->Match(conds)) << what;
   };
 
   for (const char* probe : {"Alpha3", "beta17", "GAMMA0", "delta24", "missing9"}) {
@@ -789,6 +796,202 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
         << "column " << desc.column << (desc.folded ? " folded" : "");
   }
   EXPECT_EQ(counted_updates, t->stats().updates);
+}
+
+// Property: an index's block layout never shows.  A seeded history grows the
+// table past 3,000 live rows with appends, Update, UpdateNoStats and deletes.
+// g holds three int keys, so each key's run spans many 256-entry blocks and
+// most writes land inside a long run.  k has an exact and a folded index
+// over strings that share 16 or more leading bytes and differ past the prefix
+// or only in case, keys of exactly 16 and 17 bytes, embedded NULs, bytes
+// >= 0x80, and int cells.  At each checkpoint every index-backed path equals
+// a brute-force scan in storage order and every IndexDescs() entry a
+// recount; last, every row of one g key goes, emptying whole blocks, and the
+// same rows are checked once more under bulk-loaded indexes.
+TEST_F(DbTest, BlockEdgeIndexConsistency) {
+  Table* t = db_.CreateTable(TableSchema{
+      "edges", {{"g", ColumnType::kInt}, {"k", ColumnType::kString}, {"n", ColumnType::kInt}}});
+  t->CreateIndex("g");
+  t->CreateIndex("k");
+  t->CreateFoldedIndex("k");
+
+  uint64_t rng = 0x2545f4914f6cdd1dull;  // deterministic: no seed plumbing
+  auto next = [&rng](uint64_t bound) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng >> 33) % bound;
+  };
+  const std::string shared = "shared-prefix-0123-";  // 19 bytes
+  const std::string k16 = "abcdefghijklmnop";        // exactly 16 bytes
+  const std::vector<Value> fixed = {
+      Value(k16),
+      Value(k16 + "q"),
+      Value("ABCDEFGHIJKLMNOPQ"),
+      Value(k16 + std::string(1, '\0')),
+      Value(k16 + std::string("\0x", 2)),
+      Value(std::string("ab\0cd", 5)),
+      Value("ab"),
+      Value(std::string("ab\0", 3)),
+      Value("\x80"
+            "abc"),
+      Value("\xff\xfe"),
+      Value("caf\xc3\xa9"),
+      Value("CAF\xc3\xa9"),
+      Value(shared),
+      Value(""),
+      Value(int64_t{-5}),
+      Value(int64_t{0}),
+      Value(int64_t{1} << 40),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+  };
+  // Two keys in three are long: the shared stem in either case, then a short
+  // tail over "aAbB", so exact and folded prefixes tie and tails decide.
+  auto random_key = [&] {
+    if (next(3) == 0) {
+      return fixed[next(fixed.size())];
+    }
+    std::string key = next(2) == 0 ? shared : ToUpperCopy(shared);
+    for (uint64_t n = next(4); n > 0; --n) {
+      key += "aAbB"[next(4)];
+    }
+    return Value(key);
+  };
+  auto mutate = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      const uint64_t op = next(20);
+      if (op < 11 || t->SlotCount() == 0) {
+        t->Append({Value(static_cast<int64_t>(next(3))), random_key(),
+                   Value(static_cast<int64_t>(i))});
+        continue;
+      }
+      const size_t row = next(t->SlotCount());
+      if (!t->IsLive(row)) {
+        continue;
+      }
+      if (op < 15) {
+        const int column = static_cast<int>(next(2));
+        Value value = column == 0 ? Value(static_cast<int64_t>(next(3))) : random_key();
+        if (op < 13) {
+          t->Update(row, column, std::move(value));
+        } else {
+          t->UpdateNoStats(row, column, std::move(value));
+        }
+      } else {
+        t->Delete(row);
+      }
+    }
+  };
+
+  auto check = [&](const Condition& cond, const std::string& what) {
+    EXPECT_EQ(BruteForceMatch(*t, {cond}), t->Match({cond})) << what;
+  };
+  auto in_set = [](int column, std::vector<Value> set) {
+    std::sort(set.begin(), set.end());
+    Condition cond{column, Condition::Op::kIn, Value()};
+    cond.operand_set = std::move(set);
+    return cond;
+  };
+  const std::vector<Condition::Op> range_ops = {Condition::Op::kLt, Condition::Op::kLe,
+                                                Condition::Op::kGt, Condition::Op::kGe};
+
+  auto checkpoint = [&](const std::string& when) {
+    const int64_t full_scans = t->stats().full_scans;
+    for (int64_t g : {0, 1, 2, 3}) {
+      check(Condition{0, Condition::Op::kEq, Value(g)}, when + " g kEq");
+      for (Condition::Op op : range_ops) {
+        check(Condition{0, op, Value(g)}, when + " g range");
+      }
+      check(Condition{0, Condition::Op::kBetween, Value(g), Value(int64_t{1})},
+            when + " g kBetween");
+    }
+    check(in_set(0, {Value(int64_t{0}), Value(int64_t{2})}), when + " g kIn");
+    check(in_set(0, {Value(int64_t{1}), Value(int64_t{3})}), when + " g kIn");
+
+    std::vector<Value> probes = fixed;
+    for (const char* tail : {"", "a", "aA", "Ab", "bBaA", "BBBB", "c"}) {
+      probes.emplace_back(shared + tail);
+      probes.emplace_back(ToUpperCopy(shared) + tail);
+    }
+    for (const Value& key : probes) {
+      const std::string name = when + " k " + key.ToString();
+      check(Condition{1, Condition::Op::kEq, key}, name + " kEq");
+      const Value upper = key.is_string() ? Value(ToUpperCopy(key.AsString())) : key;
+      check(Condition{1, Condition::Op::kEqNoCase, upper}, name + " kEqNoCase");
+      for (Condition::Op op : range_ops) {
+        check(Condition{1, op, key}, name + " range");
+      }
+      check(Condition{1, Condition::Op::kBetween, key, Value(shared + "aB")},
+            name + " kBetween");
+    }
+    check(in_set(1, {fixed[0], fixed[3], fixed[7], fixed[14], Value(shared + "aA"),
+                     Value(ToUpperCopy(shared))}),
+          when + " k kIn");
+    for (const std::string& pattern :
+         {shared + "a*", shared + "?b*", ToUpperCopy(shared) + "B*", k16 + "*", k16 + "q*",
+          std::string("ab\0*", 4), std::string("ab*"), std::string("\xff*"),
+          std::string("caf*")}) {
+      check(Condition{1, Condition::Op::kWild, Value(pattern)}, when + " kWild " + pattern);
+      check(Condition{1, Condition::Op::kWildNoCase, Value(ToUpperCopy(pattern))},
+            when + " kWildNoCase " + pattern);
+    }
+    EXPECT_EQ(full_scans, t->stats().full_scans) << when << ": a probe scanned the table";
+
+    for (const IndexDesc& desc : t->IndexDescs()) {
+      std::set<Value> keys;
+      size_t entries = 0;
+      for (size_t row = 0; row < t->SlotCount(); ++row) {
+        if (t->IsLive(row)) {
+          const Value& cell = t->Cell(row, desc.column);
+          keys.insert(desc.folded ? FoldCaseKey(cell) : cell);
+          ++entries;
+        }
+      }
+      EXPECT_EQ(entries, desc.entries) << when << " column " << desc.column;
+      EXPECT_EQ(keys.size(), desc.distinct_keys)
+          << when << " column " << desc.column << (desc.folded ? " folded" : "");
+    }
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    mutate(3000);
+    checkpoint("round " + std::to_string(round));
+  }
+  ASSERT_GE(t->LiveCount(), 3000u);
+  for (size_t row : t->Match({Condition{0, Condition::Op::kEq, Value(int64_t{1})}})) {
+    t->Delete(row);
+  }
+  checkpoint("g=1 deleted");
+
+  // The same slots in a table whose indexes are built after the fill, so
+  // they are bulk-loaded rather than grown entry by entry.
+  Table* bulk = db_.CreateTable(TableSchema{"edges_bulk", t->schema().columns});
+  for (size_t row = 0; row < t->SlotCount(); ++row) {
+    bulk->Append(t->IsLive(row) ? t->At(row)
+                                : Row{Value(int64_t{0}), Value(""), Value(int64_t{0})});
+  }
+  for (size_t row = 0; row < t->SlotCount(); ++row) {
+    if (!t->IsLive(row)) {
+      bulk->Delete(row);
+    }
+  }
+  bulk->CreateIndex("g");
+  bulk->CreateIndex("k");
+  bulk->CreateFoldedIndex("k");
+  t = bulk;
+  checkpoint("bulk-loaded");
+}
+
+// Delete frees the dead row's cells: ClearAllRows, which every snapshot and
+// checkpoint load runs first, leaves no dead copy of any row behind.
+TEST_F(DbTest, ClearAllRowsFreesRowCells) {
+  for (int i = 0; i < 50; ++i) {
+    table_->Append({"user" + std::to_string(i), i, "/bin/csh"});
+  }
+  db_.ClearAllRows();
+  ASSERT_EQ(50u, table_->SlotCount());
+  for (size_t row = 0; row < table_->SlotCount(); ++row) {
+    EXPECT_EQ(0u, table_->At(row).capacity()) << "row " << row;
+  }
 }
 
 // --- cost-based join planning ---
