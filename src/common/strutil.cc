@@ -7,10 +7,6 @@ namespace {
 
 bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 
-char FoldLower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-
 }  // namespace
 
 std::string_view TrimWhitespace(std::string_view s) {

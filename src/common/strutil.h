@@ -4,6 +4,7 @@
 #ifndef MOIRA_SRC_COMMON_STRUTIL_H_
 #define MOIRA_SRC_COMMON_STRUTIL_H_
 
+#include <cctype>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -14,6 +15,13 @@ namespace moira {
 
 // Removes leading and trailing whitespace.
 std::string_view TrimWhitespace(std::string_view s);
+
+// The case fold of one byte (std::tolower, so ASCII in the C locale).  Every
+// case-insensitive comparison here and every folded index key in src/db uses
+// it, so they agree on which strings are equal and in what order.
+inline char FoldLower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
 
 // Case folding (ASCII).
 std::string ToUpperCopy(std::string_view s);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -54,12 +53,17 @@ bool ConditionHolds(const Condition& cond, const Row& row) {
 }
 
 constexpr size_t kBlockEntries = 256;
+// A block's buffer grows by at most this many entries at a time, so it stays
+// within kBlockSlack entries of the block's size instead of up to doubling it.
+constexpr size_t kBlockSlack = 32;
 constexpr size_t kPrefixBytes = 16;
 constexpr uint8_t kIntTag = 0;
 constexpr uint8_t kLongTag = 1 + kPrefixBytes + 1;  // a string longer than the prefix
 
-// The fold ToLowerCopy applies, so folded keys order as FoldCaseKey's do.
-unsigned char FoldByte(unsigned char c) { return static_cast<unsigned char>(std::tolower(c)); }
+// FoldCaseKey's fold of one byte, as the unsigned byte that orders it.
+unsigned char FoldByte(unsigned char c) {
+  return static_cast<unsigned char>(FoldLower(static_cast<char>(c)));
+}
 
 uint64_t LoadBigEndian(const unsigned char* bytes) {
   uint64_t v = 0;
@@ -120,35 +124,12 @@ void Table::BuildIndex(int column, bool folded) {
       return;
     }
   }
-  IndexDesc& desc = descs_.emplace_back();
-  desc.column = column;
-  desc.folded = folded;
-  Index& index = indexes_.emplace_back();
-  // Bulk load: sort the live rows' entries once and cut them into full
-  // blocks.
-  std::vector<IndexEntry> entries;
-  entries.reserve(live_count_);
+  descs_.push_back(IndexDesc{column, folded});
+  indexes_.emplace_back();
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].live) {
-      IndexEntry entry = EncodeKey(slots_[i].row[column], folded);
-      entry.row = static_cast<uint32_t>(i);
-      entries.push_back(entry);
+      IndexInsert(indexes_.size() - 1, i);
     }
-  }
-  std::sort(entries.begin(), entries.end(), [&](const IndexEntry& a, const IndexEntry& b) {
-    return CompareEntries(desc, a, b) < 0;
-  });
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i == 0 || CompareKeys(desc, entries[i - 1], entries[i]) != 0) {
-      ++desc.distinct_keys;
-    }
-  }
-  desc.entries = entries.size();
-  for (size_t i = 0; i < entries.size(); i += kBlockEntries) {
-    index.blocks.emplace_back(entries.begin() + static_cast<ptrdiff_t>(i),
-                              entries.begin() + static_cast<ptrdiff_t>(
-                                                    std::min(i + kBlockEntries, entries.size())));
-    index.fences.push_back(index.blocks.back().back());
   }
 }
 
@@ -443,6 +424,13 @@ Table::IndexPos Table::UpperBound(size_t index_pos, const Value& key) const {
   });
 }
 
+void Table::InsertIntoBlock(std::vector<IndexEntry>* block, size_t at, const IndexEntry& entry) {
+  if (block->size() == block->capacity()) {
+    block->reserve(std::min(kBlockEntries, block->size() + kBlockSlack));
+  }
+  block->insert(block->begin() + static_cast<ptrdiff_t>(at), entry);
+}
+
 void Table::IndexInsert(size_t index_pos, size_t row_index) {
   Index& index = indexes_[index_pos];
   IndexDesc& desc = descs_[index_pos];
@@ -469,10 +457,10 @@ void Table::IndexInsert(size_t index_pos, size_t row_index) {
     // exist: the earlier one with room takes it at its end, else the later
     // one at its front, else a new block.
     if (pos.block > 0 && blocks[pos.block - 1].size() < kBlockEntries) {
-      blocks[pos.block - 1].push_back(entry);
+      InsertIntoBlock(&blocks[pos.block - 1], blocks[pos.block - 1].size(), entry);
       index.fences[pos.block - 1] = entry;
     } else if (pos.block < blocks.size() && blocks[pos.block].size() < kBlockEntries) {
-      blocks[pos.block].insert(blocks[pos.block].begin(), entry);
+      InsertIntoBlock(&blocks[pos.block], 0, entry);
     } else {
       blocks.insert(blocks.begin() + static_cast<ptrdiff_t>(pos.block),
                     std::vector<IndexEntry>{entry});
@@ -480,13 +468,16 @@ void Table::IndexInsert(size_t index_pos, size_t row_index) {
     }
     return;
   }
-  // Inside a block, so its fence stays; a full block halves first.
+  // Inside a block, so its fence stays; a full block halves first, into two
+  // buffers of 128 (a half left behind by a run growing inside the index
+  // would otherwise keep all 256 slots).
   size_t b = pos.block;
   size_t at = pos.entry;
   if (blocks[b].size() == kBlockEntries) {
     constexpr size_t kHalf = kBlockEntries / 2;
     std::vector<IndexEntry> upper(blocks[b].begin() + kHalf, blocks[b].end());
     blocks[b].resize(kHalf);
+    blocks[b].shrink_to_fit();
     index.fences.insert(index.fences.begin() + static_cast<ptrdiff_t>(b), blocks[b].back());
     blocks.insert(blocks.begin() + static_cast<ptrdiff_t>(b + 1), std::move(upper));
     if (at >= kHalf) {
@@ -494,7 +485,7 @@ void Table::IndexInsert(size_t index_pos, size_t row_index) {
       at -= kHalf;
     }
   }
-  blocks[b].insert(blocks[b].begin() + static_cast<ptrdiff_t>(at), entry);
+  InsertIntoBlock(&blocks[b], at, entry);
 }
 
 void Table::IndexErase(size_t index_pos, size_t row_index) {

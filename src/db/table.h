@@ -14,8 +14,9 @@
 // block's last entry: a probe binary-searches the fences, then one block.
 // An entry is 24 bytes: a 16-byte order-preserving key prefix (an int with
 // its sign bit flipped in the first 8 bytes, or a string's first 16 bytes,
-// zero-padded and, in a folded index, folded as FoldCaseKey folds), the
-// 32-bit row number, and a tag (0 for an int, else 1 + min(length, 17)).
+// zero-padded and, in a folded index, folded by FoldLower as FoldCaseKey
+// folds), the 32-bit row number, and a tag (0 for an int, else
+// 1 + min(length, 17)).
 // Entries order by ints-before-strings, prefix, tag, then row number, which
 // is the Value (or folded) key order: only when two strings longer than 16
 // bytes share their prefix is the rest of each key read from its row.  A
@@ -25,12 +26,16 @@
 // entry however long the key's duplicate run is, and touches only the
 // indexes on the written column.  An insert that falls between two blocks
 // (or before the first, or after the last) goes to a neighbour with room,
-// the earlier first, and else opens a new block there, so a run that grows
-// at its end (the table's tail, or one key's run) leaves full blocks
-// behind.  A full block that must take an entry inside it is halved.  A
-// block that empties goes with its fence.  An index built over existing
-// rows is bulk-loaded into full blocks.  Row numbers are 32-bit, so a table
-// holds at most 2^32 - 1 slots; Append aborts past that in every build.
+// the earlier first, and else opens a new block there, so the table's tail
+// (ascending keys) leaves full blocks behind.  A full block that must take
+// an entry inside it is halved into two 128-entry buffers, so a run growing
+// inside the index (one key's run, or keys landing between existing ones)
+// leaves half-full blocks that hold no spare room.  A block's buffer grows
+// by at most 32 entries at a time, so it stays that close to its size.  A
+// block that empties goes with its fence.  An index built over existing rows
+// inserts them one by one, as Append would have.  Row numbers are 32-bit, so
+// a table holds at most 2^32 - 1 slots; Append aborts past that in every
+// build.
 #ifndef MOIRA_SRC_DB_TABLE_H_
 #define MOIRA_SRC_DB_TABLE_H_
 
@@ -273,6 +278,10 @@ class Table {
   // (UpperBound).
   IndexPos LowerBound(size_t index_pos, const Value& key) const;
   IndexPos UpperBound(size_t index_pos, const Value& key) const;
+  // Inserts `entry` at position `at` of a block with fewer than 256 entries;
+  // a full buffer grows by at most 32 entries, not by doubling.
+  static void InsertIntoBlock(std::vector<IndexEntry>* block, size_t at,
+                              const IndexEntry& entry);
   void IndexInsert(size_t index_pos, size_t row_index);
   void IndexErase(size_t index_pos, size_t row_index);
   // Executes a plan produced by PlanAccess (src/db/exec.cc), bumping the

@@ -806,8 +806,7 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
 // or only in case, keys of exactly 16 and 17 bytes, embedded NULs, bytes
 // >= 0x80, and int cells.  At each checkpoint every index-backed path equals
 // a brute-force scan in storage order and every IndexDescs() entry a
-// recount; last, every row of one g key goes, emptying whole blocks, and the
-// same rows are checked once more under bulk-loaded indexes.
+// recount; last, every row of one g key goes, emptying whole blocks.
 TEST_F(DbTest, BlockEdgeIndexConsistency) {
   Table* t = db_.CreateTable(TableSchema{
       "edges", {{"g", ColumnType::kInt}, {"k", ColumnType::kString}, {"n", ColumnType::kInt}}});
@@ -961,24 +960,6 @@ TEST_F(DbTest, BlockEdgeIndexConsistency) {
     t->Delete(row);
   }
   checkpoint("g=1 deleted");
-
-  // The same slots in a table whose indexes are built after the fill, so
-  // they are bulk-loaded rather than grown entry by entry.
-  Table* bulk = db_.CreateTable(TableSchema{"edges_bulk", t->schema().columns});
-  for (size_t row = 0; row < t->SlotCount(); ++row) {
-    bulk->Append(t->IsLive(row) ? t->At(row)
-                                : Row{Value(int64_t{0}), Value(""), Value(int64_t{0})});
-  }
-  for (size_t row = 0; row < t->SlotCount(); ++row) {
-    if (!t->IsLive(row)) {
-      bulk->Delete(row);
-    }
-  }
-  bulk->CreateIndex("g");
-  bulk->CreateIndex("k");
-  bulk->CreateFoldedIndex("k");
-  t = bulk;
-  checkpoint("bulk-loaded");
 }
 
 // Delete frees the dead row's cells: ClearAllRows, which every snapshot and
