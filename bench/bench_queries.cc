@@ -598,26 +598,43 @@ bool RunIndexMaintenanceReport() {
   return ok;
 }
 
-// --- index memory on the users relation ---
+// --- index and row memory on the users relation ---
 //
 // Heap bytes per index entry, on the indexes a running server has: the users
 // relation as MakeUsersRelation builds it (CreateMoiraSchema declares five
 // exact and two folded indexes on the empty table, then FillUsers appends
 // the rows), so every entry arrives through Append.  The index share is that
 // build's mallinfo2 delta less the delta of the same schema and fill with no
-// users index, divided by the entries.  The gate: at most 32 bytes per entry
-// at 10k and 100k rows.  A heap the delta cannot see (a sanitizer's
-// allocator) fails the gate rather than passing it unmeasured.
+// users index, divided by the entries.  That second delta, divided by the
+// cells (rows times columns), is the row share: the slot vector, each row's
+// cell buffer and the strings too long to sit in a cell.  The gates: at most
+// 32 bytes per index entry and 24 bytes per cell, at 10k and 100k rows.  A
+// heap the delta cannot see (a sanitizer's allocator) fails the gates rather
+// than passing them unmeasured.
 
-struct IndexMemorySample {
+struct MemorySample {
   size_t table_rows;
   size_t entries;
   double bytes_per_entry;
+  size_t cells;
+  double bytes_per_cell;
 };
 
-std::vector<IndexMemorySample>& IndexMemorySamples() {
-  static auto* samples = new std::vector<IndexMemorySample>();
+std::vector<MemorySample>& MemorySamples() {
+  static auto* samples = new std::vector<MemorySample>();
   return *samples;
+}
+
+// Records a gate 0 < value <= bound, printing the failure.
+bool MemoryGate(const std::string& name, const char* what, double value, double bound,
+                size_t rows) {
+  const bool pass = value > 0.0 && value <= bound;
+  Gates().push_back({name, value, pass});
+  if (!pass) {
+    std::printf("FAIL: %.1f heap bytes per %s at %zu rows (gate: 0 < x <= %.0f)\n", value, what,
+                rows, bound);
+  }
+  return pass;
 }
 
 size_t HeapBytesInUse() {
@@ -625,9 +642,10 @@ size_t HeapBytesInUse() {
   return info.uordblks + info.hblkhd;
 }
 
-bool RunIndexMemoryReport() {
-  std::printf("Index memory on users (CreateMoiraSchema, then rows appended)\n");
-  std::printf("%9s %9s %15s\n", "rows", "entries", "bytes/entry");
+bool RunMemoryReport() {
+  std::printf("Index and row memory on users (CreateMoiraSchema, then rows appended)\n");
+  std::printf("%9s %9s %15s %9s %15s\n", "rows", "entries", "bytes/entry", "cells",
+              "bytes/cell");
   bool ok = true;
   for (size_t rows : {size_t{10000}, size_t{100000}}) {
     size_t before = HeapBytesInUse();
@@ -657,16 +675,15 @@ bool RunIndexMemoryReport() {
         indexed > unindexed && entries > 0
             ? static_cast<double>(indexed - unindexed) / static_cast<double>(entries)
             : 0.0;
-    IndexMemorySamples().push_back({rows, entries, per_entry});
-    std::printf("%9zu %9zu %15.1f\n", rows, entries, per_entry);
-    const bool pass = per_entry > 0.0 && per_entry <= 32.0;
-    Gates().push_back(
-        {"index_bytes_per_entry_" + std::to_string(rows / 1000) + "k_le_32", per_entry, pass});
-    if (!pass) {
-      std::printf("FAIL: %.1f heap bytes per index entry at %zu rows (gate: 0 < x <= 32)\n",
-                  per_entry, rows);
-    }
-    ok = ok && pass;
+    const size_t cells = rows * schema.columns.size();
+    const double per_cell = static_cast<double>(unindexed) / static_cast<double>(cells);
+    MemorySamples().push_back({rows, entries, per_entry, cells, per_cell});
+    std::printf("%9zu %9zu %15.1f %9zu %15.1f\n", rows, entries, per_entry, cells, per_cell);
+    const std::string k = std::to_string(rows / 1000) + "k";
+    ok = MemoryGate("index_bytes_per_entry_" + k + "_le_32", "index entry", per_entry, 32.0,
+                    rows) &&
+         ok;
+    ok = MemoryGate("row_bytes_per_cell_" + k + "_le_24", "cell", per_cell, 24.0, rows) && ok;
   }
   std::printf("\n");
   return ok;
@@ -720,12 +737,18 @@ void WriteBenchJson(const char* path) {
                  i + 1 < upkeep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"index_memory\": [\n");
-  const std::vector<IndexMemorySample>& memory = IndexMemorySamples();
+  const std::vector<MemorySample>& memory = MemorySamples();
   for (size_t i = 0; i < memory.size(); ++i) {
-    const IndexMemorySample& s = memory[i];
+    const MemorySample& s = memory[i];
     std::fprintf(f,
                  "    {\"table_rows\": %zu, \"entries\": %zu, \"bytes_per_entry\": %.1f}%s\n",
                  s.table_rows, s.entries, s.bytes_per_entry, i + 1 < memory.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"row_memory\": [\n");
+  for (size_t i = 0; i < memory.size(); ++i) {
+    const MemorySample& s = memory[i];
+    std::fprintf(f, "    {\"table_rows\": %zu, \"cells\": %zu, \"bytes_per_cell\": %.1f}%s\n",
+                 s.table_rows, s.cells, s.bytes_per_cell, i + 1 < memory.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"gates\": [\n");
   const std::vector<BenchGate>& gates = Gates();
@@ -776,7 +799,7 @@ int main(int argc, char** argv) {
   // --benchmark_filter, which is how scripts/check.sh --bench-smoke fails on
   // an index regression.
   bool ok = moira::RunIndexMaintenanceReport();
-  ok = moira::RunIndexMemoryReport() && ok;
+  ok = moira::RunMemoryReport() && ok;
   moira::WriteBenchJson("BENCH_queries.json");
   moira::PaperSite();  // build the site outside any timing loop
   benchmark::Initialize(&argc, argv);

@@ -7,9 +7,10 @@
 # filtered out) in a fresh <build-dir>/<mode>-smoke.  The bench exits
 # non-zero when one of its gates fails, and the BENCH_*.json it writes must
 # validate.
-#   bench     build, plain: test_db (with the index block-edge property
-#             test) and test_join_consistency; bench_queries, whose index
-#             upkeep and index memory gates must pass.
+#   bench     build, plain: test_db (with the index block-edge and cell
+#             property tests) and test_join_consistency; bench_queries,
+#             whose index upkeep, index memory and row memory gates must
+#             pass.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
 #             flaky fleet converges, and faster than the baseline.
 #   dcm       build, plain: test_update (with the keyed-patch splice's

@@ -82,7 +82,7 @@ void DbConsistencyChecker::CheckMembers(std::vector<DbckIssue>* issues) {
   Table* members = mc_->members();
   members->Scan([&](size_t row, const Row& r) {
     int64_t list_id = r[members->ColumnIndex("list_id")].AsInt();
-    const std::string& type = r[members->ColumnIndex("member_type")].AsString();
+    std::string_view type = r[members->ColumnIndex("member_type")].AsString();
     int64_t member_id = r[members->ColumnIndex("member_id")].AsInt();
     if (!ListIdExists(list_id)) {
       issues->push_back(Issue("members", row, "membership in missing list", true));
@@ -92,7 +92,8 @@ void DbConsistencyChecker::CheckMembers(std::vector<DbckIssue>* issues) {
                     (type == "LIST" && ListIdExists(member_id)) ||
                     (type == "STRING" && StringIdExists(member_id));
     if (!resolved) {
-      issues->push_back(Issue("members", row, "dangling " + type + " member", true));
+      issues->push_back(
+          Issue("members", row, "dangling " + std::string(type) + " member", true));
     }
     return true;
   });
@@ -344,7 +345,7 @@ int DbConsistencyChecker::Repair(std::vector<std::string>* log) {
   std::vector<size_t> drop;
   members->Scan([&](size_t row, const Row& r) {
     int64_t list_id = r[0].AsInt();
-    const std::string& type = r[1].AsString();
+    std::string_view type = r[1].AsString();
     int64_t member_id = r[2].AsInt();
     bool ok = ListIdExists(list_id) &&
               ((type == "USER" && UserIdExists(member_id)) ||

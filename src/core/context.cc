@@ -227,10 +227,10 @@ int64_t MoiraContext::IntCell(const Table* table, size_t row, const char* column
   return table->Cell(row, col).AsInt();
 }
 
-const std::string& MoiraContext::StrCell(const Table* table, size_t row, const char* column) {
+std::string MoiraContext::StrCell(const Table* table, size_t row, const char* column) {
   int col = table->ColumnIndex(column);
   assert(col >= 0);
-  return table->Cell(row, col).AsString();
+  return std::string(table->Cell(row, col).AsString());
 }
 
 void MoiraContext::SetCell(Table* table, size_t row, const char* column, Value v) {

@@ -4,7 +4,9 @@
 // predefined query needs: exact-one name resolution, id allocation from the
 // values relation, string interning, alias type checking, and modtime
 // stamping.  All query handlers (src/core/queries_*.cc) and the DCM
-// generators run against this context.
+// generators run against this context.  StrCell hands out a copy of a
+// string cell: a cell keeps a short string inside itself (src/db/value.h),
+// so there is no std::string in the table to return a reference to.
 #ifndef MOIRA_SRC_CORE_CONTEXT_H_
 #define MOIRA_SRC_CORE_CONTEXT_H_
 
@@ -143,7 +145,9 @@ class MoiraContext {
   // --- Cell convenience ---
 
   static int64_t IntCell(const Table* table, size_t row, const char* column);
-  static const std::string& StrCell(const Table* table, size_t row, const char* column);
+  // A copy of the cell's string ("" for an int cell).  Table::Cell(...).AsString()
+  // is the copy-free view, valid only while the cell keeps that string.
+  static std::string StrCell(const Table* table, size_t row, const char* column);
   static void SetCell(Table* table, size_t row, const char* column, Value v);
   // DCM-internal variant: does not count in TBLSTATS (see Table::UpdateNoStats).
   static void SetCellInternal(Table* table, size_t row, const char* column, Value v);

@@ -494,7 +494,7 @@ int32_t GetMembersOfList(QueryCall& call) {
   int type_col = members->ColumnIndex("member_type");
   int id_col = members->ColumnIndex("member_id");
   From(members).WhereEq("list_id", Value(list_id)).Emit([&](const std::vector<size_t>& rows) {
-    const std::string& type = members->Cell(rows[0], type_col).AsString();
+    std::string type(members->Cell(rows[0], type_col).AsString());
     call.emit({type, MemberName(mc, type, members->Cell(rows[0], id_col).AsInt())});
   });
   return MR_SUCCESS;

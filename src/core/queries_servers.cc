@@ -235,7 +235,7 @@ int32_t GetServerHostInfo(QueryCall& call) {
       .Emit([&](const std::vector<size_t>& rows) {
         size_t row = rows[0];
         call.emit({MoiraContext::StrCell(sh, row, "service"),
-                   machine->Cell(rows[1], mname_col).AsString(),
+                   std::string(machine->Cell(rows[1], mname_col).AsString()),
                    IntStr(sh, row, "enable"), IntStr(sh, row, "override"),
                    IntStr(sh, row, "success"), IntStr(sh, row, "inprogress"),
                    IntStr(sh, row, "hosterror"), MoiraContext::StrCell(sh, row, "hosterrmsg"),

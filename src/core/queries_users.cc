@@ -534,7 +534,8 @@ int32_t GetAllPoboxes(QueryCall& call) {
       .WhereNe("potype", Value("NONE"))
       .Emit([&](const std::vector<size_t>& rows) {
         call.emit({MoiraContext::StrCell(users, rows[0], "login"),
-                   users->Cell(rows[0], potype_col).AsString(), PoboxBox(mc, rows[0])});
+                   std::string(users->Cell(rows[0], potype_col).AsString()),
+                   PoboxBox(mc, rows[0])});
       });
   return MR_SUCCESS;
 }

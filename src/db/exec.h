@@ -58,8 +58,9 @@ struct AccessPath {
   size_t cond_pos = 0;     // the condition the index serves
   bool skip_cond = false;  // probe fully satisfies the condition (no residual)
   Value eq_key;            // kIndexEq: probe key (already folded if needed)
-  std::string lower;       // kIndexPrefix: scan keys in [lower, upper)
-  std::string upper;       // empty upper = scan to the end of the index
+  std::string lower;       // kIndexPrefix: scan the int keys and the string
+  std::string upper;       //   keys in [lower, upper); empty upper = scan to
+                           //   the end of the index
   Bound range_lower;       // kIndexRange: window over the index keys; the
   Bound range_upper;       //   tightest intersection of every range condition
   std::vector<size_t> range_conds;  // kIndexRange: conditions the window

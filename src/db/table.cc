@@ -283,6 +283,9 @@ std::vector<size_t> Table::ExecutePath(const AccessPath& path,
     case AccessPath::Kind::kIndexPrefix: {
       ++stats_.prefix_scans;
       const Index& index = indexes_[path.index_pos];
+      // The pattern also runs on an int cell's decimal rendering, so the int
+      // keys, which sort before every string, are visited too.
+      collect(index, IndexPos{}, LowerBound(path.index_pos, Value("")));
       IndexPos begin = LowerBound(path.index_pos, Value(path.lower));
       IndexPos end = path.upper.empty() ? IndexPos{index.blocks.size(), 0}
                                         : LowerBound(path.index_pos, Value(path.upper));
@@ -352,7 +355,7 @@ Table::IndexEntry Table::EncodeKey(const Value& key, bool fold) {
     entry.tag = kIntTag;
     return entry;
   }
-  const std::string& s = key.AsString();
+  const std::string_view s = key.AsString();
   unsigned char prefix[kPrefixBytes] = {};
   const size_t n = std::min(s.size(), kPrefixBytes);
   for (size_t i = 0; i < n; ++i) {
@@ -371,7 +374,7 @@ int Table::CompareKeys(const IndexDesc& desc, const IndexEntry& a, const IndexEn
     return c;
   }
   auto tail = [&](const IndexEntry& e) {
-    return std::string_view(slots_[e.row].row[desc.column].AsString()).substr(kPrefixBytes);
+    return slots_[e.row].row[desc.column].AsString().substr(kPrefixBytes);
   };
   return CompareTails(tail(a), desc.folded, tail(b), desc.folded);
 }
@@ -382,9 +385,8 @@ int Table::CompareToProbe(const IndexDesc& desc, const IndexEntry& a, const Inde
   if (c != 0 || a.tag != kLongTag) {
     return c;
   }
-  return CompareTails(
-      std::string_view(slots_[a.row].row[desc.column].AsString()).substr(kPrefixBytes),
-      desc.folded, std::string_view(key.AsString()).substr(kPrefixBytes), /*fold_b=*/false);
+  return CompareTails(slots_[a.row].row[desc.column].AsString().substr(kPrefixBytes), desc.folded,
+                      key.AsString().substr(kPrefixBytes), /*fold_b=*/false);
 }
 
 int Table::CompareEntries(const IndexDesc& desc, const IndexEntry& a,

@@ -2,10 +2,16 @@
 //
 // Rows are kept in an append-only slot vector with tombstoned deletes, so row
 // indices remain stable across mutation (scans that collect matches and then
-// update are safe).  Optional per-column equality indexes accelerate the id
-// and name lookups that dominate the query mix; folded-case indexes back the
-// case-insensitive predicates, and because indexes are ordered they also
-// serve literal-prefix pruning for wildcard patterns and ordered-range
+// update are safe).  A row is a vector of 16-byte cells (src/db/value.h): an
+// int, or a string of up to 15 bytes, sits in its cell; a longer string is in
+// a buffer the cell owns.  Growing the slot vector moves rows but not their
+// cells, so a view from Cell(...).AsString() lasts until that cell is written
+// (Update, UpdateNoStats) or its row deleted.  Optional per-column equality
+// indexes accelerate the id and name lookups that dominate the query mix;
+// folded-case indexes back the case-insensitive predicates, and because
+// indexes are ordered they also serve literal-prefix pruning for wildcard
+// patterns (the string keys in the prefix's range, plus every int key, since
+// a pattern also matches an int's decimal rendering) and ordered-range
 // predicates (kLt/kLe/kGt/kGe/kBetween) — see src/db/exec.h for the planner
 // that chooses among them.
 //

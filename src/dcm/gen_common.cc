@@ -17,7 +17,7 @@ void ExpandInto(MoiraContext& mc, int64_t list_id, bool active_only,
   int type_col = members->ColumnIndex("member_type");
   int id_col = members->ColumnIndex("member_id");
   for (size_t row : From(members).WhereEq("list_id", Value(list_id)).Rows()) {
-    const std::string& type = members->Cell(row, type_col).AsString();
+    std::string_view type = members->Cell(row, type_col).AsString();
     int64_t member_id = members->Cell(row, id_col).AsInt();
     if (type == "USER") {
       RowRef user = mc.ExactOne(mc.users(), "users_id", Value(member_id), MR_USER);
@@ -63,7 +63,7 @@ std::map<int64_t, std::vector<GroupMembership>> BuildUserGroupMap(MoiraContext& 
   int users_id_col = users->ColumnIndex("users_id");
   std::map<std::string, int64_t> login_to_id;
   From(users).Emit([&](const std::vector<size_t>& rows) {
-    login_to_id[users->Cell(rows[0], login_col).AsString()] =
+    login_to_id[std::string(users->Cell(rows[0], login_col).AsString())] =
         users->Cell(rows[0], users_id_col).AsInt();
   });
   std::map<int64_t, GroupMembership> group_lists;  // list_id -> (name, gid)
@@ -73,7 +73,7 @@ std::map<int64_t, std::vector<GroupMembership>> BuildUserGroupMap(MoiraContext& 
       .Emit([&](const std::vector<size_t>& rows) {
         size_t row = rows[0];
         group_lists[lists->Cell(row, id_col).AsInt()] =
-            GroupMembership{lists->Cell(row, name_col).AsString(),
+            GroupMembership{std::string(lists->Cell(row, name_col).AsString()),
                             lists->Cell(row, gid_col).AsInt()};
       });
   for (const auto& [list_id, membership] : group_lists) {

@@ -59,7 +59,7 @@ std::string ListAliasLine(MoiraContext& mc, size_t list_row) {
   int64_t list_id = MoiraContext::IntCell(lists, list_row, "list_id");
   std::vector<std::string> targets;
   for (size_t m : From(members).WhereEq("list_id", Value(list_id)).Rows()) {
-    const std::string& type = members->Cell(m, type_col).AsString();
+    std::string_view type = members->Cell(m, type_col).AsString();
     int64_t member_id = members->Cell(m, id_col).AsInt();
     if (type == "USER") {
       RowRef user = mc.ExactOne(mc.users(), "users_id", Value(member_id), MR_USER);

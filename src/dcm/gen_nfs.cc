@@ -170,7 +170,7 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
     }
     // Which credentials file this server gets is determined by value3: blank
     // means all active users, otherwise the named list's membership.
-    const std::string& value3 = sh->Cell(row, sh_value3_col).AsString();
+    std::string_view value3 = sh->Cell(row, sh_value3_col).AsString();
     if (value3.empty()) {
       archive.Add("credentials", master_credentials);
     } else {
@@ -206,7 +206,7 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
       if (!staged.per_host.contains(machine_name)) {
         return MR_NO_MATCH;  // serverhost appeared since the staged pass
       }
-      const std::string& value3 = sh->Cell(row, sh_value3_col).AsString();
+      std::string_view value3 = sh->Cell(row, sh_value3_col).AsString();
       bool restrict = !value3.empty();
       std::set<std::string> allowed;
       if (restrict) {

@@ -57,8 +57,9 @@ struct JournalEntry {
   uint64_t epoch = 0;
   // Client-supplied idempotency tag ("" = untagged).  Replicas record applied
   // tags so a replayed mutation is acknowledged with its original seq instead
-  // of re-executing — even after a failover.
-  std::string tag;
+  // of re-executing — even after a failover.  Initialized, like `epoch`, so
+  // an aggregate that stops at `args` leaves it empty without a warning.
+  std::string tag{};
 
   // Line format: seq:epoch:time:principal:client:tag:query:arg... with ':'
   // and '\' escaped, ending in a newline.  Identical escaping to the backup

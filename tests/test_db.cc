@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -190,6 +191,147 @@ TEST(ValueTest, TypeAndConversions) {
   EXPECT_EQ("", i.AsString());
   EXPECT_EQ(Value(int64_t{42}), i);
   EXPECT_NE(Value("hello "), s);
+}
+
+// Property: the 16-byte cell behaves as the std::variant<int64_t,
+// std::string> it replaced.  Seeded strings of every length 0-40 (both sides
+// of the 15/16-byte inline limit) over an alphabet with NUL and bytes >= 0x80,
+// and ints out to both extremes, are checked against that reference for ==,
+// <, AsString, AsInt, ToString and type(), through copy and move construction
+// and assignment between every pair of kinds (int, inline, heap),
+// self-assignment included; a std::set<Value> iterates in the reference's
+// order.  Under the sanitized build this also checks the cells' heap
+// ownership.
+TEST(ValueTest, MatchesVariantReference) {
+  using Ref = std::variant<int64_t, std::string>;
+  uint64_t rng = 0x9e3779b97f4a7c15ull;  // deterministic: no seed plumbing
+  auto next = [&rng](uint64_t bound) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng >> 33) % bound;
+  };
+  auto random_string = [&](size_t length) {
+    std::string s;
+    for (size_t i = 0; i < length; ++i) {
+      s += std::string("a\0\x7f\x80\xff", 5)[next(5)];
+    }
+    return s;
+  };
+  auto make = [](const Ref& r) {
+    return std::holds_alternative<int64_t>(r) ? Value(std::get<int64_t>(r))
+                                               : Value(std::get<std::string>(r));
+  };
+  auto describe = [](const Ref& r) {
+    if (std::holds_alternative<int64_t>(r)) {
+      return "int " + std::to_string(std::get<int64_t>(r));
+    }
+    std::string out = "string of " + std::to_string(std::get<std::string>(r).size()) + ":";
+    for (char c : std::get<std::string>(r)) {
+      out += " " + std::to_string(static_cast<unsigned char>(c));
+    }
+    return out;
+  };
+  auto expect_holds = [&](const Value& v, const Ref& r, const std::string& what) {
+    SCOPED_TRACE(what + ", expecting " + describe(r));
+    if (std::holds_alternative<int64_t>(r)) {
+      const int64_t i = std::get<int64_t>(r);
+      EXPECT_TRUE(v.is_int());
+      EXPECT_EQ(ColumnType::kInt, v.type());
+      EXPECT_EQ(i, v.AsInt());
+      EXPECT_EQ("", v.AsString());
+      EXPECT_EQ(std::to_string(i), v.ToString());
+    } else {
+      const std::string& s = std::get<std::string>(r);
+      EXPECT_TRUE(v.is_string());
+      EXPECT_EQ(ColumnType::kString, v.type());
+      EXPECT_EQ(0, v.AsInt());
+      EXPECT_EQ(s, v.AsString());
+      EXPECT_EQ(s, v.ToString());
+    }
+  };
+
+  std::vector<Ref> refs = {int64_t{0},
+                           int64_t{-1},
+                           int64_t{1} << 40,
+                           std::numeric_limits<int64_t>::min(),
+                           std::numeric_limits<int64_t>::max()};
+  for (size_t length = 0; length <= 40; ++length) {
+    for (int i = 0; i < 3; ++i) {
+      refs.emplace_back(random_string(length));
+    }
+    refs.emplace_back(static_cast<int64_t>(next(1u << 20)) - (1 << 19));
+  }
+  // A 15-byte string against itself plus one byte, and duplicates of every
+  // kind, so equal keys and shared prefixes meet across the inline limit.
+  const std::string s15 = random_string(15);
+  refs.insert(refs.end(), {s15, s15 + std::string(1, '\0'), s15 + "\xff", Ref(s15)});
+  for (size_t i = 0, n = refs.size(); i < n; i += 7) {
+    refs.push_back(refs[i]);
+  }
+
+  std::vector<Value> values;
+  for (const Ref& r : refs) {
+    values.push_back(make(r));
+    expect_holds(values.back(), r, "constructed");
+  }
+  for (size_t a = 0; a < refs.size(); ++a) {
+    for (size_t b = 0; b < refs.size(); ++b) {
+      if ((refs[a] == refs[b]) != (values[a] == values[b]) ||
+          (refs[a] < refs[b]) != (values[a] < values[b]) ||
+          (refs[a] != refs[b]) != (values[a] != values[b])) {
+        ADD_FAILURE() << "order differs: " << describe(refs[a]) << " vs " << describe(refs[b]);
+      }
+    }
+  }
+
+  // One of each kind at each edge: ints, inline strings (0, 1 and 15
+  // bytes), heap strings (16, 17 and 40 bytes).
+  const std::vector<Ref> kinds = {int64_t{-7},
+                                  std::numeric_limits<int64_t>::min(),
+                                  std::string(),
+                                  std::string("\x80", 1),
+                                  s15,
+                                  s15 + std::string(1, '\0'),
+                                  random_string(17),
+                                  random_string(40)};
+  // Assignment through references, so the self-assignment cases compile
+  // without a self-assignment warning.
+  auto copy_assign = [](Value& to, const Value& from) { to = from; };
+  auto move_assign = [](Value& to, Value& from) { to = std::move(from); };
+  for (const Ref& a : kinds) {
+    for (const Ref& b : kinds) {
+      const std::string pair = describe(a) + " <- " + describe(b);
+      Value to = make(a);
+      Value from = make(b);
+      copy_assign(to, from);
+      expect_holds(to, b, "copy-assigned " + pair);
+      expect_holds(from, b, "copied-from " + pair);
+      Value moved = make(a);
+      move_assign(moved, from);
+      expect_holds(moved, b, "move-assigned " + pair);
+      from = make(a);  // a moved-from cell takes a new value
+      expect_holds(from, a, "reassigned after move " + pair);
+    }
+    Value copy(make(a));
+    Value copied(copy);
+    expect_holds(copied, a, "copy-constructed " + describe(a));
+    expect_holds(copy, a, "copy source " + describe(a));
+    Value moved(std::move(copy));
+    expect_holds(moved, a, "move-constructed " + describe(a));
+    copy = moved;
+    expect_holds(copy, a, "moved-from reassigned " + describe(a));
+    copy_assign(moved, moved);
+    expect_holds(moved, a, "self-copy-assigned " + describe(a));
+    move_assign(moved, moved);
+    expect_holds(moved, a, "self-move-assigned " + describe(a));
+  }
+
+  std::set<Ref> ref_set(refs.begin(), refs.end());
+  std::set<Value> value_set(values.begin(), values.end());
+  ASSERT_EQ(ref_set.size(), value_set.size());
+  auto v = value_set.begin();
+  for (const Ref& r : ref_set) {
+    expect_holds(*v++, r, "set order");
+  }
 }
 
 // Index maintenance across updates must not leave dangling entries.
@@ -804,7 +946,8 @@ TEST_F(DbTest, RandomizedIndexConsistency) {
 // most writes land inside a long run.  k has an exact and a folded index
 // over strings that share 16 or more leading bytes and differ past the prefix
 // or only in case, keys of exactly 16 and 17 bytes, embedded NULs, bytes
-// >= 0x80, and int cells.  At each checkpoint every index-backed path equals
+// >= 0x80, and int cells (a digit-led pattern reaches the cell 2^40 through
+// its decimal rendering).  At each checkpoint every index-backed path equals
 // a brute-force scan in storage order and every IndexDescs() entry a
 // recount; last, every row of one g key goes, emptying whole blocks.
 TEST_F(DbTest, BlockEdgeIndexConsistency) {
@@ -928,7 +1071,7 @@ TEST_F(DbTest, BlockEdgeIndexConsistency) {
     for (const std::string& pattern :
          {shared + "a*", shared + "?b*", ToUpperCopy(shared) + "B*", k16 + "*", k16 + "q*",
           std::string("ab\0*", 4), std::string("ab*"), std::string("\xff*"),
-          std::string("caf*")}) {
+          std::string("caf*"), std::string("1*")}) {
       check(Condition{1, Condition::Op::kWild, Value(pattern)}, when + " kWild " + pattern);
       check(Condition{1, Condition::Op::kWildNoCase, Value(ToUpperCopy(pattern))},
             when + " kWildNoCase " + pattern);

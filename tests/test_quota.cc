@@ -45,7 +45,7 @@ std::vector<std::string> DumpTable(Table* t) {
   t->Scan([&](size_t, const Row& r) {
     std::string line;
     for (const Value& v : r) {
-      line += (v.is_int() ? std::to_string(v.AsInt()) : v.AsString()) + "|";
+      line += v.ToString() + "|";
     }
     out.push_back(std::move(line));
     return true;
