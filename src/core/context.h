@@ -145,8 +145,7 @@ class MoiraContext {
   // --- Cell convenience ---
 
   static int64_t IntCell(const Table* table, size_t row, const char* column);
-  // A copy of the cell's string ("" for an int cell).  Table::Cell(...).AsString()
-  // is the copy-free view, valid only while the cell keeps that string.
+  // "" for an int cell.  Table::Cell(...).AsString() is the copy-free view.
   static std::string StrCell(const Table* table, size_t row, const char* column);
   static void SetCell(Table* table, size_t row, const char* column, Value v);
   // DCM-internal variant: does not count in TBLSTATS (see Table::UpdateNoStats).
