@@ -17,9 +17,9 @@
 //
 // AsString() is a view into the cell, and for an inline string into the
 // Value object itself: it lives only as long as the cell holds that string
-// where it is.  A write to the cell, or moving it (a Row that reallocates,
-// a temporary that ends), leaves the view dangling; copy it into a
-// std::string to keep it.
+// where it is.  A write to the cell, moving it (a Row that reallocates) or
+// destroying it (a temporary that ends) leaves the view dangling; copy it
+// into a std::string to keep it.
 #ifndef MOIRA_SRC_DB_VALUE_H_
 #define MOIRA_SRC_DB_VALUE_H_
 
