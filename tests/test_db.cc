@@ -193,8 +193,8 @@ TEST(ValueTest, TypeAndConversions) {
   EXPECT_NE(Value("hello "), s);
 }
 
-// Property: the 16-byte cell behaves as the std::variant<int64_t,
-// std::string> it replaced.  Seeded strings of every length 0-40 (both sides
+// Property: a cell behaves as its reference, std::variant<int64_t,
+// std::string>.  Seeded strings of every length 0-40 (both sides
 // of the 15/16-byte inline limit) over an alphabet with NUL and bytes >= 0x80,
 // and ints out to both extremes, are checked against that reference for ==,
 // <, AsString, AsInt, ToString and type(), through copy and move construction
