@@ -176,6 +176,7 @@ struct PathSample {
   const char* workload;
   size_t table_rows;
   bool indexed;
+  int64_t calls;  // timed; the path counters below are totals over them
   double ns_per_op;
   double rows_examined_per_op;
   double rows_emitted_per_op;
@@ -242,37 +243,66 @@ std::vector<Condition> UidRangeWindow(const Table& t, SplitMix64& rng) {
   return {Condition{1, Condition::Op::kBetween, Value(lo), Value(lo + width - 1)}};
 }
 
+// How long each access-path and join sample is timed.  A sample is whole
+// passes of one fixed set of calls: one untimed pass (timing the first pass
+// over a freshly built table made the 10k samples bimodal), then passes until
+// this much wall time has gone by, so a sample lasts as long whatever one call
+// costs.  Timing a fixed count instead timed join_selective_tail for about
+// 0.1 ms, and one binary's runs of it spread 6.1-10.6 us at 10k rows.  On a
+// 4-vCPU VM, 300-ms samples spread under 1.3x across 5 runs on most arms; the
+// rest move with stretches of a run that read faster or slower as a whole,
+// which a longer sample does not remove.
+constexpr std::chrono::milliseconds kSampleTime{300};
+
+struct Timing {
+  int64_t calls;  // calls in the timed passes
+  double ns_per_call;
+};
+
+// Runs `pass`, which makes `calls_per_pass` calls, until kSampleTime has gone
+// by.  The caller runs the untimed pass first.
+template <typename Pass>
+Timing RepeatFor(int calls_per_pass, Pass pass) {
+  int64_t passes = 0;
+  const auto start = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration elapsed{};
+  do {
+    pass();
+    ++passes;
+    elapsed = std::chrono::steady_clock::now() - start;
+  } while (elapsed < kSampleTime);
+  const int64_t calls = passes * calls_per_pass;
+  return {calls,
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
+              static_cast<double>(calls)};
+}
+
 PathSample RunWorkload(const char* name, Workload workload, size_t rows, bool indexed,
-                       int iterations) {
+                       int calls_per_pass) {
   Table* t = nullptr;
   std::unique_ptr<Database> db = MakeBenchTable(rows, indexed, &t);
   auto pass = [&] {
     SplitMix64 rng(42);
-    for (int i = 0; i < iterations; ++i) {
+    for (int i = 0; i < calls_per_pass; ++i) {
       benchmark::DoNotOptimize(t->Match(workload(*t, rng)));
     }
   };
-  // One untimed pass of the same lookups first: timing the first pass over a
-  // freshly built table made the 10k samples bimodal.  The counters below
-  // cover only the timed pass.
-  pass();
+  pass();  // untimed; the counters below cover only the timed passes
   TableStats before = t->stats();
-  auto start = std::chrono::steady_clock::now();
-  pass();
-  auto elapsed = std::chrono::steady_clock::now() - start;
+  const Timing timing = RepeatFor(calls_per_pass, pass);
   const TableStats& after = t->stats();
+  const auto calls = static_cast<double>(timing.calls);
   PathSample sample;
   sample.workload = name;
   sample.table_rows = rows;
   sample.indexed = indexed;
-  sample.ns_per_op =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-      iterations;
+  sample.calls = timing.calls;
+  sample.ns_per_op = timing.ns_per_call;
   sample.rows_examined_per_op =
-      static_cast<double>(after.rows_examined - before.rows_examined) / iterations;
+      static_cast<double>(after.rows_examined - before.rows_examined) / calls;
   sample.rows_emitted_per_op =
-      static_cast<double>(after.rows_emitted - before.rows_emitted) / iterations;
+      static_cast<double>(after.rows_emitted - before.rows_emitted) / calls;
   sample.index_hits = after.index_hits - before.index_hits;
   sample.prefix_scans = after.prefix_scans - before.prefix_scans;
   sample.range_scans = after.range_scans - before.range_scans;
@@ -292,11 +322,11 @@ void RunAccessPathReport() {
   std::printf("%-22s %9s %14s %14s %10s %10s\n", "workload", "rows", "planner ns/op",
               "scan ns/op", "examined", "reduction");
   for (size_t rows : {size_t{10000}, size_t{100000}}) {
-    // Fewer iterations for the scan baseline at 100k: it visits every row.
-    int iters = rows > 50000 ? 200 : 500;
+    // Fewer lookups per pass at 100k: a scan baseline call visits every row.
+    const int calls = rows > 50000 ? 200 : 500;
     for (const auto& w : workloads) {
-      PathSample planned = RunWorkload(w.name, w.fn, rows, /*indexed=*/true, iters);
-      PathSample scanned = RunWorkload(w.name, w.fn, rows, /*indexed=*/false, iters);
+      PathSample planned = RunWorkload(w.name, w.fn, rows, /*indexed=*/true, calls);
+      PathSample scanned = RunWorkload(w.name, w.fn, rows, /*indexed=*/false, calls);
       PathSamples().push_back(planned);
       PathSamples().push_back(scanned);
       std::printf("%-22s %9zu %14.0f %14.0f %10.1f %9.0fx\n", w.name, rows,
@@ -309,27 +339,29 @@ void RunAccessPathReport() {
   std::printf("\n");
 }
 
-// --- join-planner workloads (tentpole: cost-based join planning) ---
+// --- join-planner workloads (cost-based join planning) ---
 //
 // fact (10k/100k rows, key = i % 100, indexed) joined to dim (100 keys x 20
 // rows, key and unique name both indexed), run cost-based and with
-// ForceNaiveJoin (the pre-cost-based left-to-right, one-probe-per-row
-// executor).  join_fanout joins the bare tables: the cost-based executor
-// starts from the 50x-smaller dim side and batches its 2000 outer keys into
-// 100 distinct probes of fact.  join_selective_tail adds a unique-name
-// equality on dim: the planner starts from that single row and probes fact
-// once, where the naive order scans all of fact first and probes dim per
-// row.  Both reductions (rows examined and index probes) land in
-// BENCH_queries.json.
+// ForceNaiveJoin (the declared left-to-right order).  join_fanout joins the
+// bare tables: with no condition on either stage the planner keeps the
+// declared order, so both arms run the same nested loop, one dim probe per
+// fact row.  join_selective_tail adds a unique-name equality on dim: the
+// planner starts from that single row and probes fact once, where the
+// declared order scans all of fact first and probes dim per row.  Rows
+// examined and index probes per call land in BENCH_queries.json.  The
+// gates, deterministic counts: both arms emit the same tuples per call;
+// join_selective_tail is reordered and examines >= 100x fewer rows than the
+// declared order; join_fanout is not reordered.
 
 struct JoinSample {
   const char* workload;
   size_t fact_rows;
   bool cost_based;
+  int64_t calls;  // timed; join_reorders is a total over them
   double ns_per_op;
   double rows_examined_per_op;
   double index_probes_per_op;
-  double probe_cache_hits_per_op;
   int64_t join_reorders;
   double tuples_per_op;
 };
@@ -372,80 +404,115 @@ JoinTables MakeJoinTables(size_t fact_rows) {
 }
 
 JoinSample RunJoinWorkload(const char* name, bool selective_tail, size_t fact_rows,
-                           bool cost_based, int iterations) {
+                           bool cost_based, int calls_per_pass) {
   JoinTables jt = MakeJoinTables(fact_rows);
-  SplitMix64 rng(43);
+  size_t tuples = 0;
+  auto pass = [&] {
+    SplitMix64 rng(43);
+    for (int i = 0; i < calls_per_pass; ++i) {
+      Selector s = From(jt.fact).Join(jt.dim, "key", "key");
+      if (selective_tail) {
+        s.WhereEq("name", Value("name" + std::to_string(
+                                    rng.Below(kJoinDimKeys * kJoinDimRowsPerKey))));
+      }
+      if (!cost_based) {
+        s.ForceNaiveJoin();
+      }
+      s.Emit([&](const std::vector<size_t>&) { ++tuples; });
+      benchmark::DoNotOptimize(tuples);
+    }
+  };
   auto examined = [&] {
     return jt.fact->stats().rows_examined + jt.dim->stats().rows_examined;
   };
   auto probes = [&] { return jt.fact->stats().index_hits + jt.dim->stats().index_hits; };
-  auto cache_hits = [&] {
-    return jt.fact->stats().probe_cache_hits + jt.dim->stats().probe_cache_hits;
-  };
+  pass();  // untimed; the counters below cover only the timed passes
   const int64_t examined0 = examined();
   const int64_t probes0 = probes();
-  const int64_t cache0 = cache_hits();
   const int64_t reorders0 = jt.fact->stats().join_reorders;
-  size_t tuples = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    Selector s = From(jt.fact).Join(jt.dim, "key", "key");
-    if (selective_tail) {
-      s.WhereEq("name", Value("name" + std::to_string(
-                                  rng.Below(kJoinDimKeys * kJoinDimRowsPerKey))));
-    }
-    if (!cost_based) {
-      s.ForceNaiveJoin();
-    }
-    s.Emit([&](const std::vector<size_t>&) { ++tuples; });
-    benchmark::DoNotOptimize(tuples);
-  }
-  auto elapsed = std::chrono::steady_clock::now() - start;
+  tuples = 0;
+  const Timing timing = RepeatFor(calls_per_pass, pass);
+  const auto calls = static_cast<double>(timing.calls);
   JoinSample sample;
   sample.workload = name;
   sample.fact_rows = fact_rows;
   sample.cost_based = cost_based;
-  sample.ns_per_op =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-      iterations;
-  sample.rows_examined_per_op = static_cast<double>(examined() - examined0) / iterations;
-  sample.index_probes_per_op = static_cast<double>(probes() - probes0) / iterations;
-  sample.probe_cache_hits_per_op = static_cast<double>(cache_hits() - cache0) / iterations;
+  sample.calls = timing.calls;
+  sample.ns_per_op = timing.ns_per_call;
+  sample.rows_examined_per_op = static_cast<double>(examined() - examined0) / calls;
+  sample.index_probes_per_op = static_cast<double>(probes() - probes0) / calls;
   sample.join_reorders = jt.fact->stats().join_reorders - reorders0;
-  sample.tuples_per_op = static_cast<double>(tuples) / iterations;
+  sample.tuples_per_op = static_cast<double>(tuples) / calls;
   return sample;
 }
 
-void RunJoinReport() {
+struct BenchGate {
+  std::string name;
+  double value;
+  bool pass;
+};
+
+std::vector<BenchGate>& Gates() {
+  static auto* gates = new std::vector<BenchGate>();
+  return *gates;
+}
+
+// Records a gate and prints its failure.
+bool Gate(const std::string& name, double value, bool pass) {
+  Gates().push_back({name, value, pass});
+  if (!pass) {
+    std::printf("FAIL: %s (value %.2f)\n", name.c_str(), value);
+  }
+  return pass;
+}
+
+bool RunJoinReport() {
   struct {
     const char* name;
     bool selective_tail;
   } workloads[] = {{"join_fanout", false}, {"join_selective_tail", true}};
-  std::printf("Join planner: cost-based (reordered, batched) vs naive left-to-right\n");
+  std::printf("Join planner: cost-based vs declared order (ForceNaiveJoin)\n");
   std::printf("%-22s %9s %13s %13s %11s %11s %9s\n", "workload", "rows", "cost ns/op",
-              "naive ns/op", "exam. red.", "probe red.", "cache/op");
+              "naive ns/op", "exam. red.", "probe red.", "reord./op");
+  bool ok = true;
   for (size_t rows : {size_t{10000}, size_t{100000}}) {
-    // The fan-out join materializes ~20 tuples per fact row; keep the 100k
-    // iteration count small.
-    const int iters = rows > 50000 ? 3 : 10;
+    // The fan-out join emits 20 tuples per fact row; keep the 100k pass short.
+    const int calls = rows > 50000 ? 3 : 10;
     for (const auto& w : workloads) {
       JoinSample cost = RunJoinWorkload(w.name, w.selective_tail, rows,
-                                        /*cost_based=*/true, iters);
+                                        /*cost_based=*/true, calls);
       JoinSample naive = RunJoinWorkload(w.name, w.selective_tail, rows,
-                                         /*cost_based=*/false, iters);
+                                         /*cost_based=*/false, calls);
       JoinSamples().push_back(cost);
       JoinSamples().push_back(naive);
-      std::printf("%-22s %9zu %13.0f %13.0f %10.0fx %10.0fx %9.0f\n", w.name, rows,
-                  cost.ns_per_op, naive.ns_per_op,
-                  naive.rows_examined_per_op /
-                      (cost.rows_examined_per_op > 0 ? cost.rows_examined_per_op : 1.0),
+      const double examined_reduction =
+          naive.rows_examined_per_op /
+          (cost.rows_examined_per_op > 0 ? cost.rows_examined_per_op : 1.0);
+      std::printf("%-22s %9zu %13.0f %13.0f %10.0fx %10.0fx %9.2f\n", w.name, rows,
+                  cost.ns_per_op, naive.ns_per_op, examined_reduction,
                   naive.index_probes_per_op /
                       (cost.index_probes_per_op > 0 ? cost.index_probes_per_op : 1.0),
-                  cost.probe_cache_hits_per_op);
+                  static_cast<double>(cost.join_reorders) / static_cast<double>(cost.calls));
+      const std::string arm = std::string(w.name) + "_" + std::to_string(rows / 1000) + "k";
+      ok = Gate(arm + "_tuples_cost_eq_naive", cost.tuples_per_op,
+                cost.tuples_per_op == naive.tuples_per_op) &&
+           ok;
+      if (w.selective_tail) {
+        ok = Gate(arm + "_examined_reduction_ge_100", examined_reduction,
+                  examined_reduction >= 100.0) &&
+             ok;
+        ok = Gate(arm + "_join_reorders_gt_0", static_cast<double>(cost.join_reorders),
+                  cost.join_reorders > 0) &&
+             ok;
+      } else {
+        ok = Gate(arm + "_join_reorders_eq_0", static_cast<double>(cost.join_reorders),
+                  cost.join_reorders == 0) &&
+             ok;
+      }
     }
   }
   std::printf("\n");
+  return ok;
 }
 
 // --- index upkeep on the users relation ---
@@ -471,17 +538,6 @@ struct UpkeepSample {
 std::vector<UpkeepSample>& UpkeepSamples() {
   static auto* samples = new std::vector<UpkeepSample>();
   return *samples;
-}
-
-struct BenchGate {
-  std::string name;
-  double value;
-  bool pass;
-};
-
-std::vector<BenchGate>& Gates() {
-  static auto* gates = new std::vector<BenchGate>();
-  return *gates;
 }
 
 // Appends `rows` synthetic users to a table with the users schema.
@@ -702,11 +758,12 @@ void WriteBenchJson(const char* path) {
     const PathSample& s = samples[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"table_rows\": %zu, \"indexed\": %s, "
-                 "\"ns_per_op\": %.1f, \"rows_examined_per_op\": %.2f, "
+                 "\"calls\": %lld, \"ns_per_op\": %.1f, \"rows_examined_per_op\": %.2f, "
                  "\"rows_emitted_per_op\": %.2f, \"index_hits\": %lld, "
                  "\"prefix_scans\": %lld, \"range_scans\": %lld, "
                  "\"full_scans\": %lld}%s\n",
-                 s.workload, s.table_rows, s.indexed ? "true" : "false", s.ns_per_op,
+                 s.workload, s.table_rows, s.indexed ? "true" : "false",
+                 static_cast<long long>(s.calls), s.ns_per_op,
                  s.rows_examined_per_op, s.rows_emitted_per_op,
                  static_cast<long long>(s.index_hits), static_cast<long long>(s.prefix_scans),
                  static_cast<long long>(s.range_scans),
@@ -718,11 +775,12 @@ void WriteBenchJson(const char* path) {
     const JoinSample& s = joins[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"fact_rows\": %zu, \"cost_based\": %s, "
-                 "\"ns_per_op\": %.1f, \"rows_examined_per_op\": %.2f, "
-                 "\"index_probes_per_op\": %.2f, \"probe_cache_hits_per_op\": %.2f, "
-                 "\"join_reorders\": %lld, \"tuples_per_op\": %.2f}%s\n",
-                 s.workload, s.fact_rows, s.cost_based ? "true" : "false", s.ns_per_op,
-                 s.rows_examined_per_op, s.index_probes_per_op, s.probe_cache_hits_per_op,
+                 "\"calls\": %lld, \"ns_per_op\": %.1f, \"rows_examined_per_op\": %.2f, "
+                 "\"index_probes_per_op\": %.2f, \"join_reorders\": %lld, "
+                 "\"tuples_per_op\": %.2f}%s\n",
+                 s.workload, s.fact_rows, s.cost_based ? "true" : "false",
+                 static_cast<long long>(s.calls), s.ns_per_op,
+                 s.rows_examined_per_op, s.index_probes_per_op,
                  static_cast<long long>(s.join_reorders), s.tuples_per_op,
                  i + 1 < joins.size() ? "," : "");
   }
@@ -794,11 +852,11 @@ void PrintRegistryReport() {
 int main(int argc, char** argv) {
   moira::PrintRegistryReport();
   moira::RunAccessPathReport();
-  moira::RunJoinReport();
-  // The index upkeep and memory gates run even under an unmatchable
+  // The join, index upkeep and memory gates run even under an unmatchable
   // --benchmark_filter, which is how scripts/check.sh --bench-smoke fails on
-  // an index regression.
-  bool ok = moira::RunIndexMaintenanceReport();
+  // a plan or index regression.
+  bool ok = moira::RunJoinReport();
+  ok = moira::RunIndexMaintenanceReport() && ok;
   ok = moira::RunMemoryReport() && ok;
   moira::WriteBenchJson("BENCH_queries.json");
   moira::PaperSite();  // build the site outside any timing loop

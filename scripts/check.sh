@@ -9,8 +9,11 @@
 # validate.
 #   bench     build, plain: test_db (with the index block-edge and cell
 #             property tests) and test_join_consistency; bench_queries,
-#             whose index upkeep, index memory and row memory gates must
-#             pass.
+#             whose gates must pass: join plans (cost-based and naive
+#             tuples per call equal on every join arm; join_selective_tail
+#             reordered and examining >= 100x fewer rows than naive at 10k
+#             and 100k; join_fanout not reordered), index upkeep, index
+#             memory and row memory.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
 #             flaky fleet converges, and faster than the baseline.
 #   dcm       build, plain: test_update (with the keyed-patch splice's

@@ -466,8 +466,7 @@ int32_t GetNfsQuotasByPartition(QueryCall& call) {
   int64_t mach_id = MoiraContext::IntCell(mc.machine(), mach.row, "mach_id");
   Table* phys = mc.nfsphys();
   Table* quota = mc.nfsquota();
-  // One two-stage join instead of a nested per-partition pipeline: the
-  // executor batches quota probes across partitions sharing a phys_id.
+  // One two-stage join instead of a nested per-partition pipeline.
   From(phys)
       .WhereEq("mach_id", Value(mach_id))
       .WhereWild("dir", call.args[1])

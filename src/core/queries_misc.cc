@@ -403,8 +403,8 @@ int32_t GetAllTableStats(QueryCall& call) {
 // Per-table access-path statistics: how queries actually executed.  A row per
 // table: mutation counters plus planner counters (index hits, prefix-pruned
 // scans, range scans, full scans, rows examined vs emitted, join reorders,
-// batched-probe cache hits, set probes).  Privileged (dbadmin only via
-// CAPACLS; not world_ok) since it exposes workload shape.
+// set probes): 12 columns.  Privileged (dbadmin only via CAPACLS; not
+// world_ok) since it exposes workload shape.
 int32_t GetTableStatistics(QueryCall& call) {
   MoiraContext& mc = call.mc;
   for (const std::string& name : mc.db().TableNames()) {
@@ -415,7 +415,7 @@ int32_t GetTableStatistics(QueryCall& call) {
                std::to_string(stats.prefix_scans), std::to_string(stats.range_scans),
                std::to_string(stats.full_scans), std::to_string(stats.rows_examined),
                std::to_string(stats.rows_emitted), std::to_string(stats.join_reorders),
-               std::to_string(stats.probe_cache_hits), std::to_string(stats.set_probes)});
+               std::to_string(stats.set_probes)});
   }
   return MR_SUCCESS;
 }
@@ -521,8 +521,7 @@ void AppendMiscQueries(std::vector<QueryDef>* defs) {
            GetAllTableStats},
           {"get_table_statistics", "gtst", QueryClass::kRetrieve, 0, false, "",
            "table, appends, updates, deletes, index_hits, prefix_scans, range_scans, "
-           "full_scans, rows_examined, rows_emitted, join_reorders, probe_cache_hits, "
-           "set_probes",
+           "full_scans, rows_examined, rows_emitted, join_reorders, set_probes",
            nullptr, GetTableStatistics},
           {"_help", "help", QueryClass::kRetrieve, 1, true, "query", "help_message", nullptr,
            HelpQuery},

@@ -399,7 +399,12 @@ std::vector<size_t> Selector::PlannedJoinOrder() const {
   const size_t n = stages_.size();
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
-  if (naive_join_ || n < 2) {
+  // With no condition on any stage the estimates are bare table sizes, and
+  // starting from the smaller table would only trade probes for a sort of
+  // the whole join.
+  if (naive_join_ || n < 2 ||
+      std::all_of(stages_.begin(), stages_.end(),
+                  [](const Stage& stage) { return stage.conds.empty(); })) {
     return order;
   }
   std::vector<double> est(n);
@@ -434,144 +439,6 @@ std::vector<size_t> Selector::PlannedJoinOrder() const {
   return order;
 }
 
-// Cost-based multi-stage execution: bind stages in planner order, carrying a
-// flat tuple buffer (ntuples x nstages row indices); each new stage groups
-// the live tuples by join key, probes once per distinct key, and expands the
-// buffer with the matches.  Tuples are emitted in the order the naive
-// left-to-right nested loop would have produced (lexicographic by per-stage
-// row index — every Match reports storage order), so callers cannot observe
-// which plan ran.
-bool Selector::ExecuteJoin(
-    const std::function<bool(const std::vector<size_t>&)>& visit) const {
-  const size_t n = stages_.size();
-  const std::vector<size_t> order = PlannedJoinOrder();
-  if (order[0] != 0) {
-    stages_[0].table->NoteJoinReorder();
-  }
-
-  std::vector<size_t> tuples;  // flat: tuples[t * n + i] = stage i's row in tuple t
-  {
-    const Stage& first = stages_[order[0]];
-    for (size_t row : first.table->Match(first.conds)) {
-      if (!PassesFilters(first, row)) {
-        continue;
-      }
-      tuples.resize(tuples.size() + n, 0);
-      tuples[tuples.size() - n + order[0]] = row;
-    }
-  }
-
-  std::vector<bool> bound(n, false);
-  bound[order[0]] = true;
-  std::vector<size_t> next_tuples;
-  std::vector<size_t> tuple_order;
-  for (size_t k = 1; k < n && !tuples.empty(); ++k) {
-    const size_t t = order[k];
-    // The already-bound neighbour supplies the join key.  Binding t after
-    // t-1 is the declared (forward) direction; binding it after t+1 runs the
-    // same equality edge in reverse.
-    size_t outer;
-    int outer_col;
-    int inner_col;
-    if (t > 0 && bound[t - 1]) {
-      outer = t - 1;
-      outer_col = stages_[t].left_col;
-      inner_col = stages_[t].right_col;
-    } else {
-      outer = t + 1;
-      outer_col = stages_[t + 1].right_col;
-      inner_col = stages_[t + 1].left_col;
-    }
-    bound[t] = true;
-    const Stage& stage = stages_[t];
-    const Table* outer_table = stages_[outer].table;
-
-    // Stage-invariant hoisting: the condition list (with one slot reserved
-    // for the join key) and the access plan are built once per stage; each
-    // distinct key only overwrites the operand (and the plan's probe key).
-    std::vector<Condition> conds = stage.conds;
-    conds.push_back(Condition{inner_col, Condition::Op::kEq, Value(), Value()});
-    const size_t key_slot = conds.size() - 1;
-
-    const size_t ntuples = tuples.size() / n;
-    auto key_of = [&](size_t ti) -> const Value& {
-      return outer_table->Cell(tuples[ti * n + outer], outer_col);
-    };
-    // Sort/group the outer tuples by join key so duplicates probe once.
-    tuple_order.resize(ntuples);
-    std::iota(tuple_order.begin(), tuple_order.end(), size_t{0});
-    std::sort(tuple_order.begin(), tuple_order.end(),
-              [&](size_t a, size_t b) { return key_of(a) < key_of(b); });
-
-    // Walk the sorted tuples one distinct key at a time: one probe per key,
-    // with the duplicates of that key served from its result (counted as
-    // probe_cache_hits, the batched distinct-key cache).  The plan is made
-    // for the first key and reused for the rest: PlanAccess ranks candidates
-    // by index statistics and ops alone, never by operand value.
-    AccessPath plan;
-    bool plan_probes_key = false;
-    bool plan_key_folded = false;
-    std::vector<size_t> matches;
-    next_tuples.clear();
-    for (size_t i = 0; i < ntuples;) {
-      const Value& key = key_of(tuple_order[i]);
-      size_t j = i + 1;
-      while (j < ntuples) {
-        const Value& next = key_of(tuple_order[j]);
-        if (key < next || next < key) {
-          break;
-        }
-        ++j;
-      }
-      conds[key_slot].operand = key;
-      if (i == 0) {
-        plan = PlanAccess(*stage.table, conds);
-        plan_probes_key =
-            plan.kind == AccessPath::Kind::kIndexEq && plan.cond_pos == key_slot;
-        if (plan_probes_key) {
-          plan_key_folded = stage.table->IndexDescs()[plan.index_pos].folded;
-        }
-      } else if (plan_probes_key) {
-        plan.eq_key = plan_key_folded ? FoldCaseKey(key) : key;
-      }
-      matches.clear();
-      for (size_t row : stage.table->Match(conds, plan)) {
-        if (PassesFilters(stage, row)) {
-          matches.push_back(row);
-        }
-      }
-      if (j - i > 1) {
-        stage.table->NoteProbeCacheHits(static_cast<int64_t>(j - i - 1));
-      }
-      for (; i < j; ++i) {
-        const size_t ti = tuple_order[i];
-        for (size_t row : matches) {
-          next_tuples.insert(next_tuples.end(), tuples.begin() + ti * n,
-                             tuples.begin() + (ti + 1) * n);
-          next_tuples[next_tuples.size() - n + t] = row;
-        }
-      }
-    }
-    tuples.swap(next_tuples);
-  }
-
-  const size_t ntuples = tuples.size() / n;
-  std::vector<size_t> emit_order(ntuples);
-  std::iota(emit_order.begin(), emit_order.end(), size_t{0});
-  std::sort(emit_order.begin(), emit_order.end(), [&](size_t a, size_t b) {
-    return std::lexicographical_compare(tuples.begin() + a * n, tuples.begin() + (a + 1) * n,
-                                        tuples.begin() + b * n, tuples.begin() + (b + 1) * n);
-  });
-  std::vector<size_t> rows(n);
-  for (size_t ti : emit_order) {
-    std::copy(tuples.begin() + ti * n, tuples.begin() + (ti + 1) * n, rows.begin());
-    if (!visit(rows)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Selector::PassesFilters(const Stage& stage, size_t row) const {
   for (const auto& pred : stage.filters) {
     if (!pred(*stage.table, row)) {
@@ -581,25 +448,28 @@ bool Selector::PassesFilters(const Stage& stage, size_t row) const {
   return true;
 }
 
-bool Selector::RunStage(size_t stage_pos, std::vector<size_t>* rows,
-                        const std::function<bool(const std::vector<size_t>&)>& visit) const {
-  const Stage& stage = stages_[stage_pos];
+bool Selector::Bind(const std::vector<size_t>& order, size_t k, std::vector<size_t>* rows,
+                    const std::function<bool(const std::vector<size_t>&)>& visit) const {
+  const size_t t = order[k];
+  const Stage& stage = stages_[t];
   std::vector<Condition> conds = stage.conds;
-  if (stage_pos > 0) {
-    const Stage& prev_stage = stages_[stage_pos - 1];
-    const Value& key = prev_stage.table->Cell((*rows)[stage_pos - 1], stage.left_col);
-    conds.push_back(Condition{stage.right_col, Condition::Op::kEq, key, Value()});
+  if (k > 0) {
+    // The bound neighbour supplies the join key: t-1 right of the root (the
+    // declared direction), t+1 left of it (the same edge, probed in reverse).
+    // stages_[t + 1] holds the columns of the edge between t and t+1.
+    const bool forward = t > order[0];
+    const Stage& edge = forward ? stage : stages_[t + 1];
+    const size_t outer = forward ? t - 1 : t + 1;
+    const Value& key = stages_[outer].table->Cell((*rows)[outer],
+                                                  forward ? edge.left_col : edge.right_col);
+    conds.push_back(Condition{forward ? edge.right_col : edge.left_col, Condition::Op::kEq, key});
   }
   for (size_t row : stage.table->Match(conds)) {
     if (!PassesFilters(stage, row)) {
       continue;
     }
-    (*rows)[stage_pos] = row;
-    if (stage_pos + 1 < stages_.size()) {
-      if (!RunStage(stage_pos + 1, rows, visit)) {
-        return false;
-      }
-    } else if (!visit(*rows)) {
+    (*rows)[t] = row;
+    if (k + 1 < order.size() ? !Bind(order, k + 1, rows, visit) : !visit(*rows)) {
       return false;
     }
   }
@@ -607,15 +477,41 @@ bool Selector::RunStage(size_t stage_pos, std::vector<size_t>* rows,
 }
 
 void Selector::ForEach(const std::function<bool(const std::vector<size_t>&)>& visit) const {
-  // Single-stage pipelines keep the lazy per-row loop (Any/One on one table
-  // must not materialize); joins go through the cost-based executor unless
-  // the caller pinned the naive order.
-  if (stages_.size() == 1 || naive_join_) {
-    std::vector<size_t> rows(stages_.size(), 0);
-    RunStage(0, &rows, visit);
+  const size_t n = stages_.size();
+  std::vector<size_t> rows(n);
+  if (n == 1) {
+    // Every handler lookup: no estimate, and no order vector to build.
+    static const std::vector<size_t> kBaseOnly{0};
+    Bind(kBaseOnly, 0, &rows, visit);
     return;
   }
-  ExecuteJoin(visit);
+  const std::vector<size_t> order = PlannedJoinOrder();
+  if (order[0] == 0) {
+    Bind(order, 0, &rows, visit);  // declared order: streams
+    return;
+  }
+  // A reordered plan binds tuples out of declared order.  Collect them flat
+  // (tuples[t * n + i] is stage i's row in tuple t) and sort them back to
+  // the order the declared loop emits: lexicographic by per-stage row, since
+  // every Match reports storage order.  Callers cannot see which plan ran.
+  stages_[0].table->NoteJoinReorder();
+  std::vector<size_t> tuples;
+  Bind(order, 0, &rows, [&](const std::vector<size_t>& tuple) {
+    tuples.insert(tuples.end(), tuple.begin(), tuple.end());
+    return true;
+  });
+  std::vector<size_t> emit_order(tuples.size() / n);
+  std::iota(emit_order.begin(), emit_order.end(), size_t{0});
+  std::sort(emit_order.begin(), emit_order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(tuples.begin() + a * n, tuples.begin() + (a + 1) * n,
+                                        tuples.begin() + b * n, tuples.begin() + (b + 1) * n);
+  });
+  for (size_t ti : emit_order) {
+    std::copy(tuples.begin() + ti * n, tuples.begin() + (ti + 1) * n, rows.begin());
+    if (!visit(rows)) {
+      return;
+    }
+  }
 }
 
 void Selector::Emit(const std::function<void(const std::vector<size_t>&)>& visit) const {
@@ -626,23 +522,20 @@ void Selector::Emit(const std::function<void(const std::vector<size_t>&)>& visit
 }
 
 std::vector<size_t> Selector::Rows() const {
+  // Every pipeline emits base rows in storage order: the loop walks the base
+  // in Match order, and a reordered join is sorted back to it.  A join
+  // repeats a base row once per match, adjacently, so dropping repeats as
+  // they arrive dedups it; a single stage never repeats one.
+  const bool join = stages_.size() > 1;
   std::vector<size_t> out;
   ForEach([&](const std::vector<size_t>& rows) {
-    out.push_back(rows[0]);
+    if (!join || out.empty() || out.back() != rows[0]) {
+      out.push_back(rows[0]);
+    }
     return true;
   });
-  if (stages_.size() == 1) {
-    // Single stage: Match's merge point already guarantees ascending, unique
-    // storage order (every access path merges there), so re-sorting would
-    // only hide a breach of that contract.  Assert instead.
-    assert(std::is_sorted(out.begin(), out.end()));
-    assert(std::adjacent_find(out.begin(), out.end()) == out.end());
-    return out;
-  }
-  // Joined pipelines may revisit base rows in any pattern (a reordered join
-  // does not emit base rows adjacently), so sort + dedup to storage order.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  assert(std::is_sorted(out.begin(), out.end()));
+  assert(std::adjacent_find(out.begin(), out.end()) == out.end());
   return out;
 }
 

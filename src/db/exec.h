@@ -104,20 +104,20 @@ AccessPath PlanAccess(const Table& table, const std::vector<Condition>& conditio
 // added stage.  Terminal operations (Emit/ForEach/Rows/One/Count) run the
 // pipeline; each stage's conditions go through the planner.
 //
-// Multi-stage execution is cost-based.  At terminal time the join planner
-// estimates each stage's standalone output cardinality (EstimateMatchRows)
-// and starts from the most selective stage, walking the join chain outward
-// toward whichever neighbour is cheaper next — so a pipeline whose tail
-// carries the selective predicate runs tail-first with reverse index probes
-// instead of fanning out from an unselective base.  Each probe stage batches
-// its outer keys: tuples are sorted and grouped by join key, the stage is
-// planned once (the key operand is patched per group), and duplicate keys
-// reuse the previous group's rows, so a fan-out join costs O(distinct keys)
-// index lookups rather than O(outer rows).  Emission order is unaffected:
-// tuples are restored to the order the left-to-right nested loop would have
-// produced (lexicographic by per-stage row index), so results are
-// plan-independent.  TableStats counts both behaviours (join_reorders on the
-// base table, probe_cache_hits on the probed table).
+// Every pipeline runs through one nested loop (Bind) that binds the stages
+// in PlannedJoinOrder() and probes each stage with its bound neighbour's join
+// key, so every probe goes through the planner too.  Multi-stage order is
+// cost-based: the join planner estimates each stage's standalone output
+// cardinality (EstimateMatchRows), starts from the most selective stage and
+// walks the chain outward toward whichever neighbour is cheaper next, so a
+// pipeline whose tail carries the selective predicate runs tail-first with
+// reverse index probes instead of fanning out from an unselective base.  A
+// pipeline with no condition on any stage keeps its declared order.  In
+// declared order the loop streams (Any/One stop at the first tuple); a
+// reordered plan collects its tuples and sorts them back to the order the
+// declared loop would have emitted (lexicographic by per-stage row index),
+// so results are plan-independent.  TableStats counts reordered pipelines
+// as join_reorders on the base table.
 class Selector {
  public:
   explicit Selector(const Table* table);
@@ -162,13 +162,13 @@ class Selector {
   Selector& Join(const Table* other, std::string_view left_col,
                  std::string_view right_col);
 
-  // Forces the pre-cost-based behaviour: probe stages strictly left to
-  // right, one planner pass and one index probe per outer row, no batching.
-  // The baseline for consistency tests and the bench reduction factors.
+  // Pins the declared left-to-right stage order: the baseline for
+  // consistency tests and the bench reduction factors.
   Selector& ForceNaiveJoin();
 
   // The stage order the cost-based planner would execute (identity when
-  // naive execution is forced or there is no join).  Exposed for tests.
+  // naive execution is forced, there is no join, or no stage has a
+  // condition).  Exposed for tests.
   std::vector<size_t> PlannedJoinOrder() const;
 
   // --- Terminal operations ---
@@ -179,10 +179,9 @@ class Selector {
   void ForEach(const std::function<bool(const std::vector<size_t>&)>& visit) const;
 
   // Base-table row indices of every surviving tuple (deduplicated, in
-  // storage order).  With no joins this is exactly Table::Match + filters —
-  // already sorted and unique by Match's merge-point guarantee, so the
-  // single-stage path asserts that order instead of re-sorting; only joined
-  // pipelines (which may revisit base rows) sort + dedup here.
+  // storage order).  Every pipeline emits base rows in that order, so a
+  // join's repeats are adjacent and are dropped as they arrive; nothing is
+  // re-sorted.
   std::vector<size_t> Rows() const;
 
   // The single surviving base row; nullopt when zero or several match.
@@ -201,9 +200,11 @@ class Selector {
     std::vector<std::function<bool(const Table&, size_t)>> filters;
   };
 
-  bool RunStage(size_t stage_pos, std::vector<size_t>* rows,
-                const std::function<bool(const std::vector<size_t>&)>& visit) const;
-  bool ExecuteJoin(const std::function<bool(const std::vector<size_t>&)>& visit) const;
+  // Binds stage order[k] for every row that joins the stages bound before
+  // it, then recurses; visits each complete tuple and stops when the
+  // visitor returns false (and then returns false).
+  bool Bind(const std::vector<size_t>& order, size_t k, std::vector<size_t>* rows,
+            const std::function<bool(const std::vector<size_t>&)>& visit) const;
   bool PassesFilters(const Stage& stage, size_t row) const;
 
   std::vector<Stage> stages_;

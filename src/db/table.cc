@@ -186,16 +186,7 @@ void Table::Delete(size_t row_index) {
 }
 
 std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const {
-  return ExecutePath(PlanAccess(*this, conditions), conditions);
-}
-
-std::vector<size_t> Table::Match(const std::vector<Condition>& conditions,
-                                 const AccessPath& path) const {
-  return ExecutePath(path, conditions);
-}
-
-std::vector<size_t> Table::ExecutePath(const AccessPath& path,
-                                       const std::vector<Condition>& conditions) const {
+  const AccessPath path = PlanAccess(*this, conditions);
   std::vector<size_t> out;
   // planned_away[c] is true when the access path itself already guarantees
   // condition `c`, so the residual pass must not re-evaluate it.  Computed

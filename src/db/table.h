@@ -127,12 +127,9 @@ struct TableStats {
   StatCounter rows_examined = 0;  // rows fetched and tested against predicates
   StatCounter rows_emitted = 0;   // rows that satisfied every predicate
 
-  // Join-executor counters, bumped by Selector (src/db/exec.cc) rather than
-  // by Match itself.
-  StatCounter join_reorders = 0;     // pipelines rooted here whose probe order
-                                     // was rewritten by the cost-based planner
-  StatCounter probe_cache_hits = 0;  // join probes of this table answered from
-                                     // the batched distinct-key cache
+  // Pipelines rooted here that the cost-based join planner ran from another
+  // stage; bumped by Selector (src/db/exec.cc) rather than by Match itself.
+  StatCounter join_reorders = 0;
 };
 
 // Public description of one index, consumed by the planner (src/db/exec.cc)
@@ -144,8 +141,6 @@ struct IndexDesc {
                              // selective
   size_t entries = 0;        // live rows indexed (== Table::LiveCount())
 };
-
-struct AccessPath;  // planner output; defined in src/db/exec.h
 
 class Table {
  public:
@@ -203,18 +198,9 @@ class Table {
   // the plan.
   std::vector<size_t> Match(const std::vector<Condition>& conditions) const;
 
-  // Executes `conditions` along a caller-supplied plan.  The Selector join
-  // executor plans each probe stage once and patches the probe key between
-  // calls instead of re-planning per key; the plan must have been produced
-  // by PlanAccess against this table and a structurally identical condition
-  // list (only operand values may differ).
-  std::vector<size_t> Match(const std::vector<Condition>& conditions,
-                            const AccessPath& path) const;
-
-  // Join-executor hooks: these counters belong to TableStats but are bumped
-  // by Selector (a const reader), outside any Match call.
+  // Join-executor hook: the counter belongs to TableStats but is bumped by
+  // Selector (a const reader), outside any Match call.
   void NoteJoinReorder() const { ++stats_.join_reorders; }
-  void NoteProbeCacheHits(int64_t n) const { stats_.probe_cache_hits += n; }
 
   // Visits every live row; stop early by returning false from the visitor.
   // This is the raw storage sweep — it bypasses the planner and counts as a
@@ -290,10 +276,6 @@ class Table {
                               const IndexEntry& entry);
   void IndexInsert(size_t index_pos, size_t row_index);
   void IndexErase(size_t index_pos, size_t row_index);
-  // Executes a plan produced by PlanAccess (src/db/exec.cc), bumping the
-  // access-path counters.
-  std::vector<size_t> ExecutePath(const AccessPath& path,
-                                  const std::vector<Condition>& conditions) const;
 
   TableSchema schema_;
   std::vector<Slot> slots_;

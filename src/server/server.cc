@@ -77,7 +77,6 @@ MoiraServer::AccessPathStats MoiraServer::access_path_stats() const {
     out.rows_examined += stats.rows_examined;
     out.rows_emitted += stats.rows_emitted;
     out.join_reorders += stats.join_reorders;
-    out.probe_cache_hits += stats.probe_cache_hits;
   }
   const ListClosureStats& closure = mc_->closure_stats();
   out.closure_cache_hits += closure.hits;

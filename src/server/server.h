@@ -185,7 +185,6 @@ class MoiraServer final : public MessageHandler {
     uint64_t rows_examined = 0;
     uint64_t rows_emitted = 0;
     uint64_t join_reorders = 0;
-    uint64_t probe_cache_hits = 0;
     // List-closure cache (MoiraContext) counters, not per-table.
     uint64_t closure_cache_hits = 0;
     uint64_t closure_cache_misses = 0;

@@ -1,20 +1,26 @@
 // Randomized join-consistency properties for the cost-based executor.
 //
-// The reordered, probe-batched execution (src/db/exec.cc) must be
-// observationally identical to the naive left-to-right nested loop: same
-// tuple sequence, not just the same multiset.  Each round builds a random
-// chain of 2-4 tables — random indexes (including folded), duplicate join
-// keys, tombstoned rows, random stage conditions and residual filters — and
-// checks three executions against each other:
+// The reordered execution (src/db/exec.cc) must be observationally
+// identical to the naive left-to-right nested loop: same tuple sequence, not
+// just the same multiset.  Each round builds a random chain of 2-4 tables —
+// random indexes (including folded), duplicate join keys, tombstoned rows,
+// random stage conditions and residual filters, and join columns at
+// different positions on the two sides of an edge — and checks three
+// executions against each other:
 //
 //   1. a handwritten nested loop over the raw slots (the oracle);
-//   2. Selector with ForceNaiveJoin() (one probe per outer row);
-//   3. the cost-based Selector (reordered stages, batched probes).
+//   2. Selector with ForceNaiveJoin() (the declared order);
+//   3. the cost-based Selector (stages in PlannedJoinOrder()).
+//
+// Emit, Rows and Count run on the cost-based Selector; Any and One run on
+// both, since a declared-order loop stops early and a reordered one does not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -33,15 +39,21 @@ const char* const kStrings[] = {"Aa", "aa", "bB", "bb", "Cc"};
 // so the oracle can re-evaluate it without going through the executor.
 struct StageSpec {
   Table* table = nullptr;
-  // Join with the previous stage (unused for stage 0).  Column indices are
-  // the same in every generated table: 0 = k (int), 1 = s (string),
-  // 2 = v (int).
+  // 1 when the table starts with a "pad" column.  Odd-numbered tables do, so
+  // a join column sits at different positions on the two sides of an edge
+  // and a probe that reads an edge's columns the wrong way round misses.
+  int pad = 0;
+  // Join with the previous stage (unused for stage 0), as a column of the
+  // unpadded layout: 0 = k (int), 1 = s (string), 2 = v (int).
   int join_col = 0;
   // Conditions: kEq on s, kEq on v, or kBetween on v.
   std::vector<Condition> conds;
   // Residual filter on v's parity, if any.
   bool has_filter = false;
   int64_t parity = 0;
+
+  // The table's position of a column of the unpadded layout.
+  int Col(int column) const { return column + pad; }
 };
 
 bool OracleRowPasses(const StageSpec& spec, size_t row) {
@@ -59,7 +71,7 @@ bool OracleRowPasses(const StageSpec& spec, size_t row) {
         return false;
     }
   }
-  if (spec.has_filter && spec.table->Cell(row, 2).AsInt() % 2 != spec.parity) {
+  if (spec.has_filter && spec.table->Cell(row, spec.Col(2)).AsInt() % 2 != spec.parity) {
     return false;
   }
   return true;
@@ -78,8 +90,9 @@ std::vector<std::vector<size_t>> OracleJoin(const std::vector<StageSpec>& specs)
     for (size_t row = 0; row < spec.table->SlotCount(); ++row) {
       if (!spec.table->IsLive(row) || !OracleRowPasses(spec, row)) continue;
       if (stage > 0) {
-        const Value& left = specs[stage - 1].table->Cell(tuple[stage - 1], spec.join_col);
-        if (!(spec.table->Cell(row, spec.join_col) == left)) continue;
+        const StageSpec& prev = specs[stage - 1];
+        const Value& left = prev.table->Cell(tuple[stage - 1], prev.Col(spec.join_col));
+        if (!(spec.table->Cell(row, spec.Col(spec.join_col)) == left)) continue;
       }
       tuple[stage] = row;
       rec(stage + 1);
@@ -98,8 +111,9 @@ Selector BuildSelector(const std::vector<StageSpec>& specs) {
     for (const Condition& cond : spec.conds) sel.Where(cond);
     if (spec.has_filter) {
       const int64_t parity = spec.parity;
-      sel.Filter([parity](const Table& t, size_t row) {
-        return t.Cell(row, 2).AsInt() % 2 == parity;
+      const int v = spec.Col(2);
+      sel.Filter([parity, v](const Table& t, size_t row) {
+        return t.Cell(row, v).AsInt() % 2 == parity;
       });
     }
   }
@@ -122,39 +136,41 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
     const size_t nstages = 2 + rng.Below(3);
     std::vector<StageSpec> specs(nstages);
     for (size_t i = 0; i < nstages; ++i) {
-      Table* t = db.CreateTable(TableSchema{"t" + std::to_string(i),
-                                            {{"k", ColumnType::kInt},
-                                             {"s", ColumnType::kString},
-                                             {"v", ColumnType::kInt}}});
+      StageSpec& spec = specs[i];
+      spec.pad = static_cast<int>(i % 2);
+      std::vector<ColumnDef> columns = {
+          {"k", ColumnType::kInt}, {"s", ColumnType::kString}, {"v", ColumnType::kInt}};
+      if (spec.pad == 1) columns.insert(columns.begin(), {"pad", ColumnType::kString});
+      Table* t = db.CreateTable(TableSchema{"t" + std::to_string(i), std::move(columns)});
       if (rng.Below(2) == 0) t->CreateIndex("k");
       if (rng.Below(2) == 0) t->CreateIndex("s");
       if (rng.Below(2) == 0) t->CreateFoldedIndex("s");
       if (rng.Below(3) == 0) t->CreateIndex("v");
       const size_t nrows = 1 + rng.Below(40);
       for (size_t r = 0; r < nrows; ++r) {
-        size_t row = t->Append({static_cast<int64_t>(rng.Below(6)),
-                                kStrings[rng.Below(5)],
-                                static_cast<int64_t>(rng.Below(50))});
+        Row cells = {Value(static_cast<int64_t>(rng.Below(6))), Value(kStrings[rng.Below(5)]),
+                     Value(static_cast<int64_t>(rng.Below(50)))};
+        if (spec.pad == 1) cells.insert(cells.begin(), Value("x"));
+        size_t row = t->Append(std::move(cells));
         if (rng.Below(5) == 0) t->Delete(row);
       }
-      StageSpec& spec = specs[i];
       spec.table = t;
       spec.join_col = rng.Below(2) == 0 ? 0 : 1;
       const size_t nconds = rng.Below(3);
       for (size_t c = 0; c < nconds; ++c) {
         switch (rng.Below(3)) {
           case 0:
-            spec.conds.push_back(Condition{1, Condition::Op::kEq,
+            spec.conds.push_back(Condition{spec.Col(1), Condition::Op::kEq,
                                            Value(kStrings[rng.Below(5)]), Value()});
             break;
           case 1:
-            spec.conds.push_back(Condition{2, Condition::Op::kEq,
+            spec.conds.push_back(Condition{spec.Col(2), Condition::Op::kEq,
                                            Value(static_cast<int64_t>(rng.Below(50))),
                                            Value()});
             break;
           default: {
             const auto lo = static_cast<int64_t>(rng.Below(40));
-            spec.conds.push_back(Condition{2, Condition::Op::kBetween, Value(lo),
+            spec.conds.push_back(Condition{spec.Col(2), Condition::Op::kBetween, Value(lo),
                                            Value(lo + static_cast<int64_t>(rng.Below(20)))});
             break;
           }
@@ -189,6 +205,22 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
 
     Selector count_cost = BuildSelector(specs);
     EXPECT_EQ(expected.size(), count_cost.Count()) << "Count(), round " << round;
+
+    // Any() and One(): whether a tuple survives, and the single surviving
+    // base row (nullopt for none or several), pinned and planned.
+    const std::optional<size_t> one =
+        base.size() == 1 ? std::optional<size_t>(base[0]) : std::nullopt;
+    for (bool pinned : {true, false}) {
+      Selector any = BuildSelector(specs);
+      Selector single = BuildSelector(specs);
+      if (pinned) {
+        any.ForceNaiveJoin();
+        single.ForceNaiveJoin();
+      }
+      const char* how = pinned ? "naive" : "cost-based";
+      EXPECT_EQ(!expected.empty(), any.Any()) << "Any(), " << how << ", round " << round;
+      EXPECT_EQ(one, single.One()) << "One(), " << how << ", round " << round;
+    }
   }
 }
 

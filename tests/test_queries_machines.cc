@@ -95,6 +95,27 @@ TEST_F(MachineQueriesTest, MachineClusterMap) {
   EXPECT_EQ(MR_SUCCESS, RunRoot("delete_cluster", {"oz"}));
 }
 
+TEST_F(MachineQueriesTest, ClusterMapOfOneClusterRunsTailFirst) {
+  // An administrator's errand: every machine of one named cluster.  The
+  // cluster name is a unique-key probe while "*" matches every machine, so
+  // the join runs from the cluster, probes mcmap and machine in reverse, and
+  // sorts the answer back to machine storage order.
+  for (const char* name : {"m1.mit.edu", "m2.mit.edu", "m3.mit.edu"}) {
+    ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine", {name, "RT"}));
+  }
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_cluster", {"c1", "d", "l"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_cluster", {"c2", "d", "l"}));
+  // Mapped out of machine order, so the map's order is not the answer's.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine_to_cluster", {"m3.mit.edu", "c1"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine_to_cluster", {"m2.mit.edu", "c2"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine_to_cluster", {"m1.mit.edu", "c1"}));
+  const int64_t reorders_before = mc_->machine()->stats().join_reorders;
+  std::vector<Tuple> tuples;
+  ASSERT_EQ(MR_SUCCESS, RunRoot("get_machine_to_cluster_map", {"*", "c1"}, &tuples));
+  EXPECT_EQ(reorders_before + 1, mc_->machine()->stats().join_reorders);
+  EXPECT_EQ((std::vector<Tuple>{{"M1.MIT.EDU", "c1"}, {"M3.MIT.EDU", "c1"}}), tuples);
+}
+
 TEST_F(MachineQueriesTest, DeleteMachineDropsClusterAssignment) {
   ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine", {"gone.mit.edu", "RT"}));
   ASSERT_EQ(MR_SUCCESS, RunRoot("add_cluster", {"c1", "d", "l"}));

@@ -153,8 +153,8 @@ TEST_F(MiscQueriesTest, TableStatisticsReportAccessPaths) {
   for (const Tuple& t : tuples) {
     // table, appends, updates, deletes, index_hits, prefix_scans,
     // range_scans, full_scans, rows_examined, rows_emitted, join_reorders,
-    // probe_cache_hits, set_probes.
-    ASSERT_EQ(13u, t.size());
+    // set_probes.
+    ASSERT_EQ(12u, t.size());
     if (t[0] == "users") {
       found_users = true;
       EXPECT_NE("0", t[1]);  // appends from AddActiveUser
