@@ -1,9 +1,13 @@
 // Shared fixture for the Moira benchmark harness: a paper-scale synthetic
-// site (DESIGN.md experiment index) built once per process, and the header
-// every BENCH_*.json report starts with.
+// site (DESIGN.md experiment index) built once per process, the heap probe
+// the memory reports use, and the header every BENCH_*.json report starts
+// with.
 #ifndef MOIRA_BENCH_BENCH_COMMON_H_
 #define MOIRA_BENCH_BENCH_COMMON_H_
 
+#include <malloc.h>
+
+#include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -60,6 +64,14 @@ inline BenchSite& PaperSite() {
 inline BenchSite& SmallSite() {
   static BenchSite* site = new BenchSite(TestSiteSpec());
   return *site;
+}
+
+// Heap bytes in use, as mallinfo2 sees them (small chunks plus mmapped
+// blocks).  A sanitizer's allocator keeps its heap out of mallinfo2, which
+// then reads 0.
+inline size_t HeapBytesInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 }
 
 // Opens a BENCH_*.json object with the report's "benchmark" name and the

@@ -2,7 +2,8 @@
 // section 5.9): a full propagation cycle of 59 files / 90 propagations, the
 // per-host update cost, retry behaviour under a crash-rate sweep, and the
 // resilience-layer report (flaky-fleet convergence with the retry/breaker
-// layer on vs off, and quarantine economics for a dead host), which lands in
+// layer on vs off, and quarantine economics for a dead host), the heap one
+// NFS consumer holds, and the incremental-propagation sweep, which land in
 // BENCH_propagation.json.
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/db/exec.h"
 #include "src/dcm/delta.h"
 #include "src/dcm/generators.h"
+#include "src/nfsd/nfs_server.h"
 #include "src/update/update_client.h"
 
 namespace moira {
@@ -453,10 +456,11 @@ IncrementalSample RunIncrementalArm(bool incremental, int users) {
 }
 
 // Runs full vs incremental at each population size, writes the "incremental"
-// and "gates" arrays, prints a table.  Returns false if the largest size run
+// and "gates" arrays (the gates end with `extra_gate`, a record, unless it is
+// empty), prints a table.  Returns false if the largest size run
 // misses the reduction bars (>= 50x fewer rows examined AND >= 50x fewer
 // bytes shipped) or any incremental arm fails the byte-identity oracle.
-bool RunIncrementalReport(FILE* f) {
+bool RunIncrementalReport(FILE* f, const std::string& extra_gate) {
   int64_t max_users = 100000;
   if (const char* env = std::getenv("MOIRA_BENCH_INCREMENTAL_MAX_USERS")) {
     max_users = std::atoll(env);
@@ -559,13 +563,83 @@ bool RunIncrementalReport(FILE* f) {
       "    {\"name\": \"incremental_bytes_reduction_x\", \"users\": %d, "
       "\"value\": %.2f, \"pass\": %s},\n"
       "    {\"name\": \"patched_outputs_byte_identical\", \"value\": %d, "
-      "\"pass\": %s}\n"
+      "\"pass\": %s}%s%s\n"
       "  ]",
       gated_users, rows_ratio, rows_ratio >= 50.0 ? "true" : "false",
       gated_users, bytes_ratio, bytes_ratio >= 50.0 ? "true" : "false",
-      oracle_files, oracle_all ? "true" : "false");
+      oracle_files, oracle_all ? "true" : "false", extra_gate.empty() ? "" : ",\n    ",
+      extra_gate.c_str());
   std::printf("\n");
   return ok;
+}
+
+// ---------------------------------------------------------------------------
+// NFS consumer memory: the heap one NfsServerSim holds after applying its
+// files on a 10k-user site, per line of the credentials file it applied.  It
+// is the mallinfo2 heap freed when the consumer is destroyed, so it covers
+// the credentials, locker and quota state together.  Gated at 0 < x <= 64
+// bytes per line.  A sanitizer's allocator keeps its heap out of mallinfo2,
+// so a sanitizer build reports the sample and runs no gate.
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kHeapVisible = false;
+#else
+constexpr bool kHeapVisible = true;
+#endif
+
+// Writes the "consumer_memory" array; sets `gate` to the gate's record for
+// the "gates" array, or leaves it empty when the heap cannot be measured.
+// Returns false if the gate fails or the consumer rejects its files.
+bool RunConsumerMemoryReport(FILE* f, std::string* gate) {
+  const SiteSpec spec;  // 10,000 users, 20 NFS servers
+  BenchSite site{spec};
+  GeneratorResult generated;
+  GenerateNfs(*site.mc, &generated);
+  const std::string& machine = site.builder->nfs_server_names()[0];
+  SimHost* host = site.directory.Find(machine);
+  for (const auto& [name, contents] : generated.ForHost(machine).members()) {
+    host->WriteFileDirect("/site/moira/" + name, contents);
+  }
+  const std::string& credentials = *host->ReadFile("/site/moira/credentials");
+  const auto lines = std::count(credentials.begin(), credentials.end(), '\n');
+  auto nfsd = std::make_unique<NfsServerSim>(host);
+  const int status = nfsd->ApplyMoiraFiles("/site/moira");
+  const size_t before = HeapBytesInUse();
+  nfsd.reset();
+  const auto freed = static_cast<int64_t>(before) - static_cast<int64_t>(HeapBytesInUse());
+  const double per_line =
+      lines > 0 ? static_cast<double>(freed) / static_cast<double>(lines) : 0.0;
+  const int users = spec.total_users;
+  std::fprintf(f,
+               "  \"consumer_memory\": [\n"
+               "    {\"users\": %d, \"credential_lines\": %lld, \"heap_bytes\": %lld, "
+               "\"bytes_per_line\": %.2f}\n"
+               "  ],\n",
+               users, static_cast<long long>(lines), static_cast<long long>(freed), per_line);
+  std::printf("NFS consumer memory at %d users: %lld heap bytes for %lld credentials lines, "
+              "%.1f bytes per line\n",
+              users, static_cast<long long>(freed), static_cast<long long>(lines), per_line);
+  bool ok = status == 0;
+  if (!ok) {
+    std::printf("  ^^ FAIL: update_lockers rejected the generated files (status %d)\n", status);
+  }
+  if (!kHeapVisible) {
+    std::printf("  not gated: a sanitizer's allocator keeps its heap out of mallinfo2\n\n");
+    return ok;
+  }
+  const bool pass = per_line > 0.0 && per_line <= 64.0;
+  char record[160];
+  std::snprintf(record, sizeof(record),
+                "{\"name\": \"consumer_bytes_per_line_le_64\", \"users\": %d, "
+                "\"value\": %.2f, \"pass\": %s}",
+                users, per_line, pass ? "true" : "false");
+  *gate = record;
+  if (!pass) {
+    std::printf("  ^^ FAIL: one NFS consumer must hold 0 < x <= 64 heap bytes per "
+                "credentials line\n");
+  }
+  std::printf("\n");
+  return ok && pass;
 }
 
 void PrintCycleReport() {
@@ -593,11 +667,13 @@ int main(int argc, char** argv) {
   moira::WriteBenchJsonHeader(f, "bench_propagation");
   bool resilience_ok = moira::RunResilienceReport(f);
   std::fprintf(f, ",\n");
-  bool incremental_ok = moira::RunIncrementalReport(f);
+  std::string consumer_gate;
+  bool consumer_ok = moira::RunConsumerMemoryReport(f, &consumer_gate);
+  bool incremental_ok = moira::RunIncrementalReport(f, consumer_gate);
   std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n\n", path);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return (resilience_ok && incremental_ok) ? 0 : 1;
+  return (resilience_ok && consumer_ok && incremental_ok) ? 0 : 1;
 }

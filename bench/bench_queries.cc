@@ -3,7 +3,6 @@
 // paper-scale database, exercising indexed lookups, wildcard scans,
 // recursive membership, and mutation paths.
 #include <benchmark/benchmark.h>
-#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -691,11 +690,6 @@ bool MemoryGate(const std::string& name, const char* what, double value, double 
                 rows, bound);
   }
   return pass;
-}
-
-size_t HeapBytesInUse() {
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
 }
 
 bool RunMemoryReport() {

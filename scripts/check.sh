@@ -15,12 +15,17 @@
 #             and 100k; join_fanout not reordered), index upkeep, index
 #             memory and row memory.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
-#             flaky fleet converges, and faster than the baseline.
+#             flaky fleet converges, and faster than the baseline (the NFS
+#             consumer memory gate does not run: ASan hides the heap).
 #   dcm       build, plain: test_update (with the keyed-patch splice's
-#             property test against the Parse reference) and
-#             test_dcm_incremental; bench_propagation at 100k users, where
-#             journal deltas examine and ship >= 50x less and patched fleets
-#             match a full regeneration byte for byte.
+#             property test against the Parse reference),
+#             test_dcm_incremental and test_consumers (with the NFS
+#             credentials property test against a std::map reference);
+#             bench_propagation at 100k users, where journal deltas examine
+#             and ship >= 50x less and patched fleets match a full
+#             regeneration byte for byte, and one NFS consumer on a
+#             10k-user site holds 0 < x <= 64 heap bytes per credentials
+#             line (consumer_memory).
 #   repl      build-asan, ASan: bench_replication, with >= 3x read scaling
 #             under seeded faults, read-your-writes and convergence.
 #   failover  build-asan, ASan: test_failover; bench_replication, where the
@@ -94,8 +99,8 @@ case "$1" in
     row build-asan ON bench_propagation "" bench_propagation \
       MOIRA_BENCH_INCREMENTAL_MAX_USERS=10000 ;;
   --dcm-smoke)
-    row build "" "bench_propagation test_update test_dcm_incremental" \
-      "test_update test_dcm_incremental" \
+    row build "" "bench_propagation test_update test_dcm_incremental test_consumers" \
+      "test_update test_dcm_incremental test_consumers" \
       bench_propagation MOIRA_BENCH_INCREMENTAL_MAX_USERS=100000 ;;
   --repl-smoke)
     row build-asan ON bench_replication "" bench_replication ;;

@@ -31,6 +31,8 @@ REQUIRED_ARRAYS = {
                         "converged", "soft_failures", "host_retries"],
         "quarantine": ["config", "passes", "attempts_on_down_host",
                        "breaker_opens", "breaker_skips", "probe_failures"],
+        "consumer_memory": ["users", "credential_lines", "heap_bytes",
+                            "bytes_per_line"],
         "incremental": ["config", "users", "churn_per_pass", "passes",
                         "rows_examined", "bytes_shipped", "journal_entries",
                         "patch_ships", "patch_fallbacks", "full_regens",

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "src/common/strutil.h"
 
@@ -44,12 +47,18 @@ bool TokenizeLine(std::string_view line, std::vector<std::string_view>* tokens) 
 }  // namespace
 
 int HesiodServer::AppendDb(std::string_view text) {
-  // Appends `s` to text_, lowercased; returns where it starts.
-  auto append_lower = [this](std::string_view s) {
-    size_t pos = text_.size();
+  // Appends `s` to text_, lowercased if `lower`; returns where it starts.
+  auto append = [this](std::string_view s, bool lower) {
+    if (s.size() > std::numeric_limits<uint32_t>::max() - text_.size()) {
+      std::fprintf(stderr, "moira: Hesiod records pass 2^32 - 1 bytes: record spans are 32-bit\n");
+      std::abort();
+    }
+    const auto pos = static_cast<uint32_t>(text_.size());
     text_.append(s);
-    for (size_t i = pos; i < text_.size(); ++i) {
-      text_[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(text_[i])));
+    if (lower) {
+      for (size_t i = pos; i < text_.size(); ++i) {
+        text_[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(text_[i])));
+      }
     }
     return pos;
   };
@@ -69,18 +78,15 @@ int HesiodServer::AppendDb(std::string_view text) {
       return -1;
     }
     Record record;
-    if (tokens[2] == "UNSPECA") {
-      record.data_pos = text_.size();
-      text_.append(tokens[3]);
-    } else if (tokens[2] == "CNAME") {
+    if (tokens[2] == "CNAME") {
       record.cname = true;
-      record.data_pos = append_lower(tokens[3]);
-    } else {
+    } else if (tokens[2] != "UNSPECA") {
       return -1;
     }
-    record.data_len = tokens[3].size();
-    record.key_pos = append_lower(tokens[0]);
-    record.key_len = tokens[0].size();
+    record.data_pos = append(tokens[3], /*lower=*/record.cname);
+    record.data_len = static_cast<uint32_t>(tokens[3].size());
+    record.key_pos = append(tokens[0], /*lower=*/true);
+    record.key_len = static_cast<uint32_t>(tokens[0].size());
     records_.push_back(record);
     ++loaded;
   }

@@ -10,6 +10,7 @@
 #ifndef MOIRA_SRC_HESIOD_HESIOD_H_
 #define MOIRA_SRC_HESIOD_HESIOD_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,11 +41,13 @@ class HesiodServer {
  private:
   // One record: spans of text_ holding its lowercase "name.type" key and its
   // payload (the quoted UNSPECA data, or the lowercase CNAME target key).
+  // The spans are 32-bit, so text_ holds at most 2^32 - 1 bytes; loading
+  // past that aborts.
   struct Record {
-    size_t key_pos = 0;
-    size_t key_len = 0;
-    size_t data_pos = 0;
-    size_t data_len = 0;
+    uint32_t key_pos = 0;
+    uint32_t key_len = 0;
+    uint32_t data_pos = 0;
+    uint32_t data_len = 0;
     bool cname = false;
   };
 

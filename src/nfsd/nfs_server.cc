@@ -1,6 +1,9 @@
 #include "src/nfsd/nfs_server.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "src/common/random.h"
@@ -27,37 +30,81 @@ int ForEachLine(const std::string& contents, Fn fn) {
   return 0;
 }
 
+// Parses one trimmed credentials line, "login:uid[:gid...]", into `out`;
+// false if the line is malformed.  `fields` is scratch.
+bool ParseCredential(std::string_view line, std::vector<std::string_view>* fields,
+                     NfsCredential* out) {
+  SplitViews(line, ':', fields);
+  if (fields->size() < 2) {
+    return false;
+  }
+  std::optional<int64_t> uid = ParseInt((*fields)[1]);
+  if (!uid.has_value()) {
+    return false;
+  }
+  out->uid = *uid;
+  out->gids.clear();
+  for (size_t i = 2; i < fields->size(); ++i) {
+    std::optional<int64_t> gid = ParseInt((*fields)[i]);
+    if (!gid.has_value()) {
+      return false;
+    }
+    out->gids.push_back(*gid);
+  }
+  return true;
+}
+
+// A credentials line's login: its text before the first ':'.
+std::string_view LoginOf(std::string_view line) { return line.substr(0, line.find(':')); }
+
 constexpr char kDefaultCshrc[] = "# Athena default .cshrc\nsource /usr/athena/lib/cshrc\n";
 constexpr char kDefaultLogin[] = "# Athena default .login\nsource /usr/athena/lib/login\n";
 
 }  // namespace
 
 int NfsServerSim::ApplyCredentials(const std::string& contents) {
+  if (contents.size() > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "moira: a %zu-byte credentials file does not fit 32-bit line spans\n",
+                 contents.size());
+    std::abort();
+  }
+  credentials_text_.assign(contents);
   credentials_.clear();
   std::vector<std::string_view> fields;
-  return ForEachLine(contents, [&](std::string_view line) {
-    SplitViews(line, ':', &fields);
-    if (fields.size() < 2) {
+  NfsCredential credential;
+  bool ascending = true;  // strictly, so no login repeats
+  std::string_view last;
+  int status = ForEachLine(credentials_text_, [&](std::string_view line) {
+    if (!ParseCredential(line, &fields, &credential)) {
       return false;
     }
-    std::optional<int64_t> uid = ParseInt(fields[1]);
-    if (!uid.has_value()) {
-      return false;
-    }
-    NfsCredential credential;
-    credential.uid = *uid;
-    for (size_t i = 2; i < fields.size(); ++i) {
-      std::optional<int64_t> gid = ParseInt(fields[i]);
-      if (!gid.has_value()) {
-        return false;
-      }
-      credential.gids.push_back(*gid);
-    }
-    // The file is sorted by login, so each insert lands at the end.
-    credentials_.insert_or_assign(credentials_.end(), std::string(fields[0]),
-                                  std::move(credential));
+    ascending = ascending && (credentials_.empty() || last < fields[0]);
+    last = fields[0];
+    credentials_.push_back(LineSpan{static_cast<uint32_t>(line.data() - credentials_text_.data()),
+                                    static_cast<uint32_t>(line.size())});
     return true;
   });
+  // The generated file is strictly ascending by login.  Anything else is
+  // stable-sorted, so one login's lines stay in file order, and the last of
+  // them is kept.
+  if (!ascending) {
+    auto by_login = [this](LineSpan a, LineSpan b) {
+      return LoginOf(LineOf(a)) < LoginOf(LineOf(b));
+    };
+    if (!std::is_sorted(credentials_.begin(), credentials_.end(), by_login)) {
+      std::stable_sort(credentials_.begin(), credentials_.end(), by_login);
+    }
+    size_t kept = 0;
+    for (size_t i = 0; i < credentials_.size(); ++i) {
+      if (kept > 0 && !by_login(credentials_[kept - 1], credentials_[i])) {
+        credentials_[kept - 1] = credentials_[i];
+      } else {
+        credentials_[kept++] = credentials_[i];
+      }
+    }
+    credentials_.resize(kept);
+  }
+  return status;
 }
 
 int NfsServerSim::ApplyQuotas(const std::string& partition, const std::string& contents) {
@@ -118,10 +165,7 @@ int NfsServerSim::ApplyDirs(const std::string& contents) {
 int NfsServerSim::ApplyMoiraFiles(const std::string& dir) {
   std::string prefix = dir + "/";
   int status = 0;
-  for (const std::string& path : host_->ListFiles()) {
-    if (!path.starts_with(prefix)) {
-      continue;
-    }
+  for (const std::string& path : host_->ListFiles(prefix)) {
     const std::string& contents = *host_->ReadFile(path);
     if (path == prefix + "credentials") {
       status |= ApplyCredentials(contents);
@@ -186,13 +230,30 @@ std::vector<UsageReportLine> NfsServerSim::DrainUsageReports() {
   return out;
 }
 
-bool NfsServerSim::HasCredential(std::string_view login) const {
-  return credentials_.contains(login);
+std::string_view NfsServerSim::LineOf(LineSpan span) const {
+  return std::string_view(credentials_text_).substr(span.pos, span.len);
 }
 
-const NfsCredential* NfsServerSim::CredentialFor(std::string_view login) const {
-  auto it = credentials_.find(login);
-  return it != credentials_.end() ? &it->second : nullptr;
+const NfsServerSim::LineSpan* NfsServerSim::FindCredential(std::string_view login) const {
+  auto it = std::lower_bound(
+      credentials_.begin(), credentials_.end(), login,
+      [this](LineSpan span, std::string_view key) { return LoginOf(LineOf(span)) < key; });
+  return it != credentials_.end() && LoginOf(LineOf(*it)) == login ? &*it : nullptr;
+}
+
+bool NfsServerSim::HasCredential(std::string_view login) const {
+  return FindCredential(login) != nullptr;
+}
+
+std::optional<NfsCredential> NfsServerSim::CredentialFor(std::string_view login) const {
+  const LineSpan* span = FindCredential(login);
+  if (span == nullptr) {
+    return std::nullopt;
+  }
+  std::vector<std::string_view> fields;
+  NfsCredential credential;
+  ParseCredential(LineOf(*span), &fields, &credential);  // checked when applied
+  return credential;
 }
 
 void InstallNfsUpdateCommand(SimHost* host, NfsServerSim* server,

@@ -69,8 +69,9 @@ class NfsServerSim {
   std::optional<int64_t> QuotaFor(int64_t uid) const;
 
   // Credentials lookups, as the server would consult for NFS access mapping.
+  // CredentialFor parses the login's line on each call; nullopt if absent.
   bool HasCredential(std::string_view login) const;
-  const NfsCredential* CredentialFor(std::string_view login) const;
+  std::optional<NfsCredential> CredentialFor(std::string_view login) const;
 
   // --- simulated usage accounting ---
   // Grows/shrinks every quota-holding uid's usage deterministically from
@@ -87,9 +88,18 @@ class NfsServerSim {
   int64_t report_seq() const { return report_seq_; }
 
  private:
+  // One credentials line ("login:uid[:gid...]", trimmed) in credentials_text_.
+  struct LineSpan {
+    uint32_t pos = 0;
+    uint32_t len = 0;
+  };
+
   int ApplyCredentials(const std::string& contents);
   int ApplyQuotas(const std::string& partition, const std::string& contents);
   int ApplyDirs(const std::string& contents);
+  std::string_view LineOf(LineSpan span) const;
+  // The span of `login`'s line, or nullptr.
+  const LineSpan* FindCredential(std::string_view login) const;
 
   SimHost* host_;
   std::map<std::string, NfsLocker, std::less<>> lockers_;
@@ -98,7 +108,10 @@ class NfsServerSim {
   std::map<int64_t, int64_t> usage_;               // uid -> live units
   std::map<int64_t, int64_t> reported_;            // uid -> last drained units
   int64_t report_seq_ = 0;
-  std::map<std::string, NfsCredential, std::less<>> credentials_;
+  // The applied credentials file, kept as text: one buffer, reused across
+  // applies, and one span per login, ascending by login.
+  std::string credentials_text_;
+  std::vector<LineSpan> credentials_;
   int lockers_created_ = 0;
 };
 

@@ -30,11 +30,11 @@ void SimHost::RemoveFile(std::string_view path) {
   }
 }
 
-std::vector<std::string> SimHost::ListFiles() const {
+std::vector<std::string> SimHost::ListFiles(std::string_view prefix) const {
   std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, contents] : files_) {
-    out.push_back(path);
+  for (auto it = files_.lower_bound(prefix); it != files_.end() && it->first.starts_with(prefix);
+       ++it) {
+    out.push_back(it->first);
   }
   return out;
 }

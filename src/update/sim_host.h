@@ -61,7 +61,8 @@ class SimHost {
   const std::string* ReadFile(std::string_view path) const;
   void WriteFileDirect(std::string_view path, std::string contents);
   void RemoveFile(std::string_view path);
-  std::vector<std::string> ListFiles() const;
+  // Paths that start with `prefix` (every path by default), in path order.
+  std::vector<std::string> ListFiles(std::string_view prefix = {}) const;
 
   // --- failure injection and crash/reboot simulation ---
   // Arms `mode` for the next `count` update attempts, then reverts to kNone.

@@ -52,8 +52,8 @@ bool ParseAcl(const std::string& contents, ZephyrClassAcl* out) {
 int ZephyrServerSim::ReloadAcls(const std::string& dir) {
   std::string prefix = dir + "/";
   std::map<std::string, ZephyrClassAcl, std::less<>> fresh;
-  for (const std::string& path : host_->ListFiles()) {
-    if (!path.starts_with(prefix) || !path.ends_with(".acl")) {
+  for (const std::string& path : host_->ListFiles(prefix)) {
+    if (!path.ends_with(".acl")) {
       continue;
     }
     std::string klass = path.substr(prefix.size(), path.size() - prefix.size() - 4);

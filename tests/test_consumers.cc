@@ -1,6 +1,17 @@
 // End-to-end tests for the downstream consumers of DCM output: the NFS
 // fileserver substrate (locker creation, quotas, credentials) and the Zephyr
 // server substrate (ACL enforcement) — paper section 5.8.2.
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/common/strutil.h"
 #include "src/dcm/dcm.h"
 #include "src/nfsd/nfs_server.h"
 #include "src/sim/population.h"
@@ -122,9 +133,134 @@ TEST_F(ConsumerTest, CredentialsListActiveUsersOnly) {
   }
   EXPECT_FALSE(server.HasCredential("no-such-user"));
   // Credentials carry the user's gid list.
-  const NfsCredential* credential = server.CredentialFor(logins_[0]);
-  ASSERT_NE(nullptr, credential);
+  std::optional<NfsCredential> credential = server.CredentialFor(logins_[0]);
+  ASSERT_TRUE(credential.has_value());
   EXPECT_FALSE(credential->gids.empty());
+}
+
+// The reference for the credentials a server holds: each line applied in
+// file order with std::map::insert_or_assign, so a repeated login keeps its
+// last line, and the first malformed line ends the apply with status 1,
+// keeping the lines before it.
+struct ReferenceCredentials {
+  std::map<std::string, NfsCredential, std::less<>> by_login;
+  int status = 0;
+};
+
+ReferenceCredentials ApplyReference(const std::string& text) {
+  ReferenceCredentials ref;
+  std::vector<std::string_view> lines;
+  std::vector<std::string_view> fields;
+  SplitViews(text, '\n', &lines);
+  for (std::string_view line : lines) {
+    line = TrimWhitespace(line);
+    if (line.empty()) {
+      continue;
+    }
+    SplitViews(line, ':', &fields);
+    NfsCredential credential;
+    bool ok = fields.size() >= 2;
+    for (size_t i = 1; ok && i < fields.size(); ++i) {
+      std::optional<int64_t> n = ParseInt(fields[i]);
+      ok = n.has_value();
+      if (ok && i == 1) {
+        credential.uid = *n;
+      } else if (ok) {
+        credential.gids.push_back(*n);
+      }
+    }
+    if (!ok) {
+      ref.status = 1;
+      return ref;
+    }
+    ref.by_login.insert_or_assign(std::string(fields[0]), std::move(credential));
+  }
+  return ref;
+}
+
+// Logins that prefix one another, an empty one, and bytes >= 0x80.
+const char* const kCredentialLogins[] = {
+    "", "a", "ab", "ab-c", "abc", "abd", "b", "\x80", "\xc3\xa9t\xc3\xa9", "z\xff"};
+// No uid, an empty or a non-numeric field.
+const char* const kMalformedCredentials[] = {"nocolon", "ab:", "ab:x", "ab:1:y", "ab::2", ":"};
+
+// A random credentials file over kCredentialLogins: repeated logins, lines
+// with no gids, padded lines and fields, blank lines, and now and then a
+// malformed line.  Lines are unsorted, or (one round in three) sorted by
+// login.  Adds every login a line carries to `logins`.
+std::string RandomCredentialsFile(SplitMix64& rng, std::set<std::string>* logins) {
+  std::vector<std::pair<std::string, std::string>> lines;  // (login, line)
+  const uint64_t count = rng.Below(60);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string login = kCredentialLogins[rng.Below(std::size(kCredentialLogins))];
+    if (rng.Chance(1, 10)) {
+      login += " ";  // a padded login keeps its pad
+    }
+    logins->insert(login);
+    std::string line = login + ":" + std::to_string(rng.Between(-3, 30000));
+    for (uint64_t g = rng.Below(4); g > 0; --g) {
+      line += rng.Chance(1, 6) ? ": " : ":";
+      line += std::to_string(rng.Below(500));
+    }
+    if (rng.Chance(1, 6)) {
+      line = "  " + line + " \t";
+    }
+    lines.emplace_back(std::move(login), std::move(line));
+  }
+  if (rng.Chance(1, 3)) {
+    std::stable_sort(lines.begin(), lines.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  std::string text;
+  for (const auto& [login, line] : lines) {
+    if (rng.Chance(1, 12)) {
+      text += rng.Chance(1, 2) ? "\n" : "   \n";
+    }
+    if (rng.Chance(1, 80)) {
+      text += std::string(kMalformedCredentials[rng.Below(std::size(kMalformedCredentials))]) +
+              "\n";
+    }
+    text += line + "\n";
+  }
+  if (!text.empty() && rng.Chance(1, 4)) {
+    text.pop_back();  // no newline after the last line
+  }
+  return text;
+}
+
+TEST(CredentialsTest, LookupsMatchMapReference) {
+  SimulatedClock clock(0);
+  KerberosRealm realm(&clock);
+  int malformed = 0;
+  for (uint64_t seed : {7, 8, 9, 1988, 2026}) {
+    SplitMix64 rng(seed);
+    SimHost host("NFS-1.MIT.EDU", &realm, &clock);
+    NfsServerSim server(&host);
+    // Logins and their near misses, kept across rounds so each apply must
+    // also drop what the one before it held.
+    std::set<std::string> logins = {"abcd", "ab-", "aa", "c", "\xc3\xa9"};
+    for (int round = 0; round < 40; ++round) {
+      const std::string text = RandomCredentialsFile(rng, &logins);
+      host.WriteFileDirect("/site/moira/credentials", text);
+      const ReferenceCredentials ref = ApplyReference(text);
+      malformed += ref.status;
+      ASSERT_EQ(ref.status, server.ApplyMoiraFiles("/site/moira"))
+          << "seed " << seed << ", round " << round << ":\n" << text;
+      for (const std::string& login : logins) {
+        auto it = ref.by_login.find(login);
+        EXPECT_EQ(it != ref.by_login.end(), server.HasCredential(login))
+            << "seed " << seed << ", round " << round << ", login '" << login << "'";
+        std::optional<NfsCredential> got = server.CredentialFor(login);
+        ASSERT_EQ(it != ref.by_login.end(), got.has_value())
+            << "seed " << seed << ", round " << round << ", login '" << login << "'";
+        if (got.has_value()) {
+          EXPECT_EQ(it->second.uid, got->uid) << "login '" << login << "'";
+          EXPECT_EQ(it->second.gids, got->gids) << "login '" << login << "'";
+        }
+      }
+    }
+  }
+  EXPECT_GT(malformed, 0);  // the malformed path ran
 }
 
 TEST_F(ConsumerTest, QuotaChangeReachesSetquota) {

@@ -14,10 +14,14 @@
 //
 // Emit, Rows and Count run on the cost-based Selector; Any and One run on
 // both, since a declared-order loop stops early and a reordered one does not.
+// Most equality operands come from a stage's live rows, and each seed must
+// give non-empty answers in at least half its rounds, some of them on
+// reordered plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -130,11 +134,15 @@ class JoinConsistencyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
   SplitMix64 rng(GetParam());
-  for (int round = 0; round < 40; ++round) {
+  constexpr int kRounds = 40;
+  int nonempty = 0;            // rounds whose oracle answer has a tuple
+  int nonempty_reordered = 0;  // ... and whose cost-based plan is reordered
+  for (int round = 0; round < kRounds; ++round) {
     SimulatedClock clock(0);
     Database db(&clock);
     const size_t nstages = 2 + rng.Below(3);
     std::vector<StageSpec> specs(nstages);
+    std::vector<std::optional<size_t>> anchors(nstages);
     for (size_t i = 0; i < nstages; ++i) {
       StageSpec& spec = specs[i];
       spec.pad = static_cast<int>(i % 2);
@@ -156,22 +164,51 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
       }
       spec.table = t;
       spec.join_col = rng.Below(2) == 0 ? 0 : 1;
+      // Seven equality operands in eight come from one live row of the stage,
+      // its anchor, which joins the previous stage's anchor where a row can,
+      // so most rounds have a tuple for the conditions to keep or drop.
+      std::vector<size_t> live;
+      std::vector<size_t> linked;
+      for (size_t row = 0; row < t->SlotCount(); ++row) {
+        if (!t->IsLive(row)) continue;
+        live.push_back(row);
+        if (i > 0 && anchors[i - 1].has_value() &&
+            t->Cell(row, spec.Col(spec.join_col)) ==
+                specs[i - 1].table->Cell(*anchors[i - 1], specs[i - 1].Col(spec.join_col))) {
+          linked.push_back(row);
+        }
+      }
+      const std::vector<size_t>& pool = linked.empty() ? live : linked;
+      if (!pool.empty()) anchors[i] = pool[rng.Below(pool.size())];
+      // Most conditions and filters also keep the anchor.
+      auto anchored = [&] { return anchors[i].has_value() && rng.Below(8) != 0; };
+      auto anchor_cell = [&](int column) { return t->Cell(*anchors[i], spec.Col(column)); };
+      auto eq_operand = [&](int column, Value random) {
+        return anchored() ? anchor_cell(column) : random;
+      };
       const size_t nconds = rng.Below(3);
       for (size_t c = 0; c < nconds; ++c) {
         switch (rng.Below(3)) {
           case 0:
             spec.conds.push_back(Condition{spec.Col(1), Condition::Op::kEq,
-                                           Value(kStrings[rng.Below(5)]), Value()});
-            break;
-          case 1:
-            spec.conds.push_back(Condition{spec.Col(2), Condition::Op::kEq,
-                                           Value(static_cast<int64_t>(rng.Below(50))),
+                                           eq_operand(1, Value(kStrings[rng.Below(5)])),
                                            Value()});
             break;
+          case 1:
+            spec.conds.push_back(
+                Condition{spec.Col(2), Condition::Op::kEq,
+                          eq_operand(2, Value(static_cast<int64_t>(rng.Below(50)))), Value()});
+            break;
           default: {
-            const auto lo = static_cast<int64_t>(rng.Below(40));
-            spec.conds.push_back(Condition{spec.Col(2), Condition::Op::kBetween, Value(lo),
-                                           Value(lo + static_cast<int64_t>(rng.Below(20)))});
+            int64_t lo = static_cast<int64_t>(rng.Below(40));
+            int64_t hi = lo + static_cast<int64_t>(rng.Below(20));
+            if (anchored()) {
+              const int64_t v = anchor_cell(2).AsInt();
+              lo = v - static_cast<int64_t>(rng.Below(10));
+              hi = v + static_cast<int64_t>(rng.Below(10));
+            }
+            spec.conds.push_back(
+                Condition{spec.Col(2), Condition::Op::kBetween, Value(lo), Value(hi)});
             break;
           }
         }
@@ -179,12 +216,9 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
       if (rng.Below(3) == 0) {
         spec.has_filter = true;
         spec.parity = static_cast<int64_t>(rng.Below(2));
+        if (anchored()) spec.parity = anchor_cell(2).AsInt() % 2;
       }
     }
-    // Stage 0's join_col is what stage 1 links on; normalise so the oracle
-    // and BuildSelector agree on which column each Join uses.
-    for (size_t i = 0; i + 1 < nstages; ++i) specs[i].join_col = specs[i + 1].join_col;
-
     const std::vector<std::vector<size_t>> expected = OracleJoin(specs);
 
     Selector naive = BuildSelector(specs);
@@ -193,6 +227,12 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
 
     Selector cost = BuildSelector(specs);
     EXPECT_EQ(expected, Collect(cost)) << "cost-based, round " << round;
+    if (!expected.empty()) {
+      ++nonempty;
+      std::vector<size_t> declared(nstages);
+      std::iota(declared.begin(), declared.end(), size_t{0});
+      if (cost.PlannedJoinOrder() != declared) ++nonempty_reordered;
+    }
 
     // Rows(): deduplicated base rows in storage order, identical across
     // execution strategies.
@@ -222,6 +262,9 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
       EXPECT_EQ(one, single.One()) << "One(), " << how << ", round " << round;
     }
   }
+  // The comparisons above prove little on empty answers.
+  EXPECT_GE(2 * nonempty, kRounds) << nonempty << " non-empty rounds";
+  EXPECT_GT(nonempty_reordered, 0) << "no non-empty round ran a reordered plan";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinConsistencyTest,

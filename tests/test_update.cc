@@ -104,6 +104,20 @@ TEST_F(SimHostTest, FullUpdateInstallsFiles) {
   EXPECT_FALSE(host_.HasFile("/etc/hes/passwd.db.moira_update"));
 }
 
+TEST_F(SimHostTest, ListFilesWalksOnePrefix) {
+  // Neighbours that sort just before ('.' < '/') and just after the prefix.
+  for (const char* path : {"/site/moira.old", "/site/moira/credentials", "/site/moira/a.dirs",
+                           "/site/moiraX/y", "/site/moir", "/z"}) {
+    host_.WriteFileDirect(path, "x");
+  }
+  EXPECT_EQ((std::vector<std::string>{"/site/moira/a.dirs", "/site/moira/credentials"}),
+            host_.ListFiles("/site/moira/"));
+  EXPECT_EQ((std::vector<std::string>{"/site/moir", "/site/moira.old", "/site/moira/a.dirs",
+                                      "/site/moira/credentials", "/site/moiraX/y", "/z"}),
+            host_.ListFiles());
+  EXPECT_TRUE(host_.ListFiles("/site/moira/x").empty());
+}
+
 TEST_F(SimHostTest, InstallKeepsBackupAndRevertRestores) {
   host_.WriteFileDirect("/etc/hes/passwd.db", "old contents");
   UpdateOutcome outcome = client_.Update(&host_, "/tmp/hes.out", payload_, script_);
