@@ -3,14 +3,15 @@
 // per-host update cost, retry behaviour under a crash-rate sweep, and the
 // resilience-layer report (flaky-fleet convergence with the retry/breaker
 // layer on vs off, and quarantine economics for a dead host), the heap one
-// NFS consumer holds, and the incremental-propagation sweep, which land in
-// BENCH_propagation.json.
+// NFS consumer holds, the Match calls of one full generation per service,
+// and the incremental-propagation sweep, which land in BENCH_propagation.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -456,11 +457,11 @@ IncrementalSample RunIncrementalArm(bool incremental, int users) {
 }
 
 // Runs full vs incremental at each population size, writes the "incremental"
-// and "gates" arrays (the gates end with `extra_gate`, a record, unless it is
-// empty), prints a table.  Returns false if the largest size run
-// misses the reduction bars (>= 50x fewer rows examined AND >= 50x fewer
-// bytes shipped) or any incremental arm fails the byte-identity oracle.
-bool RunIncrementalReport(FILE* f, const std::string& extra_gate) {
+// and "gates" arrays (the gates end with the `extra_gates` records), prints a
+// table.  Returns false if the largest size run misses the reduction bars
+// (>= 50x fewer rows examined AND >= 50x fewer bytes shipped) or any
+// incremental arm fails the byte-identity oracle.
+bool RunIncrementalReport(FILE* f, const std::vector<std::string>& extra_gates) {
   int64_t max_users = 100000;
   if (const char* env = std::getenv("MOIRA_BENCH_INCREMENTAL_MAX_USERS")) {
     max_users = std::atoll(env);
@@ -563,12 +564,14 @@ bool RunIncrementalReport(FILE* f, const std::string& extra_gate) {
       "    {\"name\": \"incremental_bytes_reduction_x\", \"users\": %d, "
       "\"value\": %.2f, \"pass\": %s},\n"
       "    {\"name\": \"patched_outputs_byte_identical\", \"value\": %d, "
-      "\"pass\": %s}%s%s\n"
-      "  ]",
+      "\"pass\": %s}",
       gated_users, rows_ratio, rows_ratio >= 50.0 ? "true" : "false",
       gated_users, bytes_ratio, bytes_ratio >= 50.0 ? "true" : "false",
-      oracle_files, oracle_all ? "true" : "false", extra_gate.empty() ? "" : ",\n    ",
-      extra_gate.c_str());
+      oracle_files, oracle_all ? "true" : "false");
+  for (const std::string& gate : extra_gates) {
+    std::fprintf(f, ",\n    %s", gate.c_str());
+  }
+  std::fprintf(f, "\n  ]");
   std::printf("\n");
   return ok;
 }
@@ -642,6 +645,79 @@ bool RunConsumerMemoryReport(FILE* f, std::string* gate) {
   return ok && pass;
 }
 
+// ---------------------------------------------------------------------------
+// Full generation: one full call of each per-record generator on a 10k-user
+// site, its wall time (informational) and its Table::Match calls: each
+// table's index_hits, prefix_scans, range_scans, full_scans and set_probes,
+// summed over the call.  A full build reads each table it needs once, so
+// the three services' calls together are gated at <= 200 (a build that
+// probes per row makes tens of thousands).
+
+int64_t MatchCalls(MoiraContext& mc) {
+  int64_t total = 0;
+  for (const std::string& name : mc.db().TableNames()) {
+    const TableStats& s = mc.db().GetTable(name)->stats();
+    total += s.index_hits + s.prefix_scans + s.range_scans + s.full_scans + s.set_probes;
+  }
+  return total;
+}
+
+// Writes the "full_generation" array and sets `gate` to the gate's record
+// for the "gates" array.  Returns false if the gate fails or a generator
+// does.
+bool RunFullGenerationReport(FILE* f, std::string* gate) {
+  const SiteSpec spec;  // 10,000 users
+  BenchSite site{spec};
+  struct Service {
+    const char* name;
+    GeneratorFn generate;
+  };
+  const Service kServices[] = {
+      {"HESIOD", GenerateHesiod}, {"NFS", GenerateNfs}, {"SMTP", GenerateMail}};
+  bool ok = true;
+  int64_t total_calls = 0;
+  std::fprintf(f, "  \"full_generation\": [\n");
+  std::printf("Full generation at %d users (one call each):\n  %-7s %10s %12s\n",
+              spec.total_users, "service", "wall_ms", "match_calls");
+  for (size_t i = 0; i < std::size(kServices); ++i) {
+    GeneratorResult result;
+    const int64_t before = MatchCalls(*site.mc);
+    auto t0 = std::chrono::steady_clock::now();
+    const int32_t code = kServices[i].generate(*site.mc, &result);
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+    const int64_t calls = MatchCalls(*site.mc) - before;
+    total_calls += calls;
+    std::fprintf(f,
+                 "    {\"service\": \"%s\", \"users\": %d, \"wall_ms\": %.2f, "
+                 "\"match_calls\": %lld}%s\n",
+                 kServices[i].name, spec.total_users, wall_ms, static_cast<long long>(calls),
+                 i + 1 < std::size(kServices) ? "," : "");
+    std::printf("  %-7s %10.1f %12lld\n", kServices[i].name, wall_ms,
+                static_cast<long long>(calls));
+    if (code != MR_SUCCESS) {
+      std::printf("  ^^ FAIL: %s generation returned %d\n", kServices[i].name, code);
+      ok = false;
+    }
+  }
+  std::fprintf(f, "  ],\n");
+  const bool pass = total_calls <= 200;
+  char record[160];
+  std::snprintf(record, sizeof(record),
+                "{\"name\": \"full_generation_match_calls_le_200\", \"users\": %d, "
+                "\"value\": %lld, \"pass\": %s}",
+                spec.total_users, static_cast<long long>(total_calls), pass ? "true" : "false");
+  *gate = record;
+  if (!pass) {
+    std::printf("  ^^ FAIL: the three full builds must make <= 200 Match calls together "
+                "(made %lld)\n",
+                static_cast<long long>(total_calls));
+  }
+  std::printf("\n");
+  return ok && pass;
+}
+
 void PrintCycleReport() {
   BenchSite site{SiteSpec{}};
   DcmRunSummary summary = site.dcm->RunOnce();
@@ -669,11 +745,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, ",\n");
   std::string consumer_gate;
   bool consumer_ok = moira::RunConsumerMemoryReport(f, &consumer_gate);
-  bool incremental_ok = moira::RunIncrementalReport(f, consumer_gate);
+  std::string generation_gate;
+  bool generation_ok = moira::RunFullGenerationReport(f, &generation_gate);
+  std::vector<std::string> extra_gates = {generation_gate};
+  if (!consumer_gate.empty()) {
+    extra_gates.push_back(consumer_gate);
+  }
+  bool incremental_ok = moira::RunIncrementalReport(f, extra_gates);
   std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n\n", path);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return (resilience_ok && consumer_ok && incremental_ok) ? 0 : 1;
+  return (resilience_ok && consumer_ok && generation_ok && incremental_ok) ? 0 : 1;
 }

@@ -15,17 +15,20 @@
 #             and 100k; join_fanout not reordered), index upkeep, index
 #             memory and row memory.
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
-#             flaky fleet converges, and faster than the baseline (the NFS
-#             consumer memory gate does not run: ASan hides the heap).
+#             flaky fleet converges, and faster than the baseline, and the
+#             full_generation gate holds (the NFS consumer memory gate does
+#             not run: ASan hides the heap).
 #   dcm       build, plain: test_update (with the keyed-patch splice's
-#             property test against the Parse reference),
-#             test_dcm_incremental and test_consumers (with the NFS
-#             credentials property test against a std::map reference);
-#             bench_propagation at 100k users, where journal deltas examine
-#             and ship >= 50x less and patched fleets match a full
-#             regeneration byte for byte, and one NFS consumer on a
-#             10k-user site holds 0 < x <= 64 heap bytes per credentials
-#             line (consumer_memory).
+#             property test against the Parse reference, and KeyedFile's
+#             against a std::map model), test_dcm_incremental and
+#             test_consumers (with the NFS credentials property test
+#             against a std::map reference); bench_propagation at 100k
+#             users, where journal deltas examine and ship >= 50x less and
+#             patched fleets match a full regeneration byte for byte, one
+#             NFS consumer on a 10k-user site holds 0 < x <= 64 heap bytes
+#             per credentials line (consumer_memory), and one full HESIOD,
+#             NFS and SMTP generation on that site make <= 200 Table::Match
+#             calls together (full_generation).
 #   repl      build-asan, ASan: bench_replication, with >= 3x read scaling
 #             under seeded faults, read-your-writes and convergence.
 #   failover  build-asan, ASan: test_failover; bench_replication, where the

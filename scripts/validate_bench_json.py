@@ -33,6 +33,7 @@ REQUIRED_ARRAYS = {
                        "breaker_opens", "breaker_skips", "probe_failures"],
         "consumer_memory": ["users", "credential_lines", "heap_bytes",
                             "bytes_per_line"],
+        "full_generation": ["service", "users", "wall_ms", "match_calls"],
         "incremental": ["config", "users", "churn_per_pass", "passes",
                         "rows_examined", "bytes_shipped", "journal_entries",
                         "patch_ships", "patch_fallbacks", "full_regens",

@@ -80,6 +80,19 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) {
+    size += part.size();
+  }
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) {
+    out.append(part);
+  }
+  return out;
+}
+
 bool WildcardMatch(std::string_view pattern, std::string_view value, bool case_insensitive) {
   // Iterative glob match with single-star backtracking.
   size_t p = 0;

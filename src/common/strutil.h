@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +37,9 @@ void SplitViews(std::string_view s, char sep, std::vector<std::string_view>* fie
 
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+// Concatenates `parts` into one string, allocated once.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 // Matches `value` against `pattern` where '*' matches any run of characters
 // and '?' matches any single character.  Optionally case-insensitive.

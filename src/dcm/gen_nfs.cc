@@ -3,13 +3,18 @@
 // receives different partition files, so the payloads are per-host.
 //
 // credentials (keyed by login) and *.quotas (keyed by uid) go through
-// KeyedFile for the incremental patch path; *.dirs changes only on
-// filesystem-topology mutations, which escalate to a full NFS regeneration.
+// KeyedFile, with line formatters the full build and the incremental patch
+// path share; *.dirs changes only on filesystem-topology mutations, which
+// escalate to a full NFS regeneration.  The full build reads each table once
+// (src/dcm/gen_reads.h); the patch path probes for its dirty records.
 #include <map>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "src/common/strutil.h"
 #include "src/db/exec.h"
+#include "src/dcm/gen_reads.h"
 #include "src/dcm/generators.h"
 
 namespace moira {
@@ -31,47 +36,60 @@ std::string PartitionStem(std::string_view dir) {
 }
 
 // One user's credentials line: login:uid followed by every group gid.
-std::string CredentialLine(MoiraContext& mc, size_t user_row,
-                           const std::vector<GroupMembership>& groups) {
-  std::string out = MoiraContext::StrCell(mc.users(), user_row, "login");
-  out += ":";
-  out += std::to_string(MoiraContext::IntCell(mc.users(), user_row, "uid"));
+std::string CredentialLine(const UserFields& user, const std::vector<GroupMembership>& groups) {
+  std::string out(user.login);
+  out.append(":").append(std::to_string(user.uid));
   for (const GroupMembership& m : groups) {
-    out += ":" + std::to_string(m.gid);
+    out.append(":").append(std::to_string(m.gid));
   }
-  out += "\n";
+  out.append("\n");
   return out;
 }
 
-// Builds the credentials contents for every active user (the master file),
-// or for the membership of `list_id` if non-negative.
-std::string BuildCredentials(MoiraContext& mc,
+// One quota row's line in its partition's .quotas file.
+std::string QuotaLine(int64_t uid, int64_t quota) {
+  return StrCat({std::to_string(uid), " ", std::to_string(quota), "\n"});
+}
+
+// The credentials contents for every active user (the master file), or
+// only for those whose login is in `allowed` when it is given.
+std::string BuildCredentials(const IdRows& users,
                              const std::map<int64_t, std::vector<GroupMembership>>& groups,
-                             int64_t list_id) {
-  KeyedFile out(KeyRule::kUpToColon);
-  Table* users = mc.users();
-  int users_id_col = users->ColumnIndex("users_id");
-  std::map<std::string, bool> allowed;
-  bool restrict = list_id >= 0;
-  if (restrict) {
-    for (const std::string& login : ExpandListToLogins(mc, list_id, /*active_only=*/true)) {
-      allowed[login] = true;
-    }
-  }
+                             const std::set<std::string_view>* allowed) {
   static const std::vector<GroupMembership> kNoGroups;
-  From(users)
-      .WhereEq("status", Value(int64_t{kUserActive}))
-      .Emit([&](const std::vector<size_t>& rows) {
-        size_t row = rows[0];
-        if (restrict &&
-            !allowed.contains(MoiraContext::StrCell(users, row, "login"))) {
-          return;
-        }
-        auto it = groups.find(users->Cell(row, users_id_col).AsInt());
-        out.AppendLine(
-            CredentialLine(mc, row, it != groups.end() ? it->second : kNoGroups));
-      });
+  KeyedFile out(KeyRule::kUpToColon);
+  const UserReader read_user(users.table());
+  for (size_t row : users.rows()) {
+    const UserFields user = read_user.Read(row);
+    if (user.status != kUserActive || (allowed != nullptr && !allowed->contains(user.login))) {
+      continue;
+    }
+    auto it = groups.find(user.users_id);
+    out.AppendLine(CredentialLine(user, it != groups.end() ? it->second : kNoGroups));
+  }
   return out.Serialize();
+}
+
+// The logins ExpandListToLogins(mc, list_id, true) returns, from the run's
+// reads: active USER members' logins and STRING members' text, through
+// sub-lists.
+std::set<std::string_view> ListLogins(const IdRows& users, const IdRows& strings,
+                                      ListMembers& members, int64_t list_id) {
+  const int login_col = users.table()->ColumnIndex("login");
+  const int status_col = users.table()->ColumnIndex("status");
+  const int string_col = strings.table()->ColumnIndex("string");
+  std::set<std::string_view> logins;
+  members.Walk(list_id, [&](const ListMembers::Member& member) {
+    if (member.type == ListMembers::Type::kUser) {
+      std::optional<size_t> user = users.Find(member.id);
+      if (user.has_value() && users.table()->Cell(*user, status_col).AsInt() == kUserActive) {
+        logins.insert(users.table()->Cell(*user, login_col).AsString());
+      }
+    } else if (member.type == ListMembers::Type::kString) {
+      logins.insert(strings.StrOf(member.id, string_col, ""));
+    }
+  });
+  return logins;
 }
 
 // The quota block one uid owns in a partition's .quotas file: that user's
@@ -86,8 +104,7 @@ std::string QuotaBlock(MoiraContext& mc, int64_t users_id, int64_t uid,
                         .WhereEq("users_id", Value(users_id))
                         .WhereEq("phys_id", Value(phys_id))
                         .Rows()) {
-    out += std::to_string(uid) + " " +
-           std::to_string(quota->Cell(row, q_quota_col).AsInt()) + "\n";
+    out += QuotaLine(uid, quota->Cell(row, q_quota_col).AsInt());
   }
   return out;
 }
@@ -103,70 +120,79 @@ void Delete(MemberEdit* edit, std::string key) {
 }  // namespace
 
 int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
-  std::map<int64_t, std::vector<GroupMembership>> groups = BuildUserGroupMap(mc);
-  std::string master_credentials = BuildCredentials(mc, groups, -1);
+  const IdRows users(mc.users(), "users_id");
+  const IdRows lists(mc.list(), "list_id");
+  ListMembers members(mc.members());
+  const std::map<int64_t, std::vector<GroupMembership>> groups =
+      UserGroupMap(users, lists, members);
+  const std::string master_credentials = BuildCredentials(users, groups, nullptr);
+  const int uid_col = users.table()->ColumnIndex("uid");
 
-  // Index filesystems and quotas by physical partition.
-  Table* filesys = mc.filesys();
-  Table* quota = mc.nfsquota();
-  Table* phys = mc.nfsphys();
-  Table* users = mc.users();
+  // .dirs lines by physical partition: directory name, owning uid, owning
+  // gid, locker type.
+  const Table* filesys = mc.filesys();
+  const int fs_phys_col = filesys->ColumnIndex("phys_id");
+  const int fs_owner_col = filesys->ColumnIndex("owner");
+  const int fs_owners_col = filesys->ColumnIndex("owners");
+  const int fs_name_col = filesys->ColumnIndex("name");
+  const int fs_locker_col = filesys->ColumnIndex("lockertype");
+  const int gid_col = lists.table()->ColumnIndex("gid");
   std::map<int64_t, std::string> dirs_by_phys;
+  for (size_t row : From(filesys)
+                        .WhereEq("type", Value("NFS"))
+                        .WhereNe("createflg", Value(int64_t{0}))
+                        .Rows()) {
+    const int64_t uid = users.IntOf(filesys->Cell(row, fs_owner_col).AsInt(), uid_col, 0);
+    const int64_t gid = lists.IntOf(filesys->Cell(row, fs_owners_col).AsInt(), gid_col, 0);
+    dirs_by_phys[filesys->Cell(row, fs_phys_col).AsInt()] +=
+        StrCat({filesys->Cell(row, fs_name_col).AsString(), " ", std::to_string(uid), " ",
+                std::to_string(gid), " ", filesys->Cell(row, fs_locker_col).AsString(), "\n"});
+  }
+
+  // .quotas files by physical partition.
+  const Table* quota = mc.nfsquota();
+  const int q_phys_col = quota->ColumnIndex("phys_id");
+  const int q_user_col = quota->ColumnIndex("users_id");
+  const int q_quota_col = quota->ColumnIndex("quota");
   std::map<int64_t, KeyedFile> quotas_by_phys;
-
-  int fs_phys_col = filesys->ColumnIndex("phys_id");
-  From(filesys)
-      .WhereEq("type", Value("NFS"))
-      .WhereNe("createflg", Value(int64_t{0}))
-      .Emit([&](const std::vector<size_t>& rows) {
-        size_t row = rows[0];
-        // directory name, owning uid, owning gid, locker type.
-        int64_t owner_id = MoiraContext::IntCell(filesys, row, "owner");
-        int64_t owners_list = MoiraContext::IntCell(filesys, row, "owners");
-        RowRef owner = mc.ExactOne(users, "users_id", Value(owner_id), MR_USER);
-        int64_t uid =
-            owner.code == MR_SUCCESS ? MoiraContext::IntCell(users, owner.row, "uid") : 0;
-        RowRef group = mc.ExactOne(mc.list(), "list_id", Value(owners_list), MR_LIST);
-        int64_t gid = group.code == MR_SUCCESS
-                          ? MoiraContext::IntCell(mc.list(), group.row, "gid")
-                          : 0;
-        dirs_by_phys[filesys->Cell(row, fs_phys_col).AsInt()] +=
-            MoiraContext::StrCell(filesys, row, "name") + " " + std::to_string(uid) + " " +
-            std::to_string(gid) + " " + MoiraContext::StrCell(filesys, row, "lockertype") +
-            "\n";
-      });
-
-  int q_phys_col = quota->ColumnIndex("phys_id");
-  int q_user_col = quota->ColumnIndex("users_id");
-  int q_quota_col = quota->ColumnIndex("quota");
-  From(quota).Emit([&](const std::vector<size_t>& rows) {
-    size_t row = rows[0];
-    RowRef user =
-        mc.ExactOne(users, "users_id", Value(quota->Cell(row, q_user_col).AsInt()), MR_USER);
-    int64_t uid = user.code == MR_SUCCESS ? MoiraContext::IntCell(users, user.row, "uid") : 0;
+  for (size_t row : From(quota).Rows()) {
     quotas_by_phys[quota->Cell(row, q_phys_col).AsInt()].AppendLine(
-        std::to_string(uid) + " " + std::to_string(quota->Cell(row, q_quota_col).AsInt()) +
-        "\n");
-  });
+        QuotaLine(users.IntOf(quota->Cell(row, q_user_col).AsInt(), uid_col, 0),
+                  quota->Cell(row, q_quota_col).AsInt()));
+  }
+
+  // Partitions by machine, in storage order.
+  const Table* phys = mc.nfsphys();
+  const int p_id_col = phys->ColumnIndex("nfsphys_id");
+  const int p_mach_col = phys->ColumnIndex("mach_id");
+  const int p_dir_col = phys->ColumnIndex("dir");
+  std::map<int64_t, std::vector<size_t>> phys_by_machine;
+  for (size_t row : From(phys).Rows()) {
+    phys_by_machine[phys->Cell(row, p_mach_col).AsInt()].push_back(row);
+  }
 
   // Assemble one archive per NFS serverhost.
-  Table* sh = mc.serverhosts();
-  int sh_mach_col = sh->ColumnIndex("mach_id");
-  int sh_value3_col = sh->ColumnIndex("value3");
+  const IdRows machines(mc.machine(), "mach_id");
+  const int mach_name_col = machines.table()->ColumnIndex("name");
+  std::optional<IdRows> strings;  // read once, if a serverhost restricts its credentials
+  const Table* sh = mc.serverhosts();
+  const int sh_mach_col = sh->ColumnIndex("mach_id");
+  const int sh_value3_col = sh->ColumnIndex("value3");
   for (size_t row : From(sh).WhereEq("service", Value("NFS")).Rows()) {
-    int64_t mach_id = sh->Cell(row, sh_mach_col).AsInt();
-    RowRef mach = mc.ExactOne(mc.machine(), "mach_id", Value(mach_id), MR_MACHINE);
-    if (mach.code != MR_SUCCESS) {
+    const int64_t mach_id = sh->Cell(row, sh_mach_col).AsInt();
+    std::optional<size_t> mach = machines.Find(mach_id);
+    if (!mach.has_value()) {
       continue;
     }
-    const std::string& machine_name = MoiraContext::StrCell(mc.machine(), mach.row, "name");
     Archive archive;
     // Per-partition files for every partition exported by this machine.
-    for (size_t p : From(phys).WhereEq("mach_id", Value(mach_id)).Rows()) {
-      int64_t phys_id = MoiraContext::IntCell(phys, p, "nfsphys_id");
-      std::string stem = PartitionStem(MoiraContext::StrCell(phys, p, "dir"));
-      archive.Add(stem + ".dirs", dirs_by_phys[phys_id]);
-      archive.Add(stem + ".quotas", quotas_by_phys[phys_id].Serialize());
+    if (auto it = phys_by_machine.find(mach_id); it != phys_by_machine.end()) {
+      for (size_t p : it->second) {
+        const int64_t phys_id = phys->Cell(p, p_id_col).AsInt();
+        std::string stem = PartitionStem(phys->Cell(p, p_dir_col).AsString());
+        archive.Add(stem + ".dirs", dirs_by_phys[phys_id]);
+        archive.Add(stem + ".quotas", quotas_by_phys[phys_id].Serialize());
+      }
     }
     // Which credentials file this server gets is determined by value3: blank
     // means all active users, otherwise the named list's membership.
@@ -175,14 +201,19 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
       archive.Add("credentials", master_credentials);
     } else {
       RowRef list = mc.ListByName(value3);
-      archive.Add("credentials",
-                  list.code == MR_SUCCESS
-                      ? BuildCredentials(mc, groups,
-                                         MoiraContext::IntCell(mc.list(), list.row,
-                                                               "list_id"))
-                      : std::string());
+      std::string credentials;
+      if (list.code == MR_SUCCESS) {
+        if (!strings.has_value()) {
+          strings.emplace(mc.strings(), "string_id");
+        }
+        const std::set<std::string_view> allowed = ListLogins(
+            users, *strings, members, MoiraContext::IntCell(mc.list(), list.row, "list_id"));
+        credentials = BuildCredentials(users, groups, &allowed);
+      }
+      archive.Add("credentials", credentials);
     }
-    out->per_host[machine_name] = std::move(archive);
+    out->per_host[std::string(machines.table()->Cell(*mach, mach_name_col).AsString())] =
+        std::move(archive);
   }
   return MR_SUCCESS;
 }
@@ -192,6 +223,7 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
   // Per-user credentials edits, fanned out to every NFS serverhost (each may
   // restrict its credentials file to one list's membership via value3).
   if (!plan.users.empty()) {
+    const UserReader read_user(mc.users());
     Table* sh = mc.serverhosts();
     int sh_mach_col = sh->ColumnIndex("mach_id");
     int sh_value3_col = sh->ColumnIndex("value3");
@@ -233,7 +265,7 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
         if (present) {
           int64_t users_id = MoiraContext::IntCell(mc.users(), user.row, "users_id");
           Upsert(&edit, login,
-                 CredentialLine(mc, user.row, UserGroupsFor(mc, users_id)));
+                 CredentialLine(read_user.Read(user.row), UserGroupsFor(mc, users_id)));
         } else {
           Delete(&edit, login);
         }

@@ -6,6 +6,13 @@
 // mailhub password file, and the Zephyr ACL files.  A generator produces an
 // archive payload per target (a common one, plus per-host overrides for
 // services like NFS whose files differ per server).
+//
+// The full builds of Hesiod, NFS and mail read each table they need once per
+// run and resolve cross-table references from what that read found
+// (src/dcm/gen_reads.h).  Their per-record lines come from formatting
+// functions that take field values, not rows, and that the incremental patch
+// builders share, so a patched file and a fresh regeneration agree byte for
+// byte.  The Zephyr generator, which expands a few ACL lists, still probes.
 #ifndef MOIRA_SRC_DCM_GENERATORS_H_
 #define MOIRA_SRC_DCM_GENERATORS_H_
 
@@ -38,6 +45,7 @@ struct GeneratorResult {
 
 // Returns MR_SUCCESS and fills `out`, or an error code.  Generators do not
 // decide MR_NO_CHANGE themselves; the DCM compares table modtimes first.
+// Every call reads afresh: nothing is cached between calls or generators.
 using GeneratorFn = std::function<int32_t(MoiraContext&, GeneratorResult*)>;
 
 int32_t GenerateHesiod(MoiraContext& mc, GeneratorResult* out);
@@ -68,10 +76,12 @@ struct ServicePatch {
 };
 
 // Recomputes the blocks of every dirty record in `plan` against the current
-// database state and emits the implied edits.  Builders see the staged
-// result only to know which per-host archives exist; the DCM diffs the edits
-// against the staged bytes afterwards.  Any nonzero return escalates the
-// service to a full regeneration.
+// database state, probing (ExactOne) for each one and formatting its lines
+// with the full build's functions, and emits the implied edits; a dirty
+// topology file is rebuilt whole with the full build's code.  Builders see
+// the staged result only to know which per-host archives exist; the DCM
+// diffs the edits against the staged bytes afterwards.  Any nonzero return
+// escalates the service to a full regeneration.
 using PatchBuilderFn = std::function<int32_t(
     MoiraContext&, const DeltaPlan&, const GeneratorResult&, ServicePatch*)>;
 
@@ -85,24 +95,27 @@ int32_t BuildMailPatch(MoiraContext& mc, const DeltaPlan& plan,
 // --- helpers shared by the generators (exposed for tests) ---
 
 // Recursively expands a list to its USER member logins (active users only if
-// `active_only`); STRING members are returned verbatim.
+// `active_only`); STRING members are returned verbatim.  The patch builders
+// and the Zephyr generator probe through it.
 std::vector<std::string> ExpandListToLogins(MoiraContext& mc, int64_t list_id,
                                             bool active_only);
 
-// The (login, gid) group pairs of every active group list a user belongs to,
-// directly or through sub-lists.
+// The (group name, gid) pairs of every active group list a user belongs to,
+// directly or through sub-lists, in ascending list id.  Only USER members
+// and LIST containment count; a STRING member is no user.
 struct GroupMembership {
   std::string group_name;
   int64_t gid = 0;
 };
+// The pairs of every active user, keyed by users_id, from one read each of
+// the users, list and members relations and one walk down the members of
+// each active group list.
 std::map<int64_t, std::vector<GroupMembership>> BuildUserGroupMap(MoiraContext& mc);
 
 // The same pairs for one user, recomputed from the containing-list closure.
-// Matches BuildUserGroupMap's per-user vector exactly (ascending list id).
+// Matches BuildUserGroupMap's per-user vector exactly; the patch builders
+// use it.
 std::vector<GroupMembership> UserGroupsFor(MoiraContext& mc, int64_t users_id);
-
-// A standard /etc/passwd line for a users-relation row.
-std::string PasswdLine(MoiraContext& mc, size_t user_row);
 
 }  // namespace moira
 

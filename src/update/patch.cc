@@ -1,7 +1,10 @@
 #include "src/update/patch.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "src/common/checksum.h"
 
@@ -91,12 +94,35 @@ KeyedFile KeyedFile::Parse(std::string_view text, KeyRule rule) {
   return file;
 }
 
-void KeyedFile::AppendLine(std::string_view line) {
-  std::string& block = blocks_[std::string(KeyOf(line, rule_))];
-  block.append(line);
-  if (block.empty() || block.back() != '\n') {
-    block.push_back('\n');
+uint32_t KeyedFile::Store(std::string_view bytes) {
+  if (bytes.size() > std::numeric_limits<uint32_t>::max() - text_.size()) {
+    std::fprintf(stderr, "moira: a keyed file passes 2^32 - 1 bytes: its spans are 32-bit\n");
+    std::abort();
   }
+  const auto offset = static_cast<uint32_t>(text_.size());
+  text_.append(bytes);
+  return offset;
+}
+
+void KeyedFile::AppendLine(std::string_view line) {
+  if (line.empty()) {
+    for (const Span& span : spans_) {
+      if (span.key_size == 0 && span.text_size > 0) {
+        return;
+      }
+    }
+    const uint32_t offset = Store("\n");
+    spans_.push_back(Span{offset, 0, offset, 1});
+    return;
+  }
+  const uint32_t offset = Store(line);
+  if (line.back() != '\n') {
+    Store("\n");
+  }
+  const std::string_view key = KeyOf(std::string_view(text_).substr(offset, line.size()), rule_);
+  spans_.push_back(Span{static_cast<uint32_t>(key.data() - text_.data()),
+                        static_cast<uint32_t>(key.size()), offset,
+                        static_cast<uint32_t>(text_.size() - offset)});
 }
 
 void KeyedFile::AppendPrologue(std::string_view line) {
@@ -106,19 +132,35 @@ void KeyedFile::AppendPrologue(std::string_view line) {
   }
 }
 
-void KeyedFile::SetBlock(const std::string& key, std::string block) {
+void KeyedFile::SetBlock(std::string_view key, std::string_view block) {
+  DeleteBlock(key);
+  const uint32_t key_offset = Store(key);
+  const uint32_t offset = Store(block);
   if (!block.empty() && block.back() != '\n') {
-    block.push_back('\n');
+    Store("\n");
   }
-  blocks_[key] = std::move(block);
+  spans_.push_back(Span{key_offset, static_cast<uint32_t>(key.size()), offset,
+                        static_cast<uint32_t>(text_.size() - offset)});
 }
 
-void KeyedFile::DeleteBlock(const std::string& key) { blocks_.erase(key); }
+void KeyedFile::DeleteBlock(std::string_view key) {
+  std::erase_if(spans_, [&](const Span& span) { return SpanKey(span) == key; });
+}
 
 std::string KeyedFile::Serialize() const {
-  std::string out = prologue_;
-  for (const auto& [key, block] : blocks_) {
-    out.append(block);
+  std::vector<Span> sorted = spans_;
+  std::stable_sort(sorted.begin(), sorted.end(), [this](const Span& a, const Span& b) {
+    return SpanKey(a) < SpanKey(b);
+  });
+  size_t size = prologue_.size();
+  for (const Span& span : sorted) {
+    size += span.text_size;
+  }
+  std::string out;
+  out.reserve(size);
+  out.append(prologue_);
+  for (const Span& span : sorted) {
+    out.append(text_, span.text_offset, span.text_size);
   }
   return out;
 }

@@ -19,7 +19,6 @@
 #define MOIRA_SRC_UPDATE_PATCH_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,6 +39,12 @@ enum class KeyRule : uint8_t {
 // Canonical keyed text file: comment prologue + key-sorted blocks.  The
 // generators build files through it; Parse, SetBlock and DeleteBlock are the
 // reference model SpliceKeyedOps is tested against.
+//
+// The text lives in one buffer: each appended line (or set block) is a span
+// of it with its key's span, and Serialize stable-sorts the spans by key once,
+// so a key's block is its spans in the order they were added.  SetBlock and
+// DeleteBlock drop a key's spans and leave their bytes behind in the buffer.
+// Offsets are 32-bit; a buffer that would pass 2^32 - 1 bytes aborts.
 class KeyedFile {
  public:
   explicit KeyedFile(KeyRule rule = KeyRule::kFirstToken) : rule_(rule) {}
@@ -49,21 +54,40 @@ class KeyedFile {
   // its derived key (consecutive or not — blocks are keyed, not positional).
   static KeyedFile Parse(std::string_view text, KeyRule rule);
 
-  // Appends one line (newline added if missing) to its key's block.
+  // Appends one line (newline added if missing) to its key's block.  An
+  // empty line has the empty key and adds a newline only while that key's
+  // block is empty.
   void AppendLine(std::string_view line);
   // Appends a raw prologue line (kept verbatim, before all blocks).
   void AppendPrologue(std::string_view line);
 
-  void SetBlock(const std::string& key, std::string block);
-  void DeleteBlock(const std::string& key);
+  // Replaces the key's block (newline added to a non-empty block if
+  // missing); DeleteBlock drops it.
+  void SetBlock(std::string_view key, std::string_view block);
+  void DeleteBlock(std::string_view key);
 
   // Prologue, then blocks in ascending key order.
   std::string Serialize() const;
 
  private:
+  // A key and the text it owns, as offsets into text_.
+  struct Span {
+    uint32_t key_offset = 0;
+    uint32_t key_size = 0;
+    uint32_t text_offset = 0;
+    uint32_t text_size = 0;
+  };
+
+  std::string_view SpanKey(const Span& span) const {
+    return std::string_view(text_).substr(span.key_offset, span.key_size);
+  }
+  // Appends `bytes` to text_ and returns their offset.
+  uint32_t Store(std::string_view bytes);
+
   KeyRule rule_;
   std::string prologue_;
-  std::map<std::string, std::string> blocks_;
+  std::string text_;
+  std::vector<Span> spans_;  // in the order added
 };
 
 // One keyed edit inside a file.

@@ -1,6 +1,12 @@
 // Tests for the server-specific file generators (paper section 5.8.2):
 // formats of the Hesiod .db files, the NFS files, the aliases file, and the
 // Zephyr ACLs.
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/db/exec.h"
 #include "src/dcm/generators.h"
 #include "src/hesiod/hesiod.h"
 #include "tests/test_env.h"
@@ -233,6 +239,153 @@ TEST_F(GeneratorTest, ExpandListHandlesNestingAndStrings) {
       *mc_, MoiraContext::IntCell(mc_->list(), video.row, "list_id"), true);
   // abarba direct, babette via proj, plus the string member.
   EXPECT_EQ(3u, logins.size());
+}
+
+// A user's (group name, gid) pairs, comparable.
+std::vector<std::pair<std::string, int64_t>> Pairs(const std::vector<GroupMembership>& groups) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  for (const GroupMembership& m : groups) {
+    out.emplace_back(m.group_name, m.gid);
+  }
+  return out;
+}
+
+// The full build's group map and the patch builders' per-user closure must
+// agree for every active user, or a patched grplist.db or credentials file
+// differs from a fresh regeneration.
+TEST_F(GeneratorTest, GroupMapMatchesUserGroupsFor) {
+  AddActiveUser("hnash", 6533);
+  AddActiveUser("cwong", 6534);
+  // outer holds babette directly and again through inner (two paths), a
+  // STRING member whose text is hnash's login, and a non-group list.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"outer", "1", "0", "0", "0", "1", "10920",
+                                             "NONE", "NONE", "outer group"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"inner", "1", "0", "0", "0", "1", "10921",
+                                             "NONE", "NONE", "inner group"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"relay", "1", "0", "0", "1", "0", "-1",
+                                             "NONE", "NONE", "not a group"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"outer", "USER", "babette"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"outer", "LIST", "inner"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"outer", "STRING", "hnash"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"outer", "LIST", "relay"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"inner", "USER", "babette"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"inner", "USER", "abarba"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"inner", "USER", "ghost"}));
+  // A membership cycle: inner contains outer.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"inner", "LIST", "outer"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"relay", "USER", "cwong"}));
+  // A STRING member whose string id is hnash's users_id.
+  Table* users = mc_->users();
+  int64_t hnash = MoiraContext::IntCell(users, mc_->UserByLogin("hnash").row, "users_id");
+  mc_->members()->Append({Value(MoiraContext::IntCell(mc_->list(), mc_->ListByName("inner").row,
+                                                      "list_id")),
+                          Value("STRING"), Value(hnash)});
+
+  std::map<int64_t, std::vector<GroupMembership>> map = BuildUserGroupMap(*mc_);
+  int checked = 0;
+  for (size_t row : From(users).WhereEq("status", Value(int64_t{kUserActive})).Rows()) {
+    int64_t users_id = MoiraContext::IntCell(users, row, "users_id");
+    EXPECT_EQ(Pairs(UserGroupsFor(*mc_, users_id)), Pairs(map[users_id]))
+        << MoiraContext::StrCell(users, row, "login");
+    ++checked;
+  }
+  EXPECT_EQ(4, checked);
+  // Only active users have pairs: ghost is an inactive member of inner.
+  EXPECT_EQ(0u, map.count(MoiraContext::IntCell(users, mc_->UserByLogin("ghost").row,
+                                                "users_id")));
+  using Groups = std::vector<std::pair<std::string, int64_t>>;
+  int64_t cwong = MoiraContext::IntCell(users, mc_->UserByLogin("cwong").row, "users_id");
+  int64_t babette = MoiraContext::IntCell(users, mc_->UserByLogin("babette").row, "users_id");
+  EXPECT_EQ(Groups{}, Pairs(map[hnash]));  // STRING members are no users
+  // cwong is in outer through relay, and in inner through the cycle.
+  EXPECT_EQ((Groups{{"outer", 10920}, {"inner", 10921}}), Pairs(map[cwong]));
+  EXPECT_EQ((Groups{{"babette", 10914}, {"proj", 10915}, {"outer", 10920}, {"inner", 10921}}),
+            Pairs(map[babette]));
+}
+
+// References that resolve to no row, or to several, as an unrepaired restore
+// can leave them: the full builds write what a failed ExactOne probe writes.
+TEST_F(GeneratorTest, DanglingReferencesKeepTheirBytes) {
+  constexpr int64_t kMissing = 99999;
+  constexpr int64_t kTwice = 9001;  // a mach_id two machine rows hold
+  for (const char* name : {"TWIN-A.MIT.EDU", "TWIN-B.MIT.EDU"}) {
+    mc_->machine()->Append({Value(name), Value(kTwice), Value("VAX"), Value(int64_t{0}),
+                            Value("root"), Value("test")});
+  }
+  AddActiveUser("hnash", 6533);
+  ASSERT_EQ(MR_SUCCESS, RunRoot("set_pobox", {"hnash", "POP", "athena-po-1.mit.edu"}));
+  Table* users = mc_->users();
+  MoiraContext::SetCell(users, mc_->UserByLogin("babette").row, "pop_id", Value(kMissing));
+  MoiraContext::SetCell(users, mc_->UserByLogin("hnash").row, "pop_id", Value(kTwice));
+  Table* filesys = mc_->filesys();
+  size_t locker = mc_->FilesysByLabel("babette").row;
+  MoiraContext::SetCell(filesys, locker, "owner", Value(kMissing));
+  MoiraContext::SetCell(filesys, locker, "owners", Value(kMissing));
+  MoiraContext::SetCell(filesys, locker, "mach_id", Value(kTwice));
+  Table* quota = mc_->nfsquota();
+  MoiraContext::SetCell(quota, From(quota).Rows()[0], "users_id", Value(kMissing));
+  for (int64_t mach_id : {kMissing, kTwice}) {
+    const std::string name = mach_id == kMissing ? "ghostpr" : "twinpr";
+    mc_->printcap()->Append({Value(name), Value(mach_id), Value("/usr/spool/printer/" + name),
+                             Value(name), Value(""), Value(int64_t{0}), Value("root"),
+                             Value("test")});
+    for (const char* service : {"POP", "NFS"}) {
+      Row row(mc_->serverhosts()->schema().columns.size(), Value(int64_t{0}));
+      row[0] = Value(service);
+      row[1] = Value(mach_id);
+      row[7] = Value("");
+      row[16] = Value("");
+      mc_->serverhosts()->Append(std::move(row));
+    }
+  }
+  mc_->mcmap()->Append({Value(kMissing), Value(MoiraContext::IntCell(
+                                            mc_->cluster(), mc_->ClusterByName("bldge40").row,
+                                            "clu_id"))});
+  size_t video = mc_->ListByName("video-users").row;
+  MoiraContext::SetCell(mc_->list(), video, "acl_id", Value(kMissing));
+  int64_t video_id = MoiraContext::IntCell(mc_->list(), video, "list_id");
+  for (const char* type : {"USER", "LIST", "STRING"}) {
+    mc_->members()->Append({Value(video_id), Value(type), Value(kMissing)});
+  }
+
+  GeneratorResult hesiod;
+  ASSERT_EQ(MR_SUCCESS, GenerateHesiod(*mc_, &hesiod));
+  const std::string& pobox = *hesiod.common.Find("pobox.db");
+  EXPECT_NE(pobox.find("babette.pobox HS UNSPECA \"POP ??? babette\"\n"), std::string::npos);
+  EXPECT_NE(pobox.find("hnash.pobox HS UNSPECA \"POP ??? hnash\"\n"), std::string::npos);
+  const std::string& printcap = *hesiod.common.Find("printcap.db");
+  for (const char* name : {"ghostpr", "twinpr"}) {
+    EXPECT_NE(printcap.find(std::string(name) + ".pcap HS UNSPECA \"" + name + ":rp=" + name +
+                            ":rm=???:sd=/usr/spool/printer/" + name + "\"\n"),
+              std::string::npos)
+        << name;
+  }
+  const std::string& sloc = *hesiod.common.Find("sloc.db");
+  const std::string dangling = "POP.sloc HS UNSPECA ???\nNFS.sloc HS UNSPECA ???\n";
+  EXPECT_NE(sloc.find(dangling + dangling), std::string::npos);
+  EXPECT_NE(hesiod.common.Find("filsys.db")
+                ->find("babette.filsys HS UNSPECA \"NFS /u1/babette ??? w /mit/babette\"\n"),
+            std::string::npos);
+  EXPECT_NE(hesiod.common.Find("cluster.db")->find("???.cluster HS CNAME bldge40.cluster\n"),
+            std::string::npos);
+
+  GeneratorResult nfs;
+  ASSERT_EQ(MR_SUCCESS, GenerateNfs(*mc_, &nfs));
+  EXPECT_EQ(2u, nfs.per_host.size());  // no archive for a serverhost on no one machine
+  const Archive& host1 = nfs.ForHost("NFS-1.MIT.EDU");
+  EXPECT_EQ("/u1/babette 0 0 HOMEDIR\n", *host1.Find("u1.dirs"));
+  EXPECT_EQ("0 300\n", *host1.Find("u1.quotas"));
+
+  GeneratorResult mail;
+  ASSERT_EQ(MR_SUCCESS, GenerateMail(*mc_, &mail));
+  const std::string& aliases = *mail.common.Find("aliases");
+  EXPECT_NE(aliases.find("\nowner-video-users: ???\n"), std::string::npos);
+  EXPECT_NE(aliases.find("\nvideo-users: abarba, proj, rubin@media-lab.mit.edu, \n"),
+            std::string::npos);
+  // No route line for a POP box on a machine that does not resolve.
+  EXPECT_EQ(aliases.find("\nbabette:"), std::string::npos);
+  EXPECT_EQ(aliases.find("\nhnash:"), std::string::npos);
+  EXPECT_NE(aliases.find("\nabarba: abarba@other.edu\n"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -578,6 +580,124 @@ TEST(KeyedPatchTest, SpliceRefusesNonCanonicalInput) {
   EXPECT_EQ("; p\na 1\na 2\nb 1\n",
             SpliceKeyedOps("; p\na 1\na 2\nb 1\n", KeyRule::kFirstToken, {}));
   EXPECT_EQ("", SpliceKeyedOps("", KeyRule::kUpToColon, {}));
+}
+
+// The std::map model of KeyedFile: one string block per key, grown line by
+// line, serialized in key order.  KeyedFile keeps spans over one buffer and
+// must write the same bytes.
+class MapKeyedFile {
+ public:
+  explicit MapKeyedFile(KeyRule rule) : rule_(rule) {}
+
+  void AppendLine(std::string_view line) {
+    std::string& block = blocks_[std::string(KeyOf(line))];
+    block.append(line);
+    if (block.empty() || block.back() != '\n') {
+      block.push_back('\n');
+    }
+  }
+  void AppendPrologue(std::string_view line) {
+    prologue_.append(line);
+    if (prologue_.empty() || prologue_.back() != '\n') {
+      prologue_.push_back('\n');
+    }
+  }
+  void SetBlock(const std::string& key, std::string block) {
+    if (!block.empty() && block.back() != '\n') {
+      block.push_back('\n');
+    }
+    blocks_[key] = std::move(block);
+  }
+  void DeleteBlock(const std::string& key) { blocks_.erase(key); }
+  std::string Serialize() const {
+    std::string out = prologue_;
+    for (const auto& [key, block] : blocks_) {
+      out.append(block);
+    }
+    return out;
+  }
+
+  // The two key rules: the first blank- or tab-delimited token, or
+  // everything before the first ':'.
+  std::string_view KeyOf(std::string_view line) const {
+    if (rule_ == KeyRule::kUpToColon) {
+      return line.substr(0, line.find(':'));
+    }
+    size_t start = line.find_first_not_of(" \t");
+    if (start == std::string_view::npos) {
+      return {};
+    }
+    size_t end = line.find_first_of(" \t", start);
+    return line.substr(start, end == std::string_view::npos ? end : end - start);
+  }
+
+ private:
+  KeyRule rule_;
+  std::string prologue_;
+  std::map<std::string, std::string> blocks_;
+};
+
+// A line of 0-5 pieces: keys that prefix one another, bytes >= 0x80, both
+// separators, blanks and tabs; most end with a newline, some do not.
+std::string RandomModelLine(SplitMix64& rng) {
+  static const char* const kPieces[] = {"a", "ab", "abc", "b", "\x80", "\xe9t\xe9",
+                                        "\xff", ":", " ", "\t", "x:y", "1"};
+  std::string line;
+  int pieces = static_cast<int>(rng.Below(6));
+  for (int i = 0; i < pieces; ++i) {
+    line += kPieces[rng.Below(std::size(kPieces))];
+  }
+  if (rng.Chance(3, 4)) {
+    line.push_back('\n');
+  }
+  return line;
+}
+
+TEST(KeyedPatchTest, KeyedFileMatchesMapModel) {
+  for (KeyRule rule : {KeyRule::kFirstToken, KeyRule::kUpToColon}) {
+    SplitMix64 rng(rule == KeyRule::kFirstToken ? 1987 : 5010);
+    for (int trial = 0; trial < 200; ++trial) {
+      KeyedFile file(rule);
+      MapKeyedFile model(rule);
+      std::vector<std::string> keys;  // keys used so far, repeats included
+      int ops = static_cast<int>(rng.Below(121));
+      for (int op = 0; op < ops; ++op) {
+        uint64_t pick = rng.Below(20);
+        if (pick < 11) {
+          std::string line = RandomModelLine(rng);
+          keys.emplace_back(model.KeyOf(line));
+          file.AppendLine(line);
+          model.AppendLine(line);
+        } else if (pick < 13) {
+          std::string line = rng.Chance(1, 2) ? "; prologue" : "# prologue\n";
+          file.AppendPrologue(line);
+          model.AppendPrologue(line);
+        } else if (pick < 16) {
+          std::string key = !keys.empty() && rng.Chance(2, 3)
+                                ? keys[rng.Below(keys.size())]
+                                : std::string(model.KeyOf(RandomModelLine(rng)));
+          std::string block;
+          if (rng.Chance(3, 4)) {  // else an empty block
+            for (int lines = static_cast<int>(rng.Between(1, 3)); lines > 0; --lines) {
+              block += RandomModelLine(rng);
+            }
+          }
+          keys.push_back(key);
+          file.SetBlock(key, block);
+          model.SetBlock(key, block);
+        } else if (pick < 19) {
+          // A used key, or one that no line has had.
+          std::string key =
+              !keys.empty() && rng.Chance(1, 2) ? keys[rng.Below(keys.size())] : "~absent";
+          file.DeleteBlock(key);
+          model.DeleteBlock(key);
+        } else {
+          ASSERT_EQ(model.Serialize(), file.Serialize()) << "trial " << trial << " op " << op;
+        }
+      }
+      ASSERT_EQ(model.Serialize(), file.Serialize()) << "trial " << trial;
+    }
+  }
 }
 
 TEST(KeyedPatchTest, ApplyFilePatchChecksBothCrcs) {
