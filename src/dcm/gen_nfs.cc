@@ -6,7 +6,8 @@
 // KeyedFile, with line formatters the full build and the incremental patch
 // path share; *.dirs changes only on filesystem-topology mutations, which
 // escalate to a full NFS regeneration.  The full build reads each table once
-// (src/dcm/gen_reads.h); the patch path probes for its dirty records.
+// (src/dcm/gen_reads.h); the patch path probes for its dirty records.  Both
+// take a value3-restricted server's logins from ExpandListToLogins.
 #include <map>
 #include <optional>
 #include <set>
@@ -68,28 +69,6 @@ std::string BuildCredentials(const IdRows& users,
     out.AppendLine(CredentialLine(user, it != groups.end() ? it->second : kNoGroups));
   }
   return out.Serialize();
-}
-
-// The logins ExpandListToLogins(mc, list_id, true) returns, from the run's
-// reads: active USER members' logins and STRING members' text, through
-// sub-lists.
-std::set<std::string_view> ListLogins(const IdRows& users, const IdRows& strings,
-                                      ListMembers& members, int64_t list_id) {
-  const int login_col = users.table()->ColumnIndex("login");
-  const int status_col = users.table()->ColumnIndex("status");
-  const int string_col = strings.table()->ColumnIndex("string");
-  std::set<std::string_view> logins;
-  members.Walk(list_id, [&](const ListMembers::Member& member) {
-    if (member.type == ListMembers::Type::kUser) {
-      std::optional<size_t> user = users.Find(member.id);
-      if (user.has_value() && users.table()->Cell(*user, status_col).AsInt() == kUserActive) {
-        logins.insert(users.table()->Cell(*user, login_col).AsString());
-      }
-    } else if (member.type == ListMembers::Type::kString) {
-      logins.insert(strings.StrOf(member.id, string_col, ""));
-    }
-  });
-  return logins;
 }
 
 // The quota block one uid owns in a partition's .quotas file: that user's
@@ -174,7 +153,6 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
   // Assemble one archive per NFS serverhost.
   const IdRows machines(mc.machine(), "mach_id");
   const int mach_name_col = machines.table()->ColumnIndex("name");
-  std::optional<IdRows> strings;  // read once, if a serverhost restricts its credentials
   const Table* sh = mc.serverhosts();
   const int sh_mach_col = sh->ColumnIndex("mach_id");
   const int sh_value3_col = sh->ColumnIndex("value3");
@@ -203,11 +181,9 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
       RowRef list = mc.ListByName(value3);
       std::string credentials;
       if (list.code == MR_SUCCESS) {
-        if (!strings.has_value()) {
-          strings.emplace(mc.strings(), "string_id");
-        }
-        const std::set<std::string_view> allowed = ListLogins(
-            users, *strings, members, MoiraContext::IntCell(mc.list(), list.row, "list_id"));
+        const std::vector<std::string> logins = ExpandListToLogins(
+            mc, MoiraContext::IntCell(mc.list(), list.row, "list_id"), /*active_only=*/true);
+        const std::set<std::string_view> allowed(logins.begin(), logins.end());
         credentials = BuildCredentials(users, groups, &allowed);
       }
       archive.Add("credentials", credentials);
