@@ -550,7 +550,7 @@ void FillUsers(Table* users, size_t rows) {
   const int mit_id = users->ColumnIndex("mit_id");
   SplitMix64 rng(45);
   for (size_t i = 0; i < rows; ++i) {
-    Row row;
+    std::vector<Value> row;
     for (const ColumnDef& column : users->schema().columns) {
       row.push_back(column.type == ColumnType::kInt ? Value(int64_t{0}) : Value(""));
     }
@@ -653,7 +653,7 @@ bool RunIndexMaintenanceReport() {
   return ok;
 }
 
-// --- index and row memory on the users relation ---
+// --- index and row memory on the users and members relations ---
 //
 // Heap bytes per index entry, on the indexes a running server has: the users
 // relation as MakeUsersRelation builds it (CreateMoiraSchema declares five
@@ -661,23 +661,68 @@ bool RunIndexMaintenanceReport() {
 // the rows), so every entry arrives through Append.  The index share is that
 // build's mallinfo2 delta less the delta of the same schema and fill with no
 // users index, divided by the entries.  That second delta, divided by the
-// cells (rows times columns), is the row share: the slot vector, each row's
-// cell buffer and the strings too long to sit in a cell.  The gates: at most
-// 32 bytes per index entry and 24 bytes per cell, at 10k and 100k rows.  A
-// heap the delta cannot see (a sanitizer's allocator) fails the gates rather
-// than passing them unmeasured.
+// cells (rows times columns), is the row share: the table's pages, its live
+// bytes and the strings too long to sit in a cell.  The row share is also
+// taken on the members relation (3 int and short-string columns), where a
+// fixed per-row cost weighs most.  The gates: at most 32 bytes per index
+// entry on users, and 18 bytes per cell on users and on members, at 10k and
+// 100k rows.  A heap the delta cannot see (a sanitizer's allocator) fails
+// the gates rather than passing them unmeasured.
 
-struct MemorySample {
+struct IndexMemorySample {
   size_t table_rows;
   size_t entries;
   double bytes_per_entry;
+};
+
+struct RowMemorySample {
+  const char* relation;
+  size_t table_rows;
   size_t cells;
   double bytes_per_cell;
 };
 
-std::vector<MemorySample>& MemorySamples() {
-  static auto* samples = new std::vector<MemorySample>();
+std::vector<IndexMemorySample>& IndexMemorySamples() {
+  static auto* samples = new std::vector<IndexMemorySample>();
   return *samples;
+}
+
+std::vector<RowMemorySample>& RowMemorySamples() {
+  static auto* samples = new std::vector<RowMemorySample>();
+  return *samples;
+}
+
+// Appends `rows` synthetic members rows: eight USER members per list.
+void FillMembers(Table* members, size_t rows) {
+  for (size_t i = 0; i < rows; ++i) {
+    const auto n = static_cast<int64_t>(i);
+    members->Append({Value(n / 8 + 1), Value("USER"), Value(n + 1)});
+  }
+}
+
+// Heap bytes of relation `name` filled by `fill` into a table with no index,
+// beside an empty CreateMoiraSchema database (which the users index share
+// subtracts too); sets `cells` to rows times columns.
+template <typename Fill>
+size_t UnindexedRowBytes(const char* name, size_t rows, Fill fill, size_t* cells) {
+  SimulatedClock clock(568000000);
+  TableSchema schema;
+  {
+    Database db(&clock);
+    CreateMoiraSchema(&db);
+    schema = db.GetTable(name)->schema();
+  }
+  const size_t before = HeapBytesInUse();
+  size_t used = 0;
+  {
+    Database db(&clock);
+    CreateMoiraSchema(&db);
+    Table table(schema);
+    fill(&table, rows);
+    used = HeapBytesInUse() - before;
+  }
+  *cells = rows * schema.columns.size();
+  return used;
 }
 
 // Records a gate 0 < value <= bound, printing the failure.
@@ -693,15 +738,14 @@ bool MemoryGate(const std::string& name, const char* what, double value, double 
 }
 
 bool RunMemoryReport() {
-  std::printf("Index and row memory on users (CreateMoiraSchema, then rows appended)\n");
-  std::printf("%9s %9s %15s %9s %15s\n", "rows", "entries", "bytes/entry", "cells",
-              "bytes/cell");
+  std::printf("Index and row memory (CreateMoiraSchema, then rows appended)\n");
+  std::printf("%-9s %9s %9s %15s %9s %15s\n", "relation", "rows", "entries", "bytes/entry",
+              "cells", "bytes/cell");
   bool ok = true;
   for (size_t rows : {size_t{10000}, size_t{100000}}) {
-    size_t before = HeapBytesInUse();
+    const size_t before = HeapBytesInUse();
     size_t indexed = 0;
     size_t entries = 0;
-    TableSchema schema;
     {
       Table* users = nullptr;
       std::unique_ptr<Database> db = MakeUsersRelation(rows, &users);
@@ -709,31 +753,35 @@ bool RunMemoryReport() {
       for (const IndexDesc& desc : users->IndexDescs()) {
         entries += desc.entries;
       }
-      schema = users->schema();
     }
-    before = HeapBytesInUse();
-    size_t unindexed = 0;
-    {
-      SimulatedClock clock(568000000);
-      Database db(&clock);
-      CreateMoiraSchema(&db);
-      Table users(schema);
-      FillUsers(&users, rows);
-      unindexed = HeapBytesInUse() - before;
-    }
+    size_t cells = 0;
+    const size_t unindexed = UnindexedRowBytes(kUsersTable, rows, FillUsers, &cells);
+    const double per_cell = static_cast<double>(unindexed) / static_cast<double>(cells);
     const double per_entry =
         indexed > unindexed && entries > 0
             ? static_cast<double>(indexed - unindexed) / static_cast<double>(entries)
             : 0.0;
-    const size_t cells = rows * schema.columns.size();
-    const double per_cell = static_cast<double>(unindexed) / static_cast<double>(cells);
-    MemorySamples().push_back({rows, entries, per_entry, cells, per_cell});
-    std::printf("%9zu %9zu %15.1f %9zu %15.1f\n", rows, entries, per_entry, cells, per_cell);
+    IndexMemorySamples().push_back({rows, entries, per_entry});
+    RowMemorySamples().push_back({"users", rows, cells, per_cell});
+    std::printf("%-9s %9zu %9zu %15.1f %9zu %15.1f\n", "users", rows, entries, per_entry, cells,
+                per_cell);
+    size_t member_cells = 0;
+    const double member_per_cell =
+        static_cast<double>(UnindexedRowBytes(kMembersTable, rows, FillMembers, &member_cells)) /
+        static_cast<double>(member_cells);
+    RowMemorySamples().push_back({"members", rows, member_cells, member_per_cell});
+    std::printf("%-9s %9zu %9s %15s %9zu %15.1f\n", "members", rows, "-", "-", member_cells,
+                member_per_cell);
     const std::string k = std::to_string(rows / 1000) + "k";
     ok = MemoryGate("index_bytes_per_entry_" + k + "_le_32", "index entry", per_entry, 32.0,
                     rows) &&
          ok;
-    ok = MemoryGate("row_bytes_per_cell_" + k + "_le_24", "cell", per_cell, 24.0, rows) && ok;
+    ok = MemoryGate("row_bytes_per_cell_users_" + k + "_le_18", "users cell", per_cell, 18.0,
+                    rows) &&
+         ok;
+    ok = MemoryGate("row_bytes_per_cell_members_" + k + "_le_18", "members cell",
+                    member_per_cell, 18.0, rows) &&
+         ok;
   }
   std::printf("\n");
   return ok;
@@ -789,18 +837,22 @@ void WriteBenchJson(const char* path) {
                  i + 1 < upkeep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"index_memory\": [\n");
-  const std::vector<MemorySample>& memory = MemorySamples();
+  const std::vector<IndexMemorySample>& memory = IndexMemorySamples();
   for (size_t i = 0; i < memory.size(); ++i) {
-    const MemorySample& s = memory[i];
+    const IndexMemorySample& s = memory[i];
     std::fprintf(f,
                  "    {\"table_rows\": %zu, \"entries\": %zu, \"bytes_per_entry\": %.1f}%s\n",
                  s.table_rows, s.entries, s.bytes_per_entry, i + 1 < memory.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"row_memory\": [\n");
-  for (size_t i = 0; i < memory.size(); ++i) {
-    const MemorySample& s = memory[i];
-    std::fprintf(f, "    {\"table_rows\": %zu, \"cells\": %zu, \"bytes_per_cell\": %.1f}%s\n",
-                 s.table_rows, s.cells, s.bytes_per_cell, i + 1 < memory.size() ? "," : "");
+  const std::vector<RowMemorySample>& rows = RowMemorySamples();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowMemorySample& s = rows[i];
+    std::fprintf(f,
+                 "    {\"relation\": \"%s\", \"table_rows\": %zu, \"cells\": %zu, "
+                 "\"bytes_per_cell\": %.1f}%s\n",
+                 s.relation, s.table_rows, s.cells, s.bytes_per_cell,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"gates\": [\n");
   const std::vector<BenchGate>& gates = Gates();

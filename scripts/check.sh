@@ -13,7 +13,9 @@
 #             tuples per call equal on every join arm; join_selective_tail
 #             reordered and examining >= 100x fewer rows than naive at 10k
 #             and 100k; join_fanout not reordered), index upkeep, index
-#             memory and row memory.
+#             memory (<= 32 heap bytes per users index entry) and row
+#             memory (<= 18 heap bytes per cell on users and on members,
+#             at 10k and 100k rows).
 #   fault     build-asan, ASan: bench_propagation at 10k users, where the
 #             flaky fleet converges, and faster than the baseline, and the
 #             full_generation gate holds (the NFS consumer memory gate does

@@ -23,7 +23,7 @@ REQUIRED_ARRAYS = {
                          "rows_examined_per_op", "index_probes_per_op"],
         "index_maintenance": ["operation", "table_rows", "samples", "p50_ns"],
         "index_memory": ["table_rows", "entries", "bytes_per_entry"],
-        "row_memory": ["table_rows", "cells", "bytes_per_cell"],
+        "row_memory": ["relation", "table_rows", "cells", "bytes_per_cell"],
         "gates": ["name", "value", "pass"],
     },
     "bench_propagation": {

@@ -20,7 +20,8 @@ std::string BackupManager::RowToLine(const Row& row) {
   return line;
 }
 
-bool BackupManager::LineToRow(const std::string& line, const TableSchema& schema, Row* row) {
+bool BackupManager::LineToRow(const std::string& line, const TableSchema& schema,
+                              std::vector<Value>* row) {
   std::string_view view(line);
   while (!view.empty() && (view.back() == '\n' || view.back() == '\r')) {
     view.remove_suffix(1);
@@ -83,7 +84,7 @@ int32_t BackupManager::Restore(Database* db, const std::filesystem::path& dir) {
       if (line.empty()) {
         continue;
       }
-      Row row;
+      std::vector<Value> row;
       if (!LineToRow(line, table->schema(), &row)) {
         return MR_INTERNAL;
       }

@@ -51,7 +51,8 @@ class BackupManager {
 
   // Serializes one row / parses one line (exposed for tests).
   static std::string RowToLine(const Row& row);
-  static bool LineToRow(const std::string& line, const TableSchema& schema, Row* row);
+  static bool LineToRow(const std::string& line, const TableSchema& schema,
+                        std::vector<Value>* row);
 };
 
 }  // namespace moira

@@ -161,9 +161,10 @@ int32_t GetUserByMitId(QueryCall& call) {
 }
 
 // Initializes the non-account columns of a fresh users row.
-Row NewUserRow(std::string_view login, int64_t uid, std::string_view shell,
-               std::string_view last, std::string_view first, std::string_view middle,
-               int64_t status, std::string_view mit_id, std::string_view mit_year) {
+std::vector<Value> NewUserRow(std::string_view login, int64_t uid, std::string_view shell,
+                              std::string_view last, std::string_view first,
+                              std::string_view middle, int64_t status, std::string_view mit_id,
+                              std::string_view mit_year) {
   std::string fullname(first);
   if (!middle.empty()) {
     fullname += " ";
@@ -223,8 +224,8 @@ int32_t AddUser(QueryCall& call) {
       code != MR_SUCCESS) {
     return code;
   }
-  Row row = NewUserRow(login, uid, call.args[2], call.args[3], call.args[4], call.args[5],
-                       status, call.args[7], call.args[8]);
+  std::vector<Value> row = NewUserRow(login, uid, call.args[2], call.args[3], call.args[4],
+                                      call.args[5], status, call.args[7], call.args[8]);
   row[mc.users()->ColumnIndex("users_id")] = Value(users_id);
   size_t row_index = mc.users()->Append(std::move(row));
   mc.Stamp(mc.users(), row_index, call.principal, call.client_name);

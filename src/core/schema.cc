@@ -91,7 +91,8 @@ void CreateMoiraSchema(Database* db) {
                 {"acl_type", kStr}, {"acl_id", kInt},  {"modtime", kInt},
                 {"modby", kStr},   {"modwith", kStr},
             },
-            {"name", "list_id"}, {"name"});
+            // gid backs AllocateId's free-gid probe for group lists.
+            {"name", "list_id", "gid"}, {"name"});
 
   MakeTable(db, kMembersTable,
             {

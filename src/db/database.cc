@@ -41,14 +41,7 @@ UnixTime Database::LastModified() const {
 
 void Database::ClearAllRows() {
   for (auto& [name, table] : tables_) {
-    std::vector<size_t> live;
-    table->Scan([&](size_t index, const Row&) {
-      live.push_back(index);
-      return true;
-    });
-    for (size_t index : live) {
-      table->Delete(index);
-    }
+    table->Clear();
   }
 }
 

@@ -39,7 +39,8 @@ class Database {
   // Unix time of the most recent mutation to any table, 0 if none.
   UnixTime LastModified() const;
 
-  // Drops all rows from every table, preserving schemas and indexes.
+  // Drops all rows from every table, preserving schemas and indexes; each
+  // table frees its pages and starts over at row 0 (Table::Clear).
   void ClearAllRows();
 
   const Clock& clock() const { return *clock_; }

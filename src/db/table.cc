@@ -12,7 +12,7 @@
 namespace moira {
 namespace {
 
-bool ConditionHolds(const Condition& cond, const Row& row) {
+bool ConditionHolds(const Condition& cond, const Value* row) {
   const Value& cell = row[cond.column];
   switch (cond.op) {
     case Condition::Op::kEq:
@@ -95,7 +95,10 @@ int CompareTails(std::string_view a, bool fold_a, std::string_view b, bool fold_
 
 }  // namespace
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {}
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)),
+      width_(schema_.columns.size()),
+      page_rows_(std::max<size_t>(1, kPageBytes / (sizeof(Value) * std::max<size_t>(1, width_)))) {}
 
 int Table::ColumnIndex(std::string_view column) const {
   for (size_t i = 0; i < schema_.columns.size(); ++i) {
@@ -126,22 +129,30 @@ void Table::BuildIndex(int column, bool folded) {
   }
   descs_.push_back(IndexDesc{column, folded});
   indexes_.emplace_back();
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live) {
-      IndexInsert(indexes_.size() - 1, i);
-    }
-  }
+  ForEachLive([&](size_t row, const Value*) {
+    IndexInsert(indexes_.size() - 1, row);
+    return true;
+  });
 }
 
-size_t Table::Append(Row row) {
-  assert(row.size() == schema_.columns.size());
-  if (slots_.size() >= std::numeric_limits<uint32_t>::max()) {
+size_t Table::Append(std::vector<Value> row) {
+  if (row.size() != width_) {
+    // A page slot holds exactly width_ cells.
+    std::fprintf(stderr, "moira: table '%s' takes rows of %zu cells, not %zu\n",
+                 name().c_str(), width_, row.size());
+    std::abort();
+  }
+  const size_t row_index = live_.size();
+  if (row_index >= std::numeric_limits<uint32_t>::max()) {
     std::fprintf(stderr, "moira: table '%s' is full: index entries hold 32-bit row numbers\n",
                  name().c_str());
     std::abort();
   }
-  slots_.push_back(Slot{std::move(row), /*live=*/true});
-  size_t row_index = slots_.size() - 1;
+  if (row_index % page_rows_ == 0) {
+    pages_.push_back(std::make_unique<Value[]>(page_rows_ * width_));
+  }
+  std::move(row.begin(), row.end(), RowCells(row_index));
+  live_.push_back(1);
   ++live_count_;
   for (size_t i = 0; i < indexes_.size(); ++i) {
     IndexInsert(i, row_index);
@@ -166,7 +177,7 @@ void Table::Write(size_t row_index, int column, Value value) {
       IndexErase(i, row_index);
     }
   }
-  slots_[row_index].row[column] = std::move(value);
+  RowCells(row_index)[column] = std::move(value);
   for (size_t i = 0; i < descs_.size(); ++i) {
     if (descs_[i].column == column) {
       IndexInsert(i, row_index);
@@ -179,10 +190,28 @@ void Table::Delete(size_t row_index) {
   for (size_t i = 0; i < indexes_.size(); ++i) {
     IndexErase(i, row_index);
   }
-  slots_[row_index].live = false;
-  slots_[row_index].row = Row();  // clear() would keep the cell array
+  live_[row_index] = 0;
+  Value* cells = RowCells(row_index);
+  std::fill(cells, cells + width_, Value());
   --live_count_;
   Touch(&stats_.deletes);
+}
+
+void Table::Clear() {
+  if (live_count_ > 0) {
+    stats_.deletes += static_cast<int64_t>(live_count_);
+    stats_.modtime = now_ ? now_() : 0;
+  }
+  pages_.clear();  // frees every cell, and so every heap string
+  live_ = std::vector<uint8_t>();
+  live_count_ = 0;
+  for (Index& index : indexes_) {
+    index = Index{};
+  }
+  for (IndexDesc& desc : descs_) {
+    desc.distinct_keys = 0;
+    desc.entries = 0;
+  }
 }
 
 std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const {
@@ -201,9 +230,8 @@ std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const
       planned_away[c] = true;
     }
   }
-  auto satisfies = [&](size_t row_index) {
+  auto satisfies = [&](const Value* row) {
     ++stats_.rows_examined;
-    const Row& row = slots_[row_index].row;
     for (size_t c = 0; c < conditions.size(); ++c) {
       if (planned_away[c]) {
         continue;  // fully satisfied by the index probe or range window
@@ -222,7 +250,7 @@ std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const
       const size_t last = b == end.block ? end.entry : block.size();
       for (size_t e = b == begin.block ? begin.entry : 0; e < last; ++e) {
         const size_t row = block[e].row;
-        if (slots_[row].live && satisfies(row)) {
+        if (live_[row] != 0 && satisfies(RowCells(row))) {
           out.push_back(row);
         }
       }
@@ -286,11 +314,12 @@ std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const
     }
     case AccessPath::Kind::kFullScan: {
       ++stats_.full_scans;
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].live && satisfies(i)) {
-          out.push_back(i);
+      ForEachLive([&](size_t row, const Value* cells) {
+        if (satisfies(cells)) {
+          out.push_back(row);
         }
-      }
+        return true;
+      });
       break;
     }
   }
@@ -306,18 +335,14 @@ std::vector<size_t> Table::Match(const std::vector<Condition>& conditions) const
 
 void Table::Scan(const std::function<bool(size_t, const Row&)>& visit) const {
   ++stats_.full_scans;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live) {
-      ++stats_.rows_examined;
-      // A raw sweep has no predicate: every visited row reaches the caller,
-      // so it counts as emitted too, keeping the examined/emitted selectivity
-      // ratio meaningful for scan-heavy callers.
-      ++stats_.rows_emitted;
-      if (!visit(i, slots_[i].row)) {
-        return;
-      }
-    }
-  }
+  ForEachLive([&](size_t row, const Value* cells) {
+    ++stats_.rows_examined;
+    // A raw sweep has no predicate: every visited row reaches the caller, so
+    // it counts as emitted too, keeping the examined/emitted selectivity
+    // ratio meaningful for scan-heavy callers.
+    ++stats_.rows_emitted;
+    return visit(row, Row(cells, width_));
+  });
 }
 
 void Table::Touch(int64_t* counter) {
@@ -365,7 +390,7 @@ int Table::CompareKeys(const IndexDesc& desc, const IndexEntry& a, const IndexEn
     return c;
   }
   auto tail = [&](const IndexEntry& e) {
-    return slots_[e.row].row[desc.column].AsString().substr(kPrefixBytes);
+    return Cell(e.row, desc.column).AsString().substr(kPrefixBytes);
   };
   return CompareTails(tail(a), desc.folded, tail(b), desc.folded);
 }
@@ -376,7 +401,7 @@ int Table::CompareToProbe(const IndexDesc& desc, const IndexEntry& a, const Inde
   if (c != 0 || a.tag != kLongTag) {
     return c;
   }
-  return CompareTails(slots_[a.row].row[desc.column].AsString().substr(kPrefixBytes), desc.folded,
+  return CompareTails(Cell(a.row, desc.column).AsString().substr(kPrefixBytes), desc.folded,
                       key.AsString().substr(kPrefixBytes), /*fold_b=*/false);
 }
 
@@ -428,7 +453,7 @@ void Table::IndexInsert(size_t index_pos, size_t row_index) {
   Index& index = indexes_[index_pos];
   IndexDesc& desc = descs_[index_pos];
   std::vector<std::vector<IndexEntry>>& blocks = index.blocks;
-  IndexEntry entry = EncodeKey(slots_[row_index].row[desc.column], desc.folded);
+  IndexEntry entry = EncodeKey(Cell(row_index, desc.column), desc.folded);
   entry.row = static_cast<uint32_t>(row_index);
   const IndexPos pos = Seek(index, [&](const IndexEntry& e) {
     return CompareEntries(desc, e, entry) < 0;
@@ -485,7 +510,7 @@ void Table::IndexErase(size_t index_pos, size_t row_index) {
   Index& index = indexes_[index_pos];
   IndexDesc& desc = descs_[index_pos];
   std::vector<std::vector<IndexEntry>>& blocks = index.blocks;
-  IndexEntry entry = EncodeKey(slots_[row_index].row[desc.column], desc.folded);
+  IndexEntry entry = EncodeKey(Cell(row_index, desc.column), desc.folded);
   entry.row = static_cast<uint32_t>(row_index);
   const IndexPos pos = Seek(index, [&](const IndexEntry& e) {
     return CompareEntries(desc, e, entry) < 0;

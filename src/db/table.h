@@ -1,19 +1,29 @@
 // A single relation of the Moira database engine.
 //
-// Rows are kept in an append-only slot vector with tombstoned deletes, so row
-// indices remain stable across mutation (scans that collect matches and then
-// update are safe).  A row is a vector of 16-byte cells (src/db/value.h): an
-// int, or a string of up to 15 bytes, sits in its cell; a longer string is in
-// a buffer the cell owns.  Growing the slot vector moves rows but not their
-// cells, so a view from Cell(...).AsString() lasts until that cell is written
-// (Update, UpdateNoStats) or its row deleted.  Optional per-column equality
-// indexes accelerate the id and name lookups that dominate the query mix;
-// folded-case indexes back the case-insensitive predicates, and because
-// indexes are ordered they also serve literal-prefix pruning for wildcard
-// patterns (the string keys in the prefix's range, plus every int key, since
-// a pattern also matches an int's decimal rendering) and ordered-range
-// predicates (kLt/kLe/kGt/kGe/kBetween) — see src/db/exec.h for the planner
-// that chooses among them.
+// Rows are kept in pages with tombstoned deletes, so row indices remain
+// stable across mutation (scans that collect matches and then update are
+// safe).  A row is `width` 16-byte cells (src/db/value.h): an int, or a
+// string of up to 15 bytes, sits in its cell; a longer string is in a buffer
+// the cell owns.  A page is one contiguous array of cells holding
+// PageRows() rows, kPageBytes rounded down to whole rows: row r sits in
+// page r / PageRows() at cell (r % PageRows()) * width, and each row has one
+// live byte beside the pages.  Pages are allocated as rows arrive and never
+// reallocated, so a table leaves at most one page partly unused and a cell
+// never moves.  Delete resets the dead row's cells (freeing their heap
+// strings) but keeps its place in the page; Clear frees every page at once.
+//
+// A Row is a read-only view of one row's cells (a pointer and a width), as
+// At and Scan hand it out; it points into the page and lives as long as the
+// table.  A view from Cell(...).AsString() lives until that cell is written
+// (Update, UpdateNoStats) or its row deleted; appends never end it.
+//
+// Optional per-column equality indexes accelerate the id and name lookups
+// that dominate the query mix; folded-case indexes back the case-insensitive
+// predicates, and because indexes are ordered they also serve literal-prefix
+// pruning for wildcard patterns (the string keys in the prefix's range, plus
+// every int key, since a pattern also matches an int's decimal rendering)
+// and ordered-range predicates (kLt/kLe/kGt/kGe/kBetween) — see
+// src/db/exec.h for the planner that chooses among them.
 //
 // Each index holds one exact (key, row) entry per live row, kept in sorted
 // blocks of at most 256 entries plus a contiguous fence vector of each
@@ -45,8 +55,10 @@
 #ifndef MOIRA_SRC_DB_TABLE_H_
 #define MOIRA_SRC_DB_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,7 +79,34 @@ struct TableSchema {
   std::vector<ColumnDef> columns;
 };
 
-using Row = std::vector<Value>;
+// A read-only view of one row's cells: a pointer and a width.  Table::At and
+// Table::Scan hand out views into the table's pages, which live as long as
+// the table.  A view made from a std::vector<Value> lives as long as that
+// vector holds its cells where they are.
+class Row {
+ public:
+  using value_type = Value;
+  using const_iterator = const Value*;
+  using iterator = const_iterator;
+
+  Row() = default;
+  Row(const Value* cells, size_t size) : cells_(cells), size_(size) {}
+  Row(const std::vector<Value>& cells)  // NOLINT(google-explicit-constructor)
+      : cells_(cells.data()), size_(cells.size()) {}
+
+  const Value& operator[](size_t i) const { return cells_[i]; }
+  size_t size() const { return size_; }
+  const_iterator begin() const { return cells_; }
+  const_iterator end() const { return cells_ + size_; }
+
+  friend bool operator==(const Row& a, const Row& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  const Value* cells_ = nullptr;
+  size_t size_ = 0;
+};
 
 // A predicate on one column, used by Table::Match.
 struct Condition {
@@ -144,6 +183,9 @@ struct IndexDesc {
 
 class Table {
  public:
+  // The byte budget of one page of cells.
+  static constexpr size_t kPageBytes = 16384;
+
   explicit Table(TableSchema schema);
 
   Table(const Table&) = delete;
@@ -167,8 +209,10 @@ class Table {
   // order; kept in step with every write.
   const std::vector<IndexDesc>& IndexDescs() const { return descs_; }
 
-  // Appends a row (must match the schema arity); returns its stable index.
-  size_t Append(Row row);
+  // Appends a row, moving its cells into the table's last page; returns its
+  // stable index.  A row whose arity is not the schema's aborts in every
+  // build.
+  size_t Append(std::vector<Value> row);
 
   // Overwrites one cell of a live row, re-indexing it only in the indexes
   // (exact and folded) on that column.
@@ -180,16 +224,24 @@ class Table {
   // DCM", and the incremental-generation check must not see DCM writes.
   void UpdateNoStats(size_t row_index, int column, Value value);
 
-  // Tombstones a row and frees its cells.
+  // Tombstones a row and resets its cells, freeing their heap strings.
   void Delete(size_t row_index);
 
+  // Deletes every row and frees the pages, live bytes and index blocks, so
+  // the table starts over at row 0; the statistics are those Delete of each
+  // live row leaves.  For whole-state reloads (Database::ClearAllRows), after
+  // which no earlier row number is used.
+  void Clear();
+
   bool IsLive(size_t row_index) const {
-    return row_index < slots_.size() && slots_[row_index].live;
+    return row_index < live_.size() && live_[row_index] != 0;
   }
 
-  const Row& At(size_t row_index) const { return slots_[row_index].row; }
+  // A slot's cells (a dead row's are all Value()); see the header comment
+  // for how long the view lives.
+  Row At(size_t row_index) const { return Row(RowCells(row_index), width_); }
   const Value& Cell(size_t row_index, int column) const {
-    return slots_[row_index].row[column];
+    return RowCells(row_index)[column];
   }
 
   // Returns the indices of all live rows satisfying every condition, using
@@ -211,7 +263,12 @@ class Table {
   size_t LiveCount() const { return live_count_; }
 
   // Total slots including tombstones (the valid row-index range).
-  size_t SlotCount() const { return slots_.size(); }
+  size_t SlotCount() const { return live_.size(); }
+
+  // Rows per page (kPageBytes over the row's bytes, at least 1), and the
+  // pages allocated so far.
+  size_t PageRows() const { return page_rows_; }
+  size_t PageCount() const { return pages_.size(); }
 
   const TableStats& stats() const { return stats_; }
 
@@ -219,11 +276,6 @@ class Table {
   void set_time_source(const std::function<int64_t()>& now) { now_ = now; }
 
  private:
-  struct Slot {
-    Row row;
-    bool live = true;
-  };
-
   // One index entry (layout in the header comment).
   struct IndexEntry {
     uint64_t hi = 0;  // key prefix bytes 0-7, big-endian, so integer order
@@ -249,6 +301,28 @@ class Table {
     size_t entry = 0;
   };
 
+  const Value* RowCells(size_t row_index) const {
+    return pages_[row_index / page_rows_].get() + row_index % page_rows_ * width_;
+  }
+  Value* RowCells(size_t row_index) {
+    return pages_[row_index / page_rows_].get() + row_index % page_rows_ * width_;
+  }
+  // Calls visit(row_index, cells) for each live row in storage order until it
+  // returns false.  The slot count is read at every step, so rows appended
+  // by `visit` are visited too.
+  template <typename Visit>
+  void ForEachLive(Visit visit) const {
+    for (size_t page = 0; page * page_rows_ < live_.size(); ++page) {
+      const Value* cells = pages_[page].get();
+      const size_t page_end = (page + 1) * page_rows_;
+      for (size_t row = page * page_rows_; row < page_end && row < live_.size();
+           ++row, cells += width_) {
+        if (live_[row] != 0 && !visit(row, cells)) {
+          return;
+        }
+      }
+    }
+  }
   void Touch(int64_t* counter);
   void BuildIndex(int column, bool folded);
   // The cell write Update and UpdateNoStats share.
@@ -278,7 +352,10 @@ class Table {
   void IndexErase(size_t index_pos, size_t row_index);
 
   TableSchema schema_;
-  std::vector<Slot> slots_;
+  size_t width_;      // cells per row
+  size_t page_rows_;  // rows per page
+  std::vector<std::unique_ptr<Value[]>> pages_;
+  std::vector<uint8_t> live_;  // one byte per slot: 1 live, 0 tombstoned
   std::vector<Index> indexes_;
   std::vector<IndexDesc> descs_;  // descs_[i] describes indexes_[i]
   size_t live_count_ = 0;

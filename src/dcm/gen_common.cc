@@ -144,7 +144,7 @@ UserReader::UserReader(const Table* users)
       box_id_(users->ColumnIndex("box_id")) {}
 
 UserFields UserReader::Read(size_t row) const {
-  const Row& r = users_->At(row);
+  const Row r = users_->At(row);
   return UserFields{r[login_].AsString(),    r[users_id_].AsInt(), r[uid_].AsInt(),
                     r[status_].AsInt(),      r[shell_].AsString(), r[fullname_].AsString(),
                     r[potype_].AsString(),   r[pop_id_].AsInt(),   r[box_id_].AsInt()};

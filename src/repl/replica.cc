@@ -239,7 +239,7 @@ int32_t ReplicaServer::LoadSnapshot() {
       malformed = true;
       return;
     }
-    Row row;
+    std::vector<Value> row;
     if (!BackupManager::LineToRow(tuple[1], table->schema(), &row)) {
       malformed = true;
       return;

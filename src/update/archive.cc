@@ -1,5 +1,6 @@
 #include "src/update/archive.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/checksum.h"
@@ -27,12 +28,12 @@ void PutCounted(std::string* out, std::string_view s) {
   out->append(s);
 }
 
-bool GetCounted(std::string_view* in, std::string* s) {
+bool GetCounted(std::string_view* in, std::string_view* s) {
   uint32_t len = 0;
   if (!GetU32(in, &len) || in->size() < len) {
     return false;
   }
-  s->assign(in->data(), len);
+  *s = in->substr(0, len);
   in->remove_prefix(len);
   return true;
 }
@@ -67,7 +68,13 @@ size_t Archive::ContentBytes() const {
 }
 
 std::string Archive::Serialize() const {
-  std::string out(kMagic, sizeof(kMagic));
+  size_t size = sizeof(kMagic) + 2 * sizeof(uint32_t);  // magic, count, CRC
+  for (const auto& [name, contents] : members_) {
+    size += 2 * sizeof(uint32_t) + name.size() + contents.size();
+  }
+  std::string out;
+  out.reserve(size);
+  out.append(kMagic, sizeof(kMagic));
   PutU32(&out, static_cast<uint32_t>(members_.size()));
   for (const auto& [name, contents] : members_) {
     PutCounted(&out, name);
@@ -77,7 +84,7 @@ std::string Archive::Serialize() const {
   return out;
 }
 
-std::optional<Archive> Archive::Parse(std::string_view bytes) {
+std::optional<std::vector<ArchiveMemberView>> Archive::ParseViews(std::string_view bytes) {
   if (bytes.size() < sizeof(kMagic) + 2 * sizeof(uint32_t) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
@@ -94,17 +101,36 @@ std::optional<Archive> Archive::Parse(std::string_view bytes) {
   if (!GetU32(&in, &count)) {
     return std::nullopt;
   }
-  Archive archive;
+  std::vector<ArchiveMemberView> members;
   for (uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    std::string contents;
-    if (!GetCounted(&in, &name) || !GetCounted(&in, &contents)) {
+    ArchiveMemberView member;
+    if (!GetCounted(&in, &member.name) || !GetCounted(&in, &member.contents)) {
       return std::nullopt;
     }
-    archive.Add(std::move(name), std::move(contents));
+    auto same = std::find_if(members.begin(), members.end(), [&](const ArchiveMemberView& m) {
+      return m.name == member.name;
+    });
+    if (same != members.end()) {
+      same->contents = member.contents;
+    } else {
+      members.push_back(member);
+    }
   }
   if (!in.empty()) {
     return std::nullopt;
+  }
+  return members;
+}
+
+std::optional<Archive> Archive::Parse(std::string_view bytes) {
+  std::optional<std::vector<ArchiveMemberView>> views = ParseViews(bytes);
+  if (!views.has_value()) {
+    return std::nullopt;
+  }
+  Archive archive;
+  archive.members_.reserve(views->size());
+  for (const ArchiveMemberView& member : *views) {
+    archive.members_.emplace_back(member.name, member.contents);
   }
   return archive;
 }

@@ -13,6 +13,12 @@
 
 namespace moira {
 
+// One member of a serialized archive, as views into the parsed bytes.
+struct ArchiveMemberView {
+  std::string_view name;
+  std::string_view contents;
+};
+
 class Archive {
  public:
   Archive() = default;
@@ -36,6 +42,11 @@ class Archive {
   // Serializes with a magic header and per-member counted strings plus a
   // trailing CRC so truncation and corruption are detectable.
   std::string Serialize() const;
+  // Checks the CRC and framing of `bytes` and returns its members as views
+  // into `bytes`, which must outlive them; a later member of a name replaces
+  // an earlier one, as Add does.
+  static std::optional<std::vector<ArchiveMemberView>> ParseViews(std::string_view bytes);
+  // ParseViews, copying each member once.
   static std::optional<Archive> Parse(std::string_view bytes);
 
  private:

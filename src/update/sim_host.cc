@@ -1,5 +1,7 @@
 #include "src/update/sim_host.h"
 
+#include <algorithm>
+
 #include "src/comerr/moira_errors.h"
 #include "src/common/checksum.h"
 #include "src/common/fault_schedule.h"
@@ -20,10 +22,16 @@ const std::string* SimHost::ReadFile(std::string_view path) const {
 }
 
 void SimHost::WriteFileDirect(std::string_view path, std::string contents) {
+  if (path == session_target_) {
+    session_archive_.reset();
+  }
   files_[std::string(path)] = std::move(contents);
 }
 
 void SimHost::RemoveFile(std::string_view path) {
+  if (path == session_target_) {
+    session_archive_.reset();
+  }
   auto it = files_.find(path);
   if (it != files_.end()) {
     files_.erase(it);
@@ -48,6 +56,7 @@ void SimHost::Reboot() {
   crashed_ = false;
   session_open_ = false;
   session_target_.clear();
+  session_archive_.reset();
   session_script_.clear();
 }
 
@@ -76,6 +85,7 @@ int32_t SimHost::BeginSession(std::string_view authenticator) {
   }
   session_open_ = true;
   session_target_.clear();
+  session_archive_.reset();
   session_script_.clear();
   return MR_SUCCESS;
 }
@@ -91,7 +101,7 @@ int32_t SimHost::ReceiveFile(const std::string& target, std::string_view data,
   RemoveFile(temp_path);
   if (ConsumeFailMode(HostFailMode::kCrashDuringTransfer)) {
     // Partial write, then the machine goes down.
-    files_[temp_path] = std::string(data.substr(0, data.size() / 2));
+    WriteFileDirect(temp_path, std::string(data.substr(0, data.size() / 2)));
     crashed_ = true;
     session_open_ = false;
     return MR_UPDATE_XFER;
@@ -107,8 +117,9 @@ int32_t SimHost::ReceiveFile(const std::string& target, std::string_view data,
     return MR_UPDATE_CKSUM;
   }
   // Complete transfer: the temp file is atomically renamed onto the target.
-  files_[target] = std::string(data);
+  WriteFileDirect(target, std::string(data));
   session_target_ = target;
+  session_archive_.reset();
   return MR_SUCCESS;
 }
 
@@ -142,42 +153,35 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
   if (op == "extract" && words.size() == 3) {
     // extract <member> <dest>: pull a member from the transferred archive
     // into <dest>.moira_update (one at a time, as the paper specifies).
-    const std::string* payload = ReadFile(session_target_);
-    if (payload == nullptr) {
-      *errmsg = "no transferred data file";
+    const std::vector<ArchiveMemberView>* members = SessionArchive(errmsg);
+    if (members == nullptr) {
       return MR_UPDATE_EXEC;
     }
-    std::optional<Archive> archive = Archive::Parse(*payload);
-    if (!archive.has_value()) {
-      *errmsg = "transferred file is not a valid archive";
-      return MR_UPDATE_EXEC;
-    }
-    const std::string* member = archive->Find(words[1]);
-    if (member == nullptr) {
+    auto member = std::find_if(members->begin(), members->end(),
+                               [&](const ArchiveMemberView& m) { return m.name == words[1]; });
+    if (member == members->end()) {
       *errmsg = "archive member not found: " + words[1];
       return MR_UPDATE_EXEC;
     }
-    files_[words[2] + kUpdateSuffix] = *member;
+    WriteFileDirect(words[2] + kUpdateSuffix, std::string(member->contents));
     return MR_SUCCESS;
   }
   if (op == "syncdir" && words.size() == 2) {
-    // syncdir <dir>: extract every archive member into <dir>/<member> with
-    // the same temp-file + atomic-rename discipline as extract/install.
-    const std::string* payload = ReadFile(session_target_);
-    if (payload == nullptr) {
-      *errmsg = "no transferred data file";
+    // syncdir <dir>: install every archive member at <dir>/<member> as an
+    // extract and install of each would, leaving no temp file.  The members
+    // are copied out first, since a write may replace the data file.
+    const std::vector<ArchiveMemberView>* members = SessionArchive(errmsg);
+    if (members == nullptr) {
       return MR_UPDATE_EXEC;
     }
-    std::optional<Archive> archive = Archive::Parse(*payload);
-    if (!archive.has_value()) {
-      *errmsg = "transferred file is not a valid archive";
-      return MR_UPDATE_EXEC;
+    std::vector<std::pair<std::string, std::string>> staged;
+    staged.reserve(members->size());
+    for (const ArchiveMemberView& member : *members) {
+      staged.emplace_back(words[1] + "/" + std::string(member.name), std::string(member.contents));
     }
-    for (const auto& [member, contents] : archive->members()) {
-      std::string dest = words[1] + "/" + member;
-      files_[dest + kUpdateSuffix] = contents;
-      FlushWrites(dest, contents);
-      files_.erase(dest + kUpdateSuffix);
+    for (auto& [dest, contents] : staged) {
+      FlushWrites(dest, std::move(contents));
+      RemoveFile(dest + kUpdateSuffix);
     }
     return MR_SUCCESS;
   }
@@ -223,7 +227,7 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
       return MR_UPDATE_EXEC;
     }
     FlushWrites(words[1], std::move(temp_it->second));
-    files_.erase(words[1] + kUpdateSuffix);
+    RemoveFile(words[1] + kUpdateSuffix);
     return MR_SUCCESS;
   }
   if (op == "revert" && words.size() == 2) {
@@ -232,8 +236,8 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
       *errmsg = "no backup to revert for " + words[1];
       return MR_UPDATE_EXEC;
     }
-    files_[words[1]] = std::move(backup_it->second);
-    files_.erase(words[1] + kBackupSuffix);
+    WriteFileDirect(words[1], std::move(backup_it->second));
+    RemoveFile(words[1] + kBackupSuffix);
     return MR_SUCCESS;
   }
   if (op == "signal" && words.size() == 2) {
@@ -265,14 +269,30 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
 void SimHost::FlushWrites(const std::string& path, std::string contents) {
   auto current = files_.find(path);
   if (current != files_.end()) {
-    files_[path + kBackupSuffix] = std::move(current->second);
+    WriteFileDirect(path + kBackupSuffix, std::move(current->second));
   }
   if (ConsumeFailMode(HostFailMode::kTornFlush)) {
     // Silent partial write: the caller (and thus the DCM) still sees
     // success, so the host's lts advances over a torn file.
     contents.resize(contents.size() / 2);
   }
-  files_[path] = std::move(contents);
+  WriteFileDirect(path, std::move(contents));
+}
+
+const std::vector<ArchiveMemberView>* SimHost::SessionArchive(std::string* errmsg) {
+  if (!session_archive_.has_value()) {
+    const std::string* payload = ReadFile(session_target_);
+    if (payload == nullptr) {
+      *errmsg = "no transferred data file";
+      return nullptr;
+    }
+    session_archive_ = Archive::ParseViews(*payload);
+    if (!session_archive_.has_value()) {
+      *errmsg = "transferred file is not a valid archive";
+      return nullptr;
+    }
+  }
+  return &*session_archive_;
 }
 
 int32_t SimHost::ExecuteInstructions(std::string* errmsg) {

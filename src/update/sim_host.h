@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -114,6 +115,10 @@ class SimHost {
   // still reports success — the torn file is only caught later, by the next
   // patch's base-CRC verification.
   void FlushWrites(const std::string& path, std::string contents);
+  // The session's data file parsed as an archive, on its first use in the
+  // session; nullptr, with `errmsg` set, if the file is missing or not a
+  // valid archive.
+  const std::vector<ArchiveMemberView>* SessionArchive(std::string* errmsg);
 
   std::string name_;
   ServiceVerifier verifier_;
@@ -128,6 +133,10 @@ class SimHost {
   bool crashed_ = false;
   bool session_open_ = false;
   std::string session_target_;  // target of the current session's data file
+  // Views into files_[session_target_], parsed once per session and dropped
+  // whenever that file is written or removed (every write goes through
+  // WriteFileDirect and every removal through RemoveFile).
+  std::optional<std::vector<ArchiveMemberView>> session_archive_;
   std::string session_script_;
   int update_count_ = 0;
   int connect_attempts_ = 0;

@@ -720,6 +720,13 @@ TEST_F(DbTest, EqNoCaseOnIntColumnFallsBackToEquality) {
 
 using DbDeathTest = DbTest;
 
+// A page slot holds exactly the schema's cells, so a row of another arity
+// never reaches one.
+TEST_F(DbDeathTest, AppendOfWrongArityAbortsInAllBuilds) {
+  EXPECT_DEATH(table_->Append({"alice", 100}), "takes rows of 3 cells, not 2");
+  EXPECT_DEATH(table_->Append({"alice", 100, "/bin/csh", 7}), "takes rows of 3 cells, not 4");
+}
+
 TEST_F(DbDeathTest, SelectorUnknownColumnAbortsInAllBuilds) {
   // An unresolved column would silently drop the predicate (and index out of
   // bounds) in NDEBUG builds; Selector aborts instead, assert or no assert.
@@ -1105,16 +1112,108 @@ TEST_F(DbTest, BlockEdgeIndexConsistency) {
   checkpoint("g=1 deleted");
 }
 
-// Delete frees the dead row's cells: ClearAllRows, which every snapshot and
-// checkpoint load runs first, leaves no dead copy of any row behind.
+// ClearAllRows, which every snapshot and checkpoint load runs first, leaves
+// no dead copy of any row behind: each table frees its pages and starts over
+// at row 0, with the statistics deleting each row would leave.
 TEST_F(DbTest, ClearAllRowsFreesRowCells) {
   for (int i = 0; i < 50; ++i) {
-    table_->Append({"user" + std::to_string(i), i, "/bin/csh"});
+    table_->Append({"user" + std::to_string(i) + " with a heap-long name", i, "/bin/csh"});
   }
+  table_->CreateIndex("name");
+  table_->Delete(7);
   db_.ClearAllRows();
-  ASSERT_EQ(50u, table_->SlotCount());
-  for (size_t row = 0; row < table_->SlotCount(); ++row) {
-    EXPECT_EQ(0u, table_->At(row).capacity()) << "row " << row;
+  EXPECT_EQ(0u, table_->SlotCount());
+  EXPECT_EQ(0u, table_->PageCount());
+  EXPECT_EQ(0u, table_->LiveCount());
+  EXPECT_EQ(50, table_->stats().deletes);
+  EXPECT_EQ(0u, table_->IndexDescs()[0].entries);
+  EXPECT_EQ(0u, table_->Append({"again", 1, "/bin/sh"}));
+  EXPECT_EQ(std::vector<size_t>{0}, table_->Match({{0, Condition::Op::kEq, Value("again")}}));
+}
+
+// --- pages ---
+
+// A view of an inline string cell (15 bytes or fewer) points into the page,
+// which never moves: it reads the same after appends open many more pages.
+TEST_F(DbTest, InlineCellViewSurvivesAppendsAcrossPages) {
+  const size_t row = table_->Append({"inline-name", 1, "/bin/csh"});
+  const std::string_view name = table_->Cell(row, 0).AsString();
+  const Row view = table_->At(row);
+  const size_t pages = table_->PageCount();
+  for (int i = 0; i < static_cast<int>(4 * table_->PageRows()); ++i) {
+    table_->Append({"u" + std::to_string(i), i, "/bin/sh"});
+  }
+  ASSERT_GE(table_->PageCount(), pages + 4);
+  EXPECT_EQ("inline-name", name);
+  EXPECT_EQ("inline-name", view[0].AsString());
+  EXPECT_EQ(1, view[1].AsInt());
+}
+
+// Scan, IsLive, LiveCount and At agree with a plain model across page
+// boundaries after deletes, on either side of each boundary too.
+TEST_F(DbTest, PagesAgreeAcrossBoundariesAfterDeletes) {
+  const size_t per_page = table_->PageRows();
+  const size_t rows = 3 * per_page + 5;
+  std::vector<std::vector<Value>> model;
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<Value> cells = {Value("name" + std::to_string(i) + " padded past inline"),
+                                Value(static_cast<int64_t>(i)), Value("/bin/sh")};
+    model.push_back(cells);
+    ASSERT_EQ(i, table_->Append(std::move(cells)));
+  }
+  std::vector<bool> live(rows, true);
+  for (size_t i = 0; i < rows; ++i) {
+    // Each page's first and last rows, and every third row.
+    if (i % per_page == 0 || i % per_page == per_page - 1 || i % 3 == 0) {
+      table_->Delete(i);
+      live[i] = false;
+    }
+  }
+  std::vector<size_t> expected;
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_EQ(live[i], table_->IsLive(i)) << "row " << i;
+    if (live[i]) {
+      expected.push_back(i);
+      EXPECT_EQ(Row(model[i]), table_->At(i)) << "row " << i;
+    } else {
+      // Delete resets a dead row's cells, freeing its heap strings.
+      for (const Value& cell : table_->At(i)) {
+        EXPECT_EQ(Value(), cell) << "row " << i;
+      }
+    }
+  }
+  EXPECT_EQ(expected.size(), table_->LiveCount());
+  std::vector<size_t> scanned;
+  table_->Scan([&](size_t row, const Row& cells) {
+    scanned.push_back(row);
+    EXPECT_EQ(Row(model[row]), cells) << "row " << row;
+    return true;
+  });
+  EXPECT_EQ(expected, scanned);
+  EXPECT_EQ(expected, table_->Match({}));
+  EXPECT_FALSE(table_->IsLive(rows));
+}
+
+// A table allocates pages as rows arrive, so it leaves at most one page
+// unused, and a page holds as many whole rows as kPageBytes allows.
+TEST_F(DbTest, WideAndNarrowTablesLeaveAtMostOnePageUnused) {
+  std::vector<ColumnDef> wide_columns;
+  for (int i = 0; i < 30; ++i) {
+    wide_columns.push_back({"c" + std::to_string(i), ColumnType::kInt});
+  }
+  Table* wide = db_.CreateTable(TableSchema{"wide", wide_columns});
+  Table* narrow = db_.CreateTable(TableSchema{"narrow", {{"c", ColumnType::kInt}}});
+  for (Table* t : {wide, narrow}) {
+    const size_t row_bytes = t->schema().columns.size() * sizeof(Value);
+    EXPECT_LE(t->PageRows() * row_bytes, Table::kPageBytes) << t->name();
+    EXPECT_GT((t->PageRows() + 1) * row_bytes, Table::kPageBytes) << t->name();
+    EXPECT_EQ(0u, t->PageCount()) << t->name();
+    for (size_t rows = 1; rows <= 2 * t->PageRows() + 3; ++rows) {
+      t->Append(std::vector<Value>(t->schema().columns.size(), Value(int64_t{7})));
+      const size_t capacity = t->PageCount() * t->PageRows();
+      ASSERT_GE(capacity, rows) << t->name();
+      ASSERT_LT(capacity - rows, t->PageRows()) << t->name() << " at " << rows << " rows";
+    }
   }
 }
 

@@ -330,7 +330,7 @@ TEST_F(GeneratorTest, DanglingReferencesKeepTheirBytes) {
                              Value(name), Value(""), Value(int64_t{0}), Value("root"),
                              Value("test")});
     for (const char* service : {"POP", "NFS"}) {
-      Row row(mc_->serverhosts()->schema().columns.size(), Value(int64_t{0}));
+      std::vector<Value> row(mc_->serverhosts()->schema().columns.size(), Value(int64_t{0}));
       row[0] = Value(service);
       row[1] = Value(mach_id);
       row[7] = Value("");

@@ -156,8 +156,9 @@ TEST_P(JoinConsistencyTest, CostBasedMatchesNaiveNestedLoop) {
       if (rng.Below(3) == 0) t->CreateIndex("v");
       const size_t nrows = 1 + rng.Below(40);
       for (size_t r = 0; r < nrows; ++r) {
-        Row cells = {Value(static_cast<int64_t>(rng.Below(6))), Value(kStrings[rng.Below(5)]),
-                     Value(static_cast<int64_t>(rng.Below(50)))};
+        std::vector<Value> cells = {Value(static_cast<int64_t>(rng.Below(6))),
+                                    Value(kStrings[rng.Below(5)]),
+                                    Value(static_cast<int64_t>(rng.Below(50)))};
         if (spec.pad == 1) cells.insert(cells.begin(), Value("x"));
         size_t row = t->Append(std::move(cells));
         if (rng.Below(5) == 0) t->Delete(row);

@@ -147,19 +147,19 @@ class BackupTest : public MoiraEnv {
 };
 
 TEST_F(BackupTest, RowLineRoundTrip) {
-  Row row = {Value("name:with colon"), Value(int64_t{-42}), Value("")};
+  std::vector<Value> row = {Value("name:with colon"), Value(int64_t{-42}), Value("")};
   TableSchema schema{"t",
                      {{"a", ColumnType::kString},
                       {"b", ColumnType::kInt},
                       {"c", ColumnType::kString}}};
-  Row back;
+  std::vector<Value> back;
   ASSERT_TRUE(BackupManager::LineToRow(BackupManager::RowToLine(row), schema, &back));
   EXPECT_EQ(row, back);
 }
 
 TEST_F(BackupTest, LineToRowRejectsArityAndTypeErrors) {
   TableSchema schema{"t", {{"a", ColumnType::kString}, {"b", ColumnType::kInt}}};
-  Row row;
+  std::vector<Value> row;
   EXPECT_FALSE(BackupManager::LineToRow("onlyone\n", schema, &row));
   EXPECT_FALSE(BackupManager::LineToRow("x:notint\n", schema, &row));
   EXPECT_TRUE(BackupManager::LineToRow("x:5\n", schema, &row));
@@ -183,14 +183,14 @@ TEST_F(BackupTest, DumpRestoreRoundTrip) {
     const Table* a = db_->GetTable(name);
     const Table* b = restored.GetTable(name);
     ASSERT_EQ(a->LiveCount(), b->LiveCount()) << name;
-    std::vector<Row> rows_a;
-    std::vector<Row> rows_b;
+    std::vector<std::vector<Value>> rows_a;
+    std::vector<std::vector<Value>> rows_b;
     a->Scan([&](size_t, const Row& r) {
-      rows_a.push_back(r);
+      rows_a.emplace_back(r.begin(), r.end());
       return true;
     });
     b->Scan([&](size_t, const Row& r) {
-      rows_b.push_back(r);
+      rows_b.emplace_back(r.begin(), r.end());
       return true;
     });
     EXPECT_EQ(rows_a, rows_b) << name;

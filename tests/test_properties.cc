@@ -94,11 +94,10 @@ TEST_P(BackupRowTest, RandomRowsRoundTrip) {
                       {"c", ColumnType::kString},
                       {"d", ColumnType::kInt}}};
   for (int i = 0; i < 200; ++i) {
-    Row row = {Value(RandomBytes(rng, 40)),
-               Value(static_cast<int64_t>(rng.Next()) / 2),
-               Value(RandomBytes(rng, 10)),
-               Value(rng.Between(-5, 5))};
-    Row back;
+    std::vector<Value> row = {Value(RandomBytes(rng, 40)),
+                              Value(static_cast<int64_t>(rng.Next()) / 2),
+                              Value(RandomBytes(rng, 10)), Value(rng.Between(-5, 5))};
+    std::vector<Value> back;
     ASSERT_TRUE(BackupManager::LineToRow(BackupManager::RowToLine(row), schema, &back));
     EXPECT_EQ(row, back);
   }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "src/sim/population.h"
 #include "tests/test_env.h"
 
 namespace moira {
@@ -354,6 +355,51 @@ TEST_F(ListQueriesTest, ContainingListClosureHandlesCyclesAndIsSorted) {
   EXPECT_TRUE(IsUserInList(*mc_, users_id, id_a));
   EXPECT_TRUE(IsUserInList(*mc_, users_id, id_b));
   EXPECT_FALSE(IsUserInList(*mc_, users_id, id_a + 1000));
+}
+
+// AllocateId("gid", ...) tests each candidate gid with an equality probe on
+// list.gid; the index answers it, so neither a registration nor a group
+// list's creation scans the list relation.
+class GidAllocationTest : public MoiraEnv {
+ protected:
+  void SetUp() override {
+    SiteBuilder builder(mc_.get(), realm_.get());
+    builder.Build(TestSiteSpec());
+    ASSERT_GE(mc_->list()->LiveCount(), 50u);
+  }
+
+  int64_t ListRowsExamined() const { return mc_->list()->stats().rows_examined; }
+};
+
+TEST_F(GidAllocationTest, RegisterUserExaminesAHandfulOfLists) {
+  Table* users = mc_->users();
+  const int status = users->ColumnIndex("status");
+  const int uid = users->ColumnIndex("uid");
+  int64_t unregistered_uid = -1;
+  users->Scan([&](size_t, const Row& row) {
+    if (row[status].AsInt() == kUserNotRegistered) {
+      unregistered_uid = row[uid].AsInt();
+      return false;
+    }
+    return true;
+  });
+  ASSERT_NE(-1, unregistered_uid);
+  const int64_t before = ListRowsExamined();
+  ASSERT_EQ(MR_SUCCESS, RunRoot("register_user", {std::to_string(unregistered_uid), "gidprobe",
+                                                  std::to_string(kFsStudent)}));
+  EXPECT_LE(ListRowsExamined() - before, 4);
+  EXPECT_EQ(MR_SUCCESS, mc_->ListByName("gidprobe").code);
+}
+
+TEST_F(GidAllocationTest, GroupListCreationExaminesAHandfulOfLists) {
+  const int64_t before = ListRowsExamined();
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"gidgroup", "1", "0", "0", "0", "1", "-1", "NONE",
+                                             "NONE", "a group list"}));
+  EXPECT_LE(ListRowsExamined() - before, 4);
+  std::vector<Tuple> tuples;
+  ASSERT_EQ(MR_SUCCESS, RunRoot("get_list_info", {"gidgroup"}, &tuples));
+  ASSERT_EQ(1u, tuples.size());
+  EXPECT_NE("-1", tuples[0][6]);  // a gid was allocated
 }
 
 }  // namespace

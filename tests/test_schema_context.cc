@@ -69,7 +69,7 @@ TEST_F(ContextTest, AllocateIdAdvancesAndSkipsCollisions) {
   int64_t first = 0;
   ASSERT_EQ(MR_SUCCESS, mc_->AllocateId("users_id", mc_->users(), "users_id", &first));
   // Occupy the next id manually; allocation must skip it.
-  Row row(mc_->users()->schema().columns.size(), Value(""));
+  std::vector<Value> row(mc_->users()->schema().columns.size(), Value(""));
   row[mc_->users()->ColumnIndex("users_id")] = Value(first + 1);
   row[mc_->users()->ColumnIndex("uid")] = Value(int64_t{-100});
   mc_->users()->Append(std::move(row));

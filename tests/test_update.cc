@@ -141,6 +141,107 @@ TEST_F(SimHostTest, SyncdirInstallsAllMembers) {
   EXPECT_EQ("group contents", *host_.ReadFile("/site/moira/group.db"));
 }
 
+// The host parses the data file once per session; a corrupt archive still
+// fails the script at its first extract, before any file is touched.  The
+// transfer checksum covers the corrupt bytes, so only the archive's own CRC
+// can catch them.
+TEST_F(SimHostTest, CorruptArchiveFailsAtFirstExtract) {
+  std::string corrupt = payload_;
+  corrupt[corrupt.size() / 2] ^= 0x40;
+  UpdateOutcome outcome = client_.Update(&host_, "/tmp/hes.out", corrupt, script_);
+  EXPECT_EQ(MR_UPDATE_EXEC, outcome.code);
+  EXPECT_NE(std::string::npos, outcome.message.find("not a valid archive")) << outcome.message;
+  EXPECT_EQ((std::vector<std::string>{"/tmp/hes.out"}), host_.ListFiles());
+  EXPECT_TRUE(host_.executed_commands().empty());
+}
+
+// Eleven extracts from one parse leave exactly the files that extracting
+// each member from a fresh parse of the data file would: every member at its
+// destination, every replaced file's backup, no temporaries.
+TEST_F(SimHostTest, MultiExtractInstallMatchesMembers) {
+  Archive archive;
+  std::map<std::string, std::string> expected;
+  std::string script;
+  for (int i = 0; i < 11; ++i) {
+    const std::string member = "m" + std::to_string(i) + ".db";
+    const std::string dest = "/etc/hes/" + member;
+    // Short members fit a std::string's inline buffer; long ones do not.
+    archive.Add(member, std::string(i % 2 == 0 ? 7 : 5000, static_cast<char>('a' + i)));
+    if (i % 3 == 0) {
+      host_.WriteFileDirect(dest, "old " + member);
+      expected[dest + ".moira_backup"] = "old " + member;
+    }
+    script += "extract " + member + " " + dest + "\n";
+  }
+  for (int i = 0; i < 11; ++i) {
+    script += "install /etc/hes/m" + std::to_string(i) + ".db\n";
+  }
+  const std::string bytes = archive.Serialize();
+  expected["/tmp/hes.out"] = bytes;
+  const std::optional<Archive> parsed = Archive::Parse(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  for (const auto& [member, contents] : parsed->members()) {
+    expected["/etc/hes/" + member] = contents;
+  }
+  UpdateOutcome outcome = client_.Update(&host_, "/tmp/hes.out", bytes, script);
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  std::map<std::string, std::string> files;
+  for (const std::string& path : host_.ListFiles()) {
+    files[path] = *host_.ReadFile(path);
+  }
+  EXPECT_EQ(expected, files);
+}
+
+// An exec handler that rewrites or removes the data file mid-script drops
+// the session's parse: the next extract reads the file as it is then.
+TEST_F(SimHostTest, ExtractAfterExecSeesRewrittenDataFile) {
+  Archive rewritten;
+  rewritten.Add("passwd.db", "rewritten passwd");
+  rewritten.Add("group.db", "rewritten group");
+  const std::string rewritten_bytes = rewritten.Serialize();
+  host_.RegisterCommand("rewrite", [&](SimHost& host) {
+    host.WriteFileDirect("/tmp/hes.out", rewritten_bytes);
+    return 0;
+  });
+  host_.RegisterCommand("remove", [](SimHost& host) {
+    host.RemoveFile("/tmp/hes.out");
+    return 0;
+  });
+  UpdateOutcome outcome =
+      client_.Update(&host_, "/tmp/hes.out", payload_,
+                     "extract passwd.db /etc/hes/passwd.db\n"
+                     "exec rewrite\n"
+                     "extract group.db /etc/hes/group.db\n"
+                     "install /etc/hes/passwd.db\n"
+                     "install /etc/hes/group.db\n");
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  EXPECT_EQ("passwd contents", *host_.ReadFile("/etc/hes/passwd.db"));
+  EXPECT_EQ("rewritten group", *host_.ReadFile("/etc/hes/group.db"));
+
+  outcome = client_.Update(&host_, "/tmp/hes.out", payload_,
+                           "extract passwd.db /etc/hes/passwd.db\n"
+                           "exec remove\n"
+                           "extract group.db /etc/hes/group.db\n");
+  EXPECT_EQ(MR_UPDATE_EXEC, outcome.code);
+  EXPECT_NE(std::string::npos, outcome.message.find("no transferred data file"))
+      << outcome.message;
+}
+
+// syncdir installs each member as install would: a replaced file keeps its
+// backup, and no temp file is left behind, a stale one included.
+TEST_F(SimHostTest, SyncdirKeepsBackupsAndLeavesNoTemp) {
+  host_.WriteFileDirect("/site/moira/passwd.db", "old passwd");
+  host_.WriteFileDirect("/site/moira/group.db.moira_update", "stale");
+  UpdateOutcome outcome =
+      client_.Update(&host_, "/tmp/out", payload_, "syncdir /site/moira\n");
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  EXPECT_EQ((std::vector<std::string>{"/site/moira/group.db", "/site/moira/passwd.db",
+                                      "/site/moira/passwd.db.moira_backup", "/tmp/out"}),
+            host_.ListFiles());
+  EXPECT_EQ("old passwd", *host_.ReadFile("/site/moira/passwd.db.moira_backup"));
+  EXPECT_EQ("passwd contents", *host_.ReadFile("/site/moira/passwd.db"));
+}
+
 TEST_F(SimHostTest, ChecksumMismatchDetected) {
   ASSERT_EQ(MR_SUCCESS, host_.BeginSession(Authenticator()));
   EXPECT_EQ(MR_UPDATE_CKSUM,
