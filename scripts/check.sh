@@ -42,8 +42,9 @@
 #             mid-history seq and to the end.
 #   quota     build-asan, ASan: test_quota.  Then bench_quota in a plain
 #             build (its 100k-user rollup arm is too slow under the
-#             sanitizers): rollups examine >= 50x fewer rows than a full
-#             scan, and the seeded-fault sweep fires every expected notice
+#             sanitizers): get_quota_status, summing quotausage rows through
+#             their indexes, examines >= 50x fewer rows than a full scan,
+#             and the seeded-fault sweep fires every expected notice
 #             exactly once.
 #   tsan      build-tsan, TSan: test_tcp, whose clients run on other threads
 #             than the server's poll loop.

@@ -61,7 +61,6 @@ class MoiraContext {
   Table* nfsphys() { return db_->GetTable(kNfsPhysTable); }
   Table* nfsquota() { return db_->GetTable(kNfsQuotaTable); }
   Table* quotausage() { return db_->GetTable(kQuotaUsageTable); }
-  Table* quotarollup() { return db_->GetTable(kQuotaRollupTable); }
   Table* zephyr() { return db_->GetTable(kZephyrTable); }
   Table* hostaccess() { return db_->GetTable(kHostAccessTable); }
   Table* strings() { return db_->GetTable(kStringsTable); }

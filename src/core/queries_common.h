@@ -15,21 +15,6 @@
 
 namespace moira {
 
-// Builds a Match condition for `pattern` on `column`: exact equality when the
-// pattern has no metacharacters, wildcard match otherwise.
-inline Condition WildCond(const Table* table, const char* column, std::string_view pattern,
-                          bool case_insensitive = false) {
-  Condition cond;
-  cond.column = table->ColumnIndex(column);
-  if (HasWildcard(pattern)) {
-    cond.op = case_insensitive ? Condition::Op::kWildNoCase : Condition::Op::kWild;
-  } else {
-    cond.op = case_insensitive ? Condition::Op::kEqNoCase : Condition::Op::kEq;
-  }
-  cond.operand = Value(pattern);
-  return cond;
-}
-
 // Parses an integer argument; MR_INTEGER on failure.
 inline int32_t RequireInt(std::string_view arg, int64_t* out) {
   std::optional<int64_t> v = ParseInt(arg);
@@ -65,11 +50,6 @@ inline int32_t RequireTriState(std::string_view arg, int* out) {
   return MR_SUCCESS;
 }
 
-// True if an int cell matches a tri-state filter.
-inline bool TriMatches(int tri, int64_t cell) {
-  return tri == -1 || (tri == 1) == (cell != 0);
-}
-
 // Adds a tri-state flag test as a *planned* predicate: DONTCARE adds nothing,
 // FALSE probes for 0, TRUE becomes the range predicate `cell >= 1`.  The
 // range form is equivalent to `cell != 0` because every tri-state column is
@@ -97,8 +77,7 @@ bool SelfOnListAce(MoiraContext& mc, std::string_view principal,
 bool SelfOnServiceAce(MoiraContext& mc, std::string_view principal,
                       const std::vector<std::string>& args);
 
-// Removes the live quotausage rows for (user, partition) and rolls their
-// usage/report counts out of the quotarollup aggregates.  Called when quota
+// Removes the live quotausage rows for (user, partition).  Called when quota
 // rows are deleted so the accounting never dangles (queries_quota.cc).
 void RemoveQuotaUsage(MoiraContext& mc, int64_t users_id, int64_t phys_id);
 

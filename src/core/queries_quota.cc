@@ -2,14 +2,14 @@
 // top of the static nfsquota limits.
 //
 // report_quota_usage ingests per-uid/per-partition usage deltas shipped back
-// from the fileservers into quotausage, maintaining the quotarollup
-// aggregates exactly (so get_quota_status answers from indexed probes, never
-// scans — the EOS SpaceQuota shape).  set_quota_limits manages soft/hard
-// limits; process_quota_sweep is the journalled MooseFS-style
-// check_all_quotas pass: it flags grace-expired soft exceeders and emits one
-// deduplicated hard-limit notice tuple per crossing (src/quota turns those
-// into Zephyr sends).  All mutations run through the normal journalled query
-// path, so replication, checkpoints, and incremental DCM see them for free.
+// from the fileservers into quotausage; get_quota_status sums those rows
+// through the users_id/filsys_id indexes, never a scan.  set_quota_limits
+// manages soft/hard limits; process_quota_sweep is the journalled
+// MooseFS-style check_all_quotas pass: it flags grace-expired soft exceeders
+// and emits one deduplicated hard-limit notice tuple per crossing (src/quota
+// turns those into Zephyr sends).  All mutations run through the normal
+// journalled query path, so replication, checkpoints, and incremental DCM
+// see them for free.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -18,22 +18,6 @@
 
 namespace moira {
 namespace {
-
-// Mirrors gen_nfs.cc: flattens a partition directory ("/u1") into the
-// file-name stem ("u1") the fileservers key their reports by.
-std::string QuotaPartitionStem(std::string_view dir) {
-  std::string out;
-  for (char c : dir) {
-    if (c == '/') {
-      if (!out.empty()) {
-        out += '_';
-      }
-    } else {
-      out += c;
-    }
-  }
-  return out.empty() ? "root" : out;
-}
 
 int64_t GetValueOr(MoiraContext& mc, const std::string& name, int64_t fallback) {
   int64_t v = fallback;
@@ -51,31 +35,6 @@ void BumpCounter(MoiraContext& mc, const std::string& name, int64_t delta) {
   if (delta != 0) {
     SetOrAddValue(mc, name, GetValueOr(mc, name, 0) + delta);
   }
-}
-
-// Adjusts (creating on first touch) the rollup aggregate for (kind, id).
-// Usage is clamped at zero: a rollup can never go negative even if repairs
-// or cascaded deletes race with in-flight reports.
-void BumpRollup(MoiraContext& mc, const char* kind, int64_t id, int64_t usage_delta,
-                int64_t reports_delta) {
-  if (usage_delta == 0 && reports_delta == 0) {
-    return;
-  }
-  Table* rollup = mc.quotarollup();
-  std::vector<size_t> rows =
-      From(rollup).WhereEq("id", Value(id)).WhereEq("kind", Value(kind)).Rows();
-  size_t row = rows.empty()
-                   ? rollup->Append({Value(kind), Value(id), Value(int64_t{0}),
-                                     Value(int64_t{0}), Value(int64_t{0})})
-                   : rows[0];
-  MoiraContext::SetCell(
-      rollup, row, "usage",
-      Value(std::max<int64_t>(0, MoiraContext::IntCell(rollup, row, "usage") + usage_delta)));
-  MoiraContext::SetCell(
-      rollup, row, "reports",
-      Value(std::max<int64_t>(0,
-                              MoiraContext::IntCell(rollup, row, "reports") + reports_delta)));
-  MoiraContext::SetCell(rollup, row, "modtime", Value(mc.Now()));
 }
 
 // soft == 0 means "soft limit equals the hard quota" (schema.cc).
@@ -158,7 +117,7 @@ int32_t ReportQuotaUsage(QueryCall& call) {
   Table* phys = mc.nfsphys();
   int64_t phys_id = 0;
   for (size_t prow : From(phys).WhereEq("mach_id", Value(mach_id)).Rows()) {
-    if (QuotaPartitionStem(MoiraContext::StrCell(phys, prow, "dir")) == call.args[1]) {
+    if (PartitionStem(MoiraContext::StrCell(phys, prow, "dir")) == call.args[1]) {
       phys_id = MoiraContext::IntCell(phys, prow, "nfsphys_id");
       break;
     }
@@ -177,7 +136,7 @@ int32_t ReportQuotaUsage(QueryCall& call) {
   size_t qrow = qrows[0];
   int64_t filsys_id = MoiraContext::IntCell(quota, qrow, "filsys_id");
 
-  // Upsert the live usage row; the rollups absorb the clamped delta.
+  // Upsert the live usage row; usage clamps at zero.
   Table* usage = mc.quotausage();
   std::vector<size_t> urows = From(usage)
                                   .WhereEq("users_id", Value(users_id))
@@ -197,8 +156,6 @@ int32_t ReportQuotaUsage(QueryCall& call) {
   MoiraContext::SetCell(usage, urow, "reports",
                         Value(MoiraContext::IntCell(usage, urow, "reports") + 1));
   MoiraContext::SetCell(usage, urow, "modtime", Value(mc.Now()));
-  BumpRollup(mc, kRollupUser, users_id, new_usage - old_usage, 1);
-  BumpRollup(mc, kRollupFilesys, filsys_id, new_usage - old_usage, 1);
   ReconcileSoftState(mc, qrow, new_usage);
   SetOrAddValue(mc, seq_key, seq);
   return MR_SUCCESS;
@@ -274,16 +231,15 @@ struct QuotaAggregates {
   int64_t hard_noticed = 0;
 };
 
-void AccumulateRollups(MoiraContext& mc, const char* kind, std::vector<Value> ids,
-                       QuotaAggregates* agg) {
-  Table* rollup = mc.quotarollup();
-  From(rollup)
-      .WhereIn("id", std::move(ids))
-      .WhereEq("kind", Value(kind))
-      .Emit([&](const std::vector<size_t>& rows) {
-        agg->usage += MoiraContext::IntCell(rollup, rows[0], "usage");
-        agg->reports += MoiraContext::IntCell(rollup, rows[0], "reports");
-      });
+// Sums the quotausage rows whose `column` (users_id or filsys_id) is one of
+// `ids`, through that column's index.
+void AccumulateUsage(MoiraContext& mc, const char* column, std::vector<Value> ids,
+                     QuotaAggregates* agg) {
+  const Table* usage = mc.quotausage();
+  From(usage).WhereIn(column, std::move(ids)).Emit([&](const std::vector<size_t>& rows) {
+    agg->usage += MoiraContext::IntCell(usage, rows[0], "usage");
+    agg->reports += MoiraContext::IntCell(usage, rows[0], "reports");
+  });
 }
 
 void AccumulateLimits(MoiraContext& mc, const std::vector<size_t>& qrows,
@@ -307,20 +263,20 @@ void AccumulateLimits(MoiraContext& mc, const std::vector<size_t>& qrows,
 }
 
 // get_quota_status kind name: one aggregate tuple for a USER, LIST (direct
-// user members, expanded at query time so membership churn never leaves a
-// stale group rollup), or FILESYS.  Usage comes from the quotarollup
-// aggregates, limits from indexed nfsquota probes — never a scan.
+// user members, expanded at query time so membership churn is seen at
+// once), or FILESYS.  Usage sums the quotausage rows and limits the nfsquota
+// rows, both found by indexed probes — never a scan.
 int32_t GetQuotaStatus(QueryCall& call) {
   MoiraContext& mc = call.mc;
   const std::string& kind = call.args[0];
   QuotaAggregates agg;
-  if (kind == kRollupUser) {
+  if (kind == "USER") {
     RowRef user = mc.UserByLogin(call.args[1]);
     if (user.code != MR_SUCCESS) {
       return user.code;
     }
     int64_t users_id = MoiraContext::IntCell(mc.users(), user.row, "users_id");
-    AccumulateRollups(mc, kRollupUser, {Value(users_id)}, &agg);
+    AccumulateUsage(mc, "users_id", {Value(users_id)}, &agg);
     AccumulateLimits(mc, From(mc.nfsquota()).WhereEq("users_id", Value(users_id)).Rows(),
                      &agg);
   } else if (kind == "LIST") {
@@ -338,17 +294,17 @@ int32_t GetQuotaStatus(QueryCall& call) {
           ids.push_back(Value(MoiraContext::IntCell(members, rows[0], "member_id")));
         });
     if (!ids.empty()) {
-      AccumulateRollups(mc, kRollupUser, ids, &agg);
+      AccumulateUsage(mc, "users_id", ids, &agg);
       AccumulateLimits(mc, From(mc.nfsquota()).WhereIn("users_id", std::move(ids)).Rows(),
                        &agg);
     }
-  } else if (kind == kRollupFilesys) {
+  } else if (kind == "FILESYS") {
     RowRef fs = mc.FilesysByLabel(call.args[1]);
     if (fs.code != MR_SUCCESS) {
       return fs.code;
     }
     int64_t filsys_id = MoiraContext::IntCell(mc.filesys(), fs.row, "filsys_id");
-    AccumulateRollups(mc, kRollupFilesys, {Value(filsys_id)}, &agg);
+    AccumulateUsage(mc, "filsys_id", {Value(filsys_id)}, &agg);
     AccumulateLimits(mc, From(mc.nfsquota()).WhereEq("filsys_id", Value(filsys_id)).Rows(),
                      &agg);
   } else {
@@ -479,11 +435,6 @@ void RemoveQuotaUsage(MoiraContext& mc, int64_t users_id, int64_t phys_id) {
                         .WhereEq("users_id", Value(users_id))
                         .WhereEq("phys_id", Value(phys_id))
                         .Rows()) {
-    int64_t used = MoiraContext::IntCell(usage, row, "usage");
-    int64_t reports = MoiraContext::IntCell(usage, row, "reports");
-    BumpRollup(mc, kRollupUser, users_id, -used, -reports);
-    BumpRollup(mc, kRollupFilesys, MoiraContext::IntCell(usage, row, "filsys_id"), -used,
-               -reports);
     usage->Delete(row);
   }
 }

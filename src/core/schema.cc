@@ -174,6 +174,8 @@ void CreateMoiraSchema(Database* db) {
 
   // QUOTAUSAGE: live per-user/per-partition usage accounting fed by the
   // fileserver usage-report path.  reports counts applied delta reports.
+  // get_quota_status sums these rows through the users_id and filsys_id
+  // indexes.
   MakeTable(db, kQuotaUsageTable,
             {
                 {"users_id", kInt},
@@ -184,18 +186,6 @@ void CreateMoiraSchema(Database* db) {
                 {"modtime", kInt},
             },
             {"users_id", "filsys_id", "phys_id"});
-
-  // QUOTAROLLUP: indexed aggregates over quotausage, maintained exactly at
-  // ingest time — get_quota_status answers from these instead of scanning.
-  MakeTable(db, kQuotaRollupTable,
-            {
-                {"kind", kStr},
-                {"id", kInt},
-                {"usage", kInt},
-                {"reports", kInt},
-                {"modtime", kInt},
-            },
-            {"id"});
 
   MakeTable(db, kZephyrTable,
             {
@@ -344,6 +334,20 @@ void SeedMoiraDefaults(Database* db) {
       int64_t{0}, int64_t{-1}, "Moira database administrators", "LIST", int64_t{1},
       int64_t{0}, "root", "setup",
   });
+}
+
+std::string PartitionStem(std::string_view dir) {
+  std::string out;
+  for (char c : dir) {
+    if (c == '/') {
+      if (!out.empty()) {
+        out += '_';
+      }
+    } else {
+      out += c;
+    }
+  }
+  return out.empty() ? "root" : out;
 }
 
 }  // namespace moira

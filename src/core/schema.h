@@ -6,6 +6,9 @@
 #ifndef MOIRA_SRC_CORE_SCHEMA_H_
 #define MOIRA_SRC_CORE_SCHEMA_H_
 
+#include <string>
+#include <string_view>
+
 #include "src/db/database.h"
 
 namespace moira {
@@ -24,7 +27,6 @@ inline constexpr char kFilesysTable[] = "filesys";
 inline constexpr char kNfsPhysTable[] = "nfsphys";
 inline constexpr char kNfsQuotaTable[] = "nfsquota";
 inline constexpr char kQuotaUsageTable[] = "quotausage";
-inline constexpr char kQuotaRollupTable[] = "quotarollup";
 inline constexpr char kZephyrTable[] = "zephyr";
 inline constexpr char kHostAccessTable[] = "hostaccess";
 inline constexpr char kStringsTable[] = "strings";
@@ -57,9 +59,10 @@ enum QuotaFlags : int {
   kQuotaHardNoticed = 1 << 1,   // a hard-limit Zephyr notice is outstanding
 };
 
-// QUOTAROLLUP.kind values: which axis the aggregate row sums over.
-inline constexpr char kRollupUser[] = "USER";
-inline constexpr char kRollupFilesys[] = "FILESYS";
+// Flattens an NFSPHYS.dir ("/u1", "/a/b", "/") into the file-name stem
+// ("u1", "a_b", "root") that names a partition's generated .dirs/.quotas
+// files and keys the fileservers' usage reports.
+std::string PartitionStem(std::string_view dir);
 
 // Sentinels used by add_user / add_list (paper section 7, <moira.h>).
 inline constexpr int64_t kUniqueUid = -1;

@@ -49,7 +49,7 @@ struct DeltaPlan {
   // Zephyr ACLs are few and expansion-heavy: any relevant mutation triggers
   // a full ACL regeneration, diffed against the staged files for shipping.
   bool zephyr_dirty = false;
-  // Quota accounting state (quotausage/quotarollup/nfsquota limits) changed
+  // Quota accounting state (quotausage rows or nfsquota limits) changed
   // in this range.  No generated-file footprint of its own, but the quota
   // sweep uses it to skip idle passes (src/quota/quota.cc).
   bool quota_state_dirty = false;

@@ -21,21 +21,6 @@
 namespace moira {
 namespace {
 
-// Flattens a partition directory ("/u1") into a file-name stem ("u1").
-std::string PartitionStem(std::string_view dir) {
-  std::string out;
-  for (char c : dir) {
-    if (c == '/') {
-      if (!out.empty()) {
-        out += '_';
-      }
-    } else {
-      out += c;
-    }
-  }
-  return out.empty() ? "root" : out;
-}
-
 // One user's credentials line: login:uid followed by every group gid.
 std::string CredentialLine(const UserFields& user, const std::vector<GroupMembership>& groups) {
   std::string out(user.login);

@@ -422,15 +422,6 @@ size_t Journal::TruncateThrough(uint64_t through) {
   return dropped;
 }
 
-void Journal::ResetSequence(uint64_t next_seq) {
-  if (next_seq > 0 && next_seq - 1 > last_seq_) {
-    last_seq_ = next_seq - 1;
-  }
-  if (base_seq_ < last_seq_ && entries_.empty()) {
-    base_seq_ = last_seq_;
-  }
-}
-
 void Journal::RebaseTo(uint64_t next_seq) {
   if (!dir_.empty()) {
     return;  // directory-mode journals are never rebased
@@ -438,25 +429,6 @@ void Journal::RebaseTo(uint64_t next_seq) {
   entries_.clear();
   last_seq_ = next_seq > 0 ? next_seq - 1 : 0;
   base_seq_ = last_seq_;
-}
-
-void Journal::Clear() {
-  entries_.clear();
-  base_seq_ = last_seq_;
-  if (!dir_.empty()) {
-    for (const JournalSegment& segment : segments_) {
-      std::error_code ec;
-      fs::remove(segment.path, ec);
-    }
-    segments_.clear();
-    file_.close();
-    file_.clear();
-    // Truncate the live file so restart cannot resurrect cleared entries.
-    file_.open(LivePath(), std::ios::trunc | std::ios::binary);
-    OpenLive();
-    live_first_seq_ = live_last_seq_ = 0;
-    live_count_ = 0;
-  }
 }
 
 // --- Checkpoint directory naming --------------------------------------------

@@ -148,17 +148,12 @@ class Journal {
   // entries dropped from memory.
   size_t TruncateThrough(uint64_t through);
 
-  // Failover promotion: continue numbering from `next_seq` so the promoted
-  // replica's first post-failover entry extends the old primary's sequence.
-  void ResetSequence(uint64_t next_seq);
-
   // Hard reset for a demoted-and-re-promoted embedded journal: drops every
   // retained entry and restarts numbering at `next_seq`, treating entries
   // 1..next_seq-1 as cluster history this server does not hold (base_seq
-  // moves to next_seq - 1).  Unlike ResetSequence this also moves the
-  // counter BACKWARD, discarding a dead reign's unreplicated suffix.  Only
-  // supported for memory-only journals (replica-embedded); directory mode is
-  // not rebased.
+  // moves to next_seq - 1).  The counter may move BACKWARD, discarding a
+  // dead reign's unreplicated suffix.  Only supported for memory-only
+  // journals (replica-embedded); directory mode is not rebased.
   void RebaseTo(uint64_t next_seq);
 
   // Replication epoch stamped onto appended entries.  Starts at 1; a
@@ -167,11 +162,6 @@ class Journal {
   // primary keeps its fencing position).
   uint64_t epoch() const { return epoch_; }
   void set_epoch(uint64_t epoch) { if (epoch > epoch_) epoch_ = epoch; }
-
-  // Drops every retained entry (base_seq catches up to last_seq).  In
-  // directory mode the sealed segments are deleted and the live file is
-  // emptied, so disk matches memory.
-  void Clear();
 
   // Unparsable lines AttachDirectory skipped — e.g. a torn final line from a
   // crash mid-append.

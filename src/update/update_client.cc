@@ -5,24 +5,6 @@
 
 namespace moira {
 
-const char* UpdatePhaseName(UpdatePhase phase) {
-  switch (phase) {
-    case UpdatePhase::kNone:
-      return "none";
-    case UpdatePhase::kAuth:
-      return "auth";
-    case UpdatePhase::kTransfer:
-      return "transfer";
-    case UpdatePhase::kExecute:
-      return "execute";
-    case UpdatePhase::kConfirm:
-      return "confirm";
-    case UpdatePhase::kDone:
-      return "done";
-  }
-  return "unknown";
-}
-
 UpdateClient::UpdateClient(KerberosRealm* realm, std::string principal,
                            std::string password)
     : realm_(realm), principal_(std::move(principal)), password_(std::move(password)) {}

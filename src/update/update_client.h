@@ -35,8 +35,6 @@ enum class UpdatePhase {
   kDone,
 };
 
-const char* UpdatePhaseName(UpdatePhase phase);
-
 struct UpdateOutcome {
   int32_t code = 0;
   bool hard = false;      // true: operator attention needed; false: retry later

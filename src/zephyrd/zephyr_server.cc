@@ -83,12 +83,6 @@ bool ZephyrServerSim::MayTransmit(std::string_view klass, std::string_view princ
   return acl == nullptr || Allowed(acl->xmt, principal);
 }
 
-bool ZephyrServerSim::MaySubscribe(std::string_view klass,
-                                   std::string_view principal) const {
-  const ZephyrClassAcl* acl = FindClass(klass);
-  return acl == nullptr || Allowed(acl->sub, principal);
-}
-
 void InstallZephyrReloadCommand(SimHost* host, ZephyrServerSim* server,
                                 const std::string& acl_dir) {
   host->RegisterCommand("restart_zephyrd", [server, acl_dir](SimHost&) {

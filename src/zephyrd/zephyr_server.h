@@ -41,11 +41,10 @@ class ZephyrServerSim {
   int reload_count() const { return reload_count_; }
   const ZephyrClassAcl* FindClass(std::string_view klass) const;
 
-  // Enforcement: may `principal` ("login@REALM") transmit on / subscribe to
-  // the class?  An unknown class is uncontrolled (allowed), matching zephyr's
-  // default-open classes.
+  // Enforcement: may `principal` ("login@REALM") transmit on the class?  An
+  // unknown class is uncontrolled (allowed), matching zephyr's default-open
+  // classes.
   bool MayTransmit(std::string_view klass, std::string_view principal) const;
-  bool MaySubscribe(std::string_view klass, std::string_view principal) const;
 
  private:
   static bool Allowed(const ZephyrClassAcl::Function& function,

@@ -125,7 +125,7 @@ TEST_F(MiscQueriesTest, TableStats) {
   AddActiveUser("statuser", 102);
   std::vector<Tuple> tuples;
   ASSERT_EQ(MR_SUCCESS, Run("", "get_all_table_stats", {}, &tuples));
-  EXPECT_EQ(22u, tuples.size());
+  EXPECT_EQ(21u, tuples.size());
   bool found_users = false;
   for (const Tuple& t : tuples) {
     if (t[0] == "users") {

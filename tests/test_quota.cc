@@ -2,14 +2,20 @@
 // soft/hard limits with grace, the journalled sweep with deduplicated
 // hard-limit notices, the seeded telemetry driver's fault oracle, the dbck
 // quota pass, and replay determinism.
+#include <array>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/backup/checkpoint.h"
 #include "src/backup/dbck.h"
+#include "src/common/random.h"
 #include "src/db/exec.h"
 #include "src/dcm/cron.h"
 #include "src/dcm/dcm.h"
@@ -23,21 +29,6 @@
 
 namespace moira {
 namespace {
-
-// Mirrors gen_nfs.cc / queries_quota.cc: "/u1" -> "u1".
-std::string Stem(const std::string& dir) {
-  std::string out;
-  for (char c : dir) {
-    if (c == '/') {
-      if (!out.empty()) {
-        out += '_';
-      }
-    } else {
-      out += c;
-    }
-  }
-  return out.empty() ? "root" : out;
-}
 
 // Flattens a table to comparable strings (one per live row).
 std::vector<std::string> DumpTable(Table* t) {
@@ -83,7 +74,7 @@ class QuotaQueryTest : public MoiraEnv {
         Value(MoiraContext::IntCell(mc_->nfsphys(), phys.row, "mach_id")), MR_MACHINE);
     EXPECT_EQ(MR_SUCCESS, mach.code);
     l.machine = MoiraContext::StrCell(mc_->machine(), mach.row, "name");
-    l.partition = Stem(MoiraContext::StrCell(mc_->nfsphys(), phys.row, "dir"));
+    l.partition = PartitionStem(MoiraContext::StrCell(mc_->nfsphys(), phys.row, "dir"));
     return l;
   }
 
@@ -114,7 +105,7 @@ TEST_F(QuotaQueryTest, ReportAccumulatesIntoUsageAndRollups) {
   EXPECT_EQ("300", user[4]);  // hard = site default
   EXPECT_EQ("300", user[5]);  // soft 0 means "soft = hard"
   EXPECT_EQ("1", user[6]);    // entries
-  // Deltas accumulate; the filesystem rollup tracks the same number (a home
+  // Deltas accumulate; the filesystem total tracks the same number (a home
   // locker has a single quota holder).
   ASSERT_EQ(MR_SUCCESS, Report(l, -30, 2));
   EXPECT_EQ("90", Status("USER", logins_[0])[2]);
@@ -203,7 +194,7 @@ TEST_F(QuotaQueryTest, ListStatusAggregatesDirectMembersAtQueryTime) {
   EXPECT_EQ("65", list[2]);   // 40 + 25
   EXPECT_EQ("600", list[4]);  // two default 300-unit hard limits
   EXPECT_EQ("2", list[6]);
-  // Membership churn is visible immediately — no stale group rollup.
+  // Membership churn is visible immediately: members expand at query time.
   ASSERT_EQ(MR_SUCCESS,
             RunRoot("delete_member_from_list", {"quota-watchers", "USER", logins_[1]}));
   EXPECT_EQ("40", Status("LIST", "quota-watchers")[2]);
@@ -219,6 +210,186 @@ TEST_F(QuotaQueryTest, StatusSelfAccessAndSweepStatsPrivilege) {
   std::vector<Tuple> stats;
   EXPECT_EQ(MR_SUCCESS, RunRoot("get_quota_sweep_stats", {}, &stats));
   EXPECT_EQ(7u, stats.size());
+}
+
+// get_quota_status's tuple for every USER, LIST and FILESYS, checked after
+// every step of a seeded mix of ingest (negative deltas included),
+// set_quota_limits, quota and filesystem deletes, membership churn and
+// sweeps against totals taken from full scans of quotausage, nfsquota and
+// members (the rule bench_quota's ScanAnswer uses).
+TEST_F(QuotaQueryTest, StatusMatchesFullScanTotalsUnderSeededChurn) {
+  const std::vector<std::string> lists = {"quota-prop-0", "quota-prop-1"};
+  for (const std::string& list : lists) {
+    ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {list, "1", "1", "0", "0", "0", "-1", "USER",
+                                               logins_[0], "quota property list"}));
+  }
+  // A sublist is not a direct USER member: its users never count.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {lists[0], "LIST", lists[1]}));
+
+  // Totals by users_id and by filsys_id: the eight status columns after kind
+  // and name (usage, reports, quota, soft, entries, soft_exceeded,
+  // grace_flagged, hard_noticed).
+  using Totals = std::array<int64_t, 8>;
+  auto scan = [&](const char* key, std::map<int64_t, Totals>* out) {
+    Table* usage = mc_->quotausage();
+    for (size_t row : From(usage).Rows()) {
+      Totals& t = (*out)[MoiraContext::IntCell(usage, row, key)];
+      t[0] += MoiraContext::IntCell(usage, row, "usage");
+      t[1] += MoiraContext::IntCell(usage, row, "reports");
+    }
+    Table* quota = mc_->nfsquota();
+    for (size_t row : From(quota).Rows()) {
+      Totals& t = (*out)[MoiraContext::IntCell(quota, row, key)];
+      int64_t hard = MoiraContext::IntCell(quota, row, "quota");
+      int64_t soft = MoiraContext::IntCell(quota, row, "soft");
+      int64_t flags = MoiraContext::IntCell(quota, row, "qflags");
+      t[2] += hard;
+      t[3] += soft > 0 ? soft : hard;
+      t[4] += 1;
+      t[5] += MoiraContext::IntCell(quota, row, "sexceeded") != 0 ? 1 : 0;
+      t[6] += (flags & kQuotaGraceExpired) != 0 ? 1 : 0;
+      t[7] += (flags & kQuotaHardNoticed) != 0 ? 1 : 0;
+    }
+  };
+  auto expect = [](const std::string& kind, const std::string& name, const Totals& t) {
+    Tuple tuple = {kind, name};
+    for (int64_t v : t) {
+      tuple.push_back(std::to_string(v));
+    }
+    return tuple;
+  };
+  auto check_all = [&](int step) {
+    std::map<int64_t, Totals> by_user;
+    std::map<int64_t, Totals> by_filsys;
+    scan("users_id", &by_user);
+    scan("filsys_id", &by_filsys);
+    for (const std::string& login : logins_) {
+      int64_t id = MoiraContext::IntCell(mc_->users(), mc_->UserByLogin(login).row, "users_id");
+      ASSERT_EQ(expect("USER", login, by_user[id]), Status("USER", login)) << "step " << step;
+    }
+    Table* members = mc_->members();
+    for (const std::string& list : lists) {
+      int64_t list_id = MoiraContext::IntCell(mc_->list(), mc_->ListByName(list).row, "list_id");
+      Totals sum{};
+      for (size_t row : From(members).Rows()) {
+        if (MoiraContext::IntCell(members, row, "list_id") == list_id &&
+            MoiraContext::StrCell(members, row, "member_type") == "USER") {
+          const Totals& t = by_user[MoiraContext::IntCell(members, row, "member_id")];
+          for (size_t i = 0; i < sum.size(); ++i) {
+            sum[i] += t[i];
+          }
+        }
+      }
+      ASSERT_EQ(expect("LIST", list, sum), Status("LIST", list)) << "step " << step;
+    }
+    Table* filesys = mc_->filesys();
+    for (size_t row : From(filesys).Rows()) {
+      std::string label = MoiraContext::StrCell(filesys, row, "label");
+      ASSERT_EQ(expect("FILESYS", label,
+                       by_filsys[MoiraContext::IntCell(filesys, row, "filsys_id")]),
+                Status("FILESYS", label))
+          << "step " << step;
+    }
+  };
+
+  SplitMix64 rng(20261019);
+  std::map<std::string, int64_t> seqs;  // per-machine report sequence
+  std::map<std::string, Locker> lockers;
+  for (const std::string& login : logins_) {
+    lockers[login] = LockerFor(login);
+  }
+  int reports = 0;
+  int clamped = 0;
+  int cascades = 0;
+  int notices = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::string& login = logins_[rng.Below(logins_.size())];
+    const Locker& l = lockers[login];
+    switch (rng.Below(11)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {
+        int64_t delta = rng.Between(-120, 160);
+        int64_t before = std::stoll(Status("USER", login)[2]);
+        if (Report(l, delta, ++seqs[l.machine]) == MR_SUCCESS) {
+          ++reports;
+          clamped += before + delta < 0 ? 1 : 0;
+        }
+        break;
+      }
+      case 4: {
+        int64_t hard = rng.Between(1, 400);
+        RunRoot("set_quota_limits", {login, login, std::to_string(rng.Between(0, hard)),
+                                     std::to_string(hard)});
+        break;
+      }
+      case 5:
+        cascades += RunRoot("delete_nfs_quota", {login, login}) == MR_SUCCESS ? 1 : 0;
+        break;
+      case 6:
+        if (rng.Chance(1, 3)) {
+          cascades += RunRoot("delete_filesys", {login}) == MR_SUCCESS ? 1 : 0;
+        }
+        break;
+      case 7:
+      case 8:
+        RunRoot("add_member_to_list", {lists[rng.Below(2)], "USER", login});
+        break;
+      case 9:
+        RunRoot("delete_member_from_list", {lists[rng.Below(2)], "USER", login});
+        break;
+      default: {
+        // A sweep past the grace window sets the grace and notice flags.
+        clock_.Advance(4 * kSecondsPerDay);
+        std::vector<Tuple> crossings;
+        ASSERT_EQ(MR_SUCCESS, RunRoot("process_quota_sweep", {}, &crossings));
+        notices += static_cast<int>(crossings.size());
+        break;
+      }
+    }
+    check_all(step);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  // The mix exercised what it claims to.
+  EXPECT_GT(reports, 50);
+  EXPECT_GT(clamped, 0);
+  EXPECT_GT(cascades, 2);
+  EXPECT_GT(notices, 0);
+}
+
+// A checkpoint written before quotarollup was dropped from the schema still
+// holds a file for it; loading ignores the file and restores the rest.
+TEST_F(QuotaQueryTest, CheckpointWithStaleRollupFileLoads) {
+  namespace fs = std::filesystem;
+  Locker l = LockerFor(logins_[0]);
+  ASSERT_EQ(MR_SUCCESS, Report(l, 120, 1));
+  Tuple before = Status("USER", logins_[0]);
+  fs::path root = fs::temp_directory_path() / "moira-test" / "quota-stale-rollup";
+  fs::remove_all(root);
+  ASSERT_TRUE(CheckpointManager::Write(*db_, root.string(), 9));
+  std::optional<CheckpointRef> checkpoint = CheckpointManager::Latest(root.string());
+  ASSERT_TRUE(checkpoint.has_value());
+  {
+    // kind:id:usage:reports:modtime, as the older dump wrote its rows.
+    std::ofstream rollup(fs::path(checkpoint->path) / "quotarollup");
+    rollup << "USER:1:120:1:568000000\nFILESYS:1:120:1:568000000\n";
+  }
+  Database db2(&clock_);
+  CreateMoiraSchema(&db2);
+  MoiraContext mc2(&db2);
+  ASSERT_TRUE(CheckpointManager::Load(&db2, *checkpoint));
+  EXPECT_EQ(nullptr, db2.GetTable("quotarollup"));
+  EXPECT_EQ(DumpTable(mc_->quotausage()), DumpTable(mc2.quotausage()));
+  std::vector<Tuple> after;
+  ASSERT_EQ(MR_SUCCESS, QueryRegistry::Instance().Execute(
+                            mc2, "root", "test", "get_quota_status", {"USER", logins_[0]},
+                            [&](Tuple t) { after.push_back(std::move(t)); }));
+  ASSERT_EQ(1u, after.size());
+  EXPECT_EQ(before, after[0]);
+  fs::remove_all(root);
 }
 
 class QuotaSweepTest : public QuotaQueryTest {
@@ -380,7 +551,6 @@ TEST_F(QuotaSweepTest, ReplayProducesIdenticalQuotaState) {
                                                 entry.query, entry.args, [](Tuple) {}));
   }
   EXPECT_EQ(DumpTable(mc_->quotausage()), DumpTable(mc2->quotausage()));
-  EXPECT_EQ(DumpTable(mc_->quotarollup()), DumpTable(mc2->quotarollup()));
   EXPECT_EQ(DumpTable(mc_->nfsquota()), DumpTable(mc2->nfsquota()));
   EXPECT_EQ(DumpTable(mc_->values()), DumpTable(mc2->values()));
 }
@@ -500,7 +670,6 @@ TEST(QuotaTelemetryTest, DuplicateDeliveryIsByteIdenticalToExactlyOnce) {
     }
   }
   EXPECT_EQ(DumpTable(clean.mc->quotausage()), DumpTable(faulty.mc->quotausage()));
-  EXPECT_EQ(DumpTable(clean.mc->quotarollup()), DumpTable(faulty.mc->quotarollup()));
   EXPECT_EQ(DumpTable(clean.mc->nfsquota()), DumpTable(faulty.mc->nfsquota()));
   // Zero missed and zero duplicate hard-limit notices, message for message.
   std::vector<ZephyrNotice> faulty_notices =
@@ -586,8 +755,7 @@ class DbckQuotaTest : public QuotaQueryTest {
     std::vector<DbckIssue> all = DbConsistencyChecker(mc_.get()).Check();
     std::vector<DbckIssue> quota;
     for (DbckIssue& issue : all) {
-      if (issue.table == "nfsquota" || issue.table == "quotausage" ||
-          issue.table == "quotarollup") {
+      if (issue.table == "nfsquota" || issue.table == "quotausage") {
         quota.push_back(std::move(issue));
       }
     }
@@ -618,24 +786,17 @@ TEST_F(DbckQuotaTest, DetectsAndRepairsQuotaInvariantViolations) {
   Table* usage = mc_->quotausage();
   size_t live_usage = From(usage).Rows()[0];
   MoiraContext::SetCell(usage, live_usage, "usage", Value(int64_t{-7}));
-  mc_->quotarollup()->Append({Value("BOGUS"), Value(int64_t{1}), Value(int64_t{5}),
-                              Value(int64_t{1}), Value(int64_t{0})});
-  Table* rollup = mc_->quotarollup();
-  size_t live_rollup = From(rollup).WhereEq("kind", Value("USER")).Rows()[0];
-  MoiraContext::SetCell(rollup, live_rollup, "usage", Value(int64_t{5555}));
   std::vector<DbckIssue> issues = QuotaIssues();
   EXPECT_TRUE(HasIssue(issues, "soft limit 900 exceeds hard quota"));
   EXPECT_TRUE(HasIssue(issues, "usage for missing user"));
   EXPECT_TRUE(HasIssue(issues, "negative usage -7"));
-  EXPECT_TRUE(HasIssue(issues, "unknown rollup kind BOGUS"));
-  EXPECT_TRUE(HasIssue(issues, "usage rows sum to"));
   for (const DbckIssue& issue : issues) {
     EXPECT_TRUE(issue.repairable) << issue.description;
   }
   // Repair fixes everything, reporting one line per violation.
   std::vector<std::string> log;
   int repaired = DbConsistencyChecker(mc_.get()).Repair(&log);
-  EXPECT_GE(repaired, 5);
+  EXPECT_GE(repaired, 3);
   EXPECT_EQ(static_cast<size_t>(repaired), log.size());
   ASSERT_TRUE(QuotaIssues().empty());
   // And is idempotent.
@@ -644,8 +805,8 @@ TEST_F(DbckQuotaTest, DetectsAndRepairsQuotaInvariantViolations) {
 
 TEST_F(DbckQuotaTest, CascadedQuotaDeleteLeavesConsistentAccounting) {
   // Usage accounted against a quota row, then the quota (and filesystem) is
-  // deleted through the query layer: the cascade must remove the usage and
-  // shrink the rollups so dbck stays clean.
+  // deleted through the query layer: the cascade must remove the usage so
+  // dbck stays clean and the totals drop.
   Locker l = LockerFor(logins_[0]);
   ASSERT_EQ(MR_SUCCESS, Report(l, 120, 1));
   ASSERT_EQ(MR_SUCCESS, RunRoot("delete_nfs_quota", {logins_[0], logins_[0]}));

@@ -153,23 +153,6 @@ TEST(JournalDirTest, TruncateCoveringLiveSealsItFirst) {
   EXPECT_EQ(6u, stamped.Append(MakeEntry(200, "q6")));
 }
 
-TEST(JournalDirTest, ClearWipesDisk) {
-  fs::path dir = TempDir("dir-clear");
-  Journal journal;
-  ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
-  journal.set_rotate_threshold(2);
-  for (int i = 1; i <= 5; ++i) {
-    journal.Append(MakeEntry(100 + i, "q" + std::to_string(i)));
-  }
-  journal.Clear();
-  EXPECT_TRUE(journal.entries().empty());
-  EXPECT_EQ(5u, journal.base_seq());
-  EXPECT_TRUE(DiskEntries(dir).empty());
-  // Appends continue the sequence into a fresh live file.
-  EXPECT_EQ(6u, journal.Append(MakeEntry(200, "q6")));
-  ASSERT_EQ(1u, DiskEntries(dir).size());
-}
-
 TEST(JournalDirTest, AttachRecoversAcrossSegmentsAndLive) {
   fs::path dir = TempDir("dir-recover");
   {

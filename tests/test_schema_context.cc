@@ -53,6 +53,14 @@ TEST_F(SchemaTest, DbadminBootstrapListExists) {
   EXPECT_EQ(MR_SUCCESS, dbadmin.code);
 }
 
+// The one rule gen_nfs.cc names partition files by and report_quota_usage
+// resolves a fileserver's report with.
+TEST_F(SchemaTest, PartitionStemFlattensPartitionDirectories) {
+  EXPECT_EQ("u1", PartitionStem("/u1"));
+  EXPECT_EQ("a_b", PartitionStem("/a/b"));
+  EXPECT_EQ("root", PartitionStem("/"));
+}
+
 class ContextTest : public MoiraEnv {};
 
 TEST_F(ContextTest, ExactOneSemantics) {
