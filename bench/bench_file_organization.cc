@@ -64,7 +64,7 @@ void PrintTable() {
   std::map<std::string, MeasuredRow> measured;
   const GeneratorResult* hesiod = site.dcm->StagedPayload("HESIOD");
   for (const auto& [name, contents] : hesiod->common.members()) {
-    measured[name] = {static_cast<long>(contents.size()), 1, 1};
+    measured[name] = {static_cast<long>(contents->size()), 1, 1};
   }
   const GeneratorResult* nfs = site.dcm->StagedPayload("NFS");
   long dirs_total = 0;
@@ -73,11 +73,11 @@ void PrintTable() {
   for (const auto& [host, archive] : nfs->per_host) {
     for (const auto& [name, contents] : archive.members()) {
       if (name.ends_with(".dirs")) {
-        dirs_total += static_cast<long>(contents.size());
+        dirs_total += static_cast<long>(contents->size());
       } else if (name.ends_with(".quotas")) {
-        quotas_total += static_cast<long>(contents.size());
+        quotas_total += static_cast<long>(contents->size());
       } else if (name == "credentials") {
-        credentials_size = static_cast<long>(contents.size());
+        credentials_size = static_cast<long>(contents->size());
       }
     }
   }
@@ -91,7 +91,7 @@ void PrintTable() {
   long acl_total = 0;
   int acl_count = 0;
   for (const auto& [name, contents] : zephyr->common.members()) {
-    acl_total += static_cast<long>(contents.size());
+    acl_total += static_cast<long>(contents->size());
     ++acl_count;
   }
   measured["class.acl"] = {acl_count > 0 ? acl_total / acl_count : 0, acl_count,

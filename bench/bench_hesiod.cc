@@ -20,7 +20,7 @@ std::vector<std::string>& PaperDbTexts() {
     GeneratorResult result;
     GenerateHesiod(*PaperSite().mc, &result);
     for (const auto& [name, contents] : result.common.members()) {
-      out->push_back(contents);
+      out->push_back(*contents);
     }
     return out;
   }();

@@ -27,7 +27,7 @@
 #             against a std::map reference); bench_propagation at 100k
 #             users, where journal deltas examine and ship >= 50x less and
 #             patched fleets match a full regeneration byte for byte, one
-#             NFS consumer on a 10k-user site holds 0 < x <= 64 heap bytes
+#             NFS consumer on a 10k-user site holds 0 < x <= 32 heap bytes
 #             per credentials line (consumer_memory), and one full HESIOD,
 #             NFS and SMTP generation on that site make <= 200 Table::Match
 #             calls together (full_generation).

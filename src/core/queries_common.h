@@ -77,9 +77,12 @@ bool SelfOnListAce(MoiraContext& mc, std::string_view principal,
 bool SelfOnServiceAce(MoiraContext& mc, std::string_view principal,
                       const std::vector<std::string>& args);
 
-// Removes the live quotausage rows for (user, partition).  Called when quota
-// rows are deleted so the accounting never dangles (queries_quota.cc).
-void RemoveQuotaUsage(MoiraContext& mc, int64_t users_id, int64_t phys_id);
+// Called before nfsquota row `quota_row` is deleted, so the accounting never
+// dangles (queries_quota.cc).  Usage is kept per (user, partition): while the
+// user holds another quota on the partition, the quotausage row stays and
+// is accounted under the filesystem of the quota ReportQuotaUsage will pick;
+// otherwise it is deleted.
+void RemoveQuotaUsage(MoiraContext& mc, size_t quota_row);
 
 // Renders an int64 cell as a decimal string.
 inline std::string IntStr(const Table* table, size_t row, const char* column) {

@@ -259,8 +259,7 @@ int32_t DeleteFilesys(QueryCall& call) {
   std::vector<size_t> quota_rows = From(quota).WhereEq("filsys_id", Value(filsys_id)).Rows();
   for (size_t row : quota_rows) {
     released += quota->Cell(row, q_col).AsInt();
-    RemoveQuotaUsage(mc, MoiraContext::IntCell(quota, row, "users_id"),
-                     MoiraContext::IntCell(quota, row, "phys_id"));
+    RemoveQuotaUsage(mc, row);
     quota->Delete(row);
   }
   ReleaseQuotaAllocation(mc, phys_id, released);
@@ -576,7 +575,7 @@ int32_t DeleteNfsQuota(QueryCall& call) {
   }
   Table* quota = mc.nfsquota();
   int64_t released = MoiraContext::IntCell(quota, row, "quota");
-  RemoveQuotaUsage(mc, MoiraContext::IntCell(quota, row, "users_id"), phys_id);
+  RemoveQuotaUsage(mc, row);
   quota->Delete(row);
   ReleaseQuotaAllocation(mc, phys_id, released);
   return MR_SUCCESS;

@@ -11,6 +11,7 @@
 // journalled query path, so replication, checkpoints, and incremental DCM
 // see them for free.
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -429,13 +430,33 @@ int32_t ProcessQuotaSweep(QueryCall& call) {
 
 }  // namespace
 
-void RemoveQuotaUsage(MoiraContext& mc, int64_t users_id, int64_t phys_id) {
+void RemoveQuotaUsage(MoiraContext& mc, size_t quota_row) {
+  Table* quota = mc.nfsquota();
+  const int64_t users_id = MoiraContext::IntCell(quota, quota_row, "users_id");
+  const int64_t phys_id = MoiraContext::IntCell(quota, quota_row, "phys_id");
+  // The quota ReportQuotaUsage will pick once this one is gone: the user's
+  // first other quota row on the partition.
+  std::optional<size_t> remaining;
+  for (size_t row : From(quota)
+                        .WhereEq("users_id", Value(users_id))
+                        .WhereEq("phys_id", Value(phys_id))
+                        .Rows()) {
+    if (row != quota_row) {
+      remaining = row;
+      break;
+    }
+  }
   Table* usage = mc.quotausage();
   for (size_t row : From(usage)
                         .WhereEq("users_id", Value(users_id))
                         .WhereEq("phys_id", Value(phys_id))
                         .Rows()) {
-    usage->Delete(row);
+    if (remaining.has_value()) {
+      MoiraContext::SetCell(usage, row, "filsys_id",
+                            Value(MoiraContext::IntCell(quota, *remaining, "filsys_id")));
+    } else {
+      usage->Delete(row);
+    }
   }
 }
 

@@ -93,10 +93,10 @@ ServicePatch DiffResults(const GeneratorResult& old_result,
                          std::map<std::string, MemberEdit>* edits) {
     for (const auto& [member, contents] : new_archive.members()) {
       const std::string* old_contents = old_archive.Find(member);
-      if (old_contents == nullptr || *old_contents != contents) {
+      if (old_contents == nullptr || *old_contents != *contents) {
         MemberEdit edit;
         edit.replace = true;
-        edit.replacement = contents;
+        edit.replacement = *contents;
         (*edits)[member] = std::move(edit);
       }
     }
@@ -116,7 +116,39 @@ ServicePatch DiffResults(const GeneratorResult& old_result,
   return sp;
 }
 
+// The number of distinct generated files in a result: members of one name
+// with equal bytes (the credentials file of every unrestricted NFS server)
+// count once.  Each distinct buffer is CRC'd once.
+int CountDistinctFiles(const GeneratorResult& result) {
+  std::map<const std::string*, uint32_t> crcs;
+  std::set<std::pair<std::string_view, uint32_t>> distinct;
+  auto add = [&](const Archive& archive) {
+    for (const auto& [name, contents] : archive.members()) {
+      auto [it, fresh] = crcs.emplace(contents.get(), 0);
+      if (fresh) {
+        it->second = Crc32(*contents);
+      }
+      distinct.emplace(name, it->second);
+    }
+  };
+  add(result.common);
+  for (const auto& [host, archive] : result.per_host) {
+    add(archive);
+  }
+  return static_cast<int>(distinct.size());
+}
+
 }  // namespace
+
+// One edit resolved in a service's pass, kept so that a host with an equal
+// edit on the same base buffer reuses its result.
+struct Dcm::ResolvedEdit {
+  std::string member;
+  FileBytes base;         // held, so its address is not reused in the pass
+  const MemberEdit* edit; // owned by the pass's ServicePatch
+  FileBytes result;       // null: the edit left the bytes as they were
+  FilePatch patch;        // set when result is
+};
 
 // Snapshot of one servers-relation row the DCM works from.
 struct Dcm::ServiceRow {
@@ -174,39 +206,50 @@ void Dcm::ChargeGenerationRows(MoiraContext& gen, int64_t rows_before,
 
 bool Dcm::ResolveEdits(const std::map<std::string, MemberEdit>& edits,
                        const std::string& script, Archive* archive,
-                       ArchivePatch* out) {
+                       ArchivePatch* out, EditMemo* memo) {
   static const std::string kEmptyBase;
   InstallPaths paths(script);
   for (const auto& [member, edit] : edits) {
-    const std::string* old_contents = archive->Find(member);
-    if (old_contents == nullptr) {
-      // A keyed edit needs the member's current bytes; only whole-file
-      // replacements may introduce a member (hosts that already carry a
-      // stale copy fail the base CRC and take the full archive).
-      if (!edit.replace) {
-        return false;
-      }
-      old_contents = &kEmptyBase;
+    FileBytes base = archive->Share(member);
+    // A keyed edit needs the member's current bytes; only whole-file
+    // replacements may introduce a member (hosts that already carry a stale
+    // copy fail the base CRC and take the full archive).
+    if (base == nullptr && !edit.replace) {
+      return false;
     }
+    auto [first, last] = memo->equal_range(base.get());
+    auto repeat = std::find_if(first, last, [&](const auto& entry) {
+      return entry.second.member == member && *entry.second.edit == edit;
+    });
+    if (repeat != last) {
+      if (repeat->second.result != nullptr) {
+        out->Add(repeat->second.patch);
+        archive->Add(member, repeat->second.result);
+      }
+      continue;
+    }
+    const std::string& old_contents = base != nullptr ? *base : kEmptyBase;
     std::string fresh;
     if (edit.replace) {
       fresh = edit.replacement;
     } else {
       std::optional<std::string> spliced =
-          SpliceKeyedOps(*old_contents, edit.rule, edit.ops);
+          SpliceKeyedOps(old_contents, edit.rule, edit.ops);
       if (!spliced.has_value()) {
         return false;  // the staged member is not canonical: regenerate
       }
       fresh = std::move(*spliced);
     }
-    if (fresh == *old_contents) {
+    ResolvedEdit& resolved =
+        memo->emplace(base.get(), ResolvedEdit{member, base, &edit, nullptr, {}})->second;
+    if (fresh == old_contents) {
       continue;  // the mutation had no effect on this member's bytes
     }
-    FilePatch patch;
+    FilePatch& patch = resolved.patch;
     patch.member = member;
     patch.path = paths.For(member);
     patch.key_rule = edit.rule;
-    patch.base_crc = Crc32(*old_contents);
+    patch.base_crc = Crc32(old_contents);
     patch.result_crc = Crc32(fresh);
     patch.replace = edit.replace;
     if (edit.replace) {
@@ -214,8 +257,9 @@ bool Dcm::ResolveEdits(const std::map<std::string, MemberEdit>& edits,
     } else {
       patch.ops = edit.ops;
     }
-    out->Add(std::move(patch));
-    archive->Add(member, std::move(fresh));
+    resolved.result = MakeFileBytes(std::move(fresh));
+    out->Add(patch);
+    archive->Add(member, resolved.result);
   }
   return true;
 }
@@ -280,18 +324,7 @@ void Dcm::GeneratePhase(const ServiceRow& service, DcmRunSummary* summary) {
     MoiraContext::SetCellInternal(servers, service.row, "inprogress", Value(int64_t{0}));
     return;
   }
-  // Count distinct generated files: per-host members with identical content
-  // (e.g. a shared credentials file) count once.
-  std::set<std::pair<std::string, uint32_t>> distinct;
-  for (const auto& [name, contents] : result.common.members()) {
-    distinct.emplace(name, Crc32(contents));
-  }
-  for (const auto& [host, archive] : result.per_host) {
-    for (const auto& [name, contents] : archive.members()) {
-      distinct.emplace(name, Crc32(contents));
-    }
-  }
-  summary->files_generated += static_cast<int>(distinct.size());
+  summary->files_generated += CountDistinctFiles(result);
   staged_[service.name] = std::move(result);
   MoiraContext::SetCellInternal(servers, service.row, "dfgen", Value(now));
   MoiraContext::SetCellInternal(servers, service.row, "dfcheck", Value(now));
@@ -325,19 +358,6 @@ void Dcm::JournalGenerate(const ServiceRow& service, const DcmServiceConfig& con
     ++summary->services_delta_skipped;
   };
 
-  auto count_distinct_files = [&](const GeneratorResult& result) {
-    std::set<std::pair<std::string, uint32_t>> distinct;
-    for (const auto& [name, contents] : result.common.members()) {
-      distinct.emplace(name, Crc32(contents));
-    }
-    for (const auto& [host, archive] : result.per_host) {
-      for (const auto& [name, contents] : archive.members()) {
-        distinct.emplace(name, Crc32(contents));
-      }
-    }
-    summary->files_generated += static_cast<int>(distinct.size());
-  };
-
   // Full regeneration: first pass, truncated journal, unbounded mutation
   // reach, or a patch build that could not complete.  Clears the patch state
   // so every host takes the full archive.
@@ -358,7 +378,7 @@ void Dcm::JournalGenerate(const ServiceRow& service, const DcmServiceConfig& con
       ++summary->generation_hard_errors;
       return;
     }
-    count_distinct_files(result);
+    summary->files_generated += CountDistinctFiles(result);
     staged_[service.name] = std::move(result);
     advance(/*bump_dfgen=*/true);
     ++summary->services_generated;
@@ -424,8 +444,10 @@ void Dcm::JournalGenerate(const ServiceRow& service, const DcmServiceConfig& con
     ps.base_dfgen = MoiraContext::IntCell(servers, service.row, "dfgen");
     ps.script = PatchScript(config.script);
     int total_files = 0;
+    // The edits resolved in this pass, emptied when the pass ends.
+    EditMemo memo;
     ArchivePatch common_patch;
-    if (!ResolveEdits(sp.common, config.script, &staged.common, &common_patch)) {
+    if (!ResolveEdits(sp.common, config.script, &staged.common, &common_patch, &memo)) {
       full_regen(/*truncated=*/false);
       return;
     }
@@ -441,7 +463,7 @@ void Dcm::JournalGenerate(const ServiceRow& service, const DcmServiceConfig& con
         return;
       }
       ArchivePatch host_patch;
-      if (!ResolveEdits(edits, config.script, &archive_it->second, &host_patch)) {
+      if (!ResolveEdits(edits, config.script, &archive_it->second, &host_patch, &memo)) {
         full_regen(/*truncated=*/false);
         return;
       }

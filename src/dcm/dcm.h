@@ -182,10 +182,15 @@ class Dcm {
   // Applies keyed/replace edits to `archive` in place and appends a
   // FilePatch per member whose bytes changed.  Returns false when a keyed
   // edit references a missing member or one not in canonical keyed form
-  // (caller escalates to a full regeneration).
+  // (caller escalates to a full regeneration).  Each distinct pair of base
+  // buffer (matched by identity) and edit (matched by value) is resolved
+  // once per pass: a repeat in `memo` shares the first result's buffer and
+  // FilePatch, and a recorded no-op stays a no-op.
+  struct ResolvedEdit;
+  using EditMemo = std::multimap<const std::string*, ResolvedEdit>;  // by base
   bool ResolveEdits(const std::map<std::string, MemberEdit>& edits,
                     const std::string& script, Archive* archive,
-                    ArchivePatch* out);
+                    ArchivePatch* out, EditMemo* memo);
 
   MoiraContext* mc_;
   ZephyrBus* zephyr_;

@@ -28,7 +28,7 @@ void DirtyListExpansion(MoiraContext& mc, DeltaPlan* plan,
   }
   int64_t list_id = MoiraContext::IntCell(mc.list(), list.row, "list_id");
   for (const std::string& login :
-       ExpandListToLogins(mc, list_id, /*active_only=*/true)) {
+       ExpandListToUserLogins(mc, list_id, /*active_only=*/true)) {
     if (mc.UserByLogin(login).code == MR_SUCCESS) {
       plan->users.insert(login);
     }

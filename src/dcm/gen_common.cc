@@ -9,8 +9,9 @@
 namespace moira {
 namespace {
 
-// Recursive expansion with cycle protection.
-void ExpandInto(MoiraContext& mc, int64_t list_id, bool active_only,
+// Recursive expansion with cycle protection; STRING members go into `out`
+// verbatim only if `with_strings`.
+void ExpandInto(MoiraContext& mc, int64_t list_id, bool active_only, bool with_strings,
                 std::set<int64_t>* seen_lists, std::set<std::string>* out) {
   if (!seen_lists->insert(list_id).second) {
     return;
@@ -32,8 +33,8 @@ void ExpandInto(MoiraContext& mc, int64_t list_id, bool active_only,
       }
       out->insert(MoiraContext::StrCell(mc.users(), user.row, "login"));
     } else if (type == "LIST") {
-      ExpandInto(mc, member_id, active_only, seen_lists, out);
-    } else if (type == "STRING") {
+      ExpandInto(mc, member_id, active_only, with_strings, seen_lists, out);
+    } else if (type == "STRING" && with_strings) {
       out->insert(mc.StringById(member_id));
     }
   }
@@ -154,7 +155,15 @@ std::vector<std::string> ExpandListToLogins(MoiraContext& mc, int64_t list_id,
                                             bool active_only) {
   std::set<int64_t> seen;
   std::set<std::string> logins;
-  ExpandInto(mc, list_id, active_only, &seen, &logins);
+  ExpandInto(mc, list_id, active_only, /*with_strings=*/true, &seen, &logins);
+  return {logins.begin(), logins.end()};
+}
+
+std::vector<std::string> ExpandListToUserLogins(MoiraContext& mc, int64_t list_id,
+                                                bool active_only) {
+  std::set<int64_t> seen;
+  std::set<std::string> logins;
+  ExpandInto(mc, list_id, active_only, /*with_strings=*/false, &seen, &logins);
   return {logins.begin(), logins.end()};
 }
 

@@ -7,7 +7,11 @@
 // path share; *.dirs changes only on filesystem-topology mutations, which
 // escalate to a full NFS regeneration.  The full build reads each table once
 // (src/dcm/gen_reads.h); the patch path probes for its dirty records.  Both
-// take a value3-restricted server's logins from ExpandListToLogins.
+// take a value3-restricted server's logins from ExpandListToUserLogins.
+//
+// Every server whose value3 is blank gets the same credentials: the full
+// build adds one master buffer to each of their archives, and the patch path
+// gives each of them an equal edit, which the DCM resolves once per pass.
 #include <map>
 #include <optional>
 #include <set>
@@ -89,7 +93,7 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
   ListMembers members(mc.members());
   const std::map<int64_t, std::vector<GroupMembership>> groups =
       UserGroupMap(users, lists, members);
-  const std::string master_credentials = BuildCredentials(users, groups, nullptr);
+  const FileBytes master_credentials = MakeFileBytes(BuildCredentials(users, groups, nullptr));
   const int uid_col = users.table()->ColumnIndex("uid");
 
   // .dirs lines by physical partition: directory name, owning uid, owning
@@ -166,7 +170,7 @@ int32_t GenerateNfs(MoiraContext& mc, GeneratorResult* out) {
       RowRef list = mc.ListByName(value3);
       std::string credentials;
       if (list.code == MR_SUCCESS) {
-        const std::vector<std::string> logins = ExpandListToLogins(
+        const std::vector<std::string> logins = ExpandListToUserLogins(
             mc, MoiraContext::IntCell(mc.list(), list.row, "list_id"), /*active_only=*/true);
         const std::set<std::string_view> allowed(logins.begin(), logins.end());
         credentials = BuildCredentials(users, groups, &allowed);
@@ -184,7 +188,24 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
   // Per-user credentials edits, fanned out to every NFS serverhost (each may
   // restrict its credentials file to one list's membership via value3).
   if (!plan.users.empty()) {
+    // Each dirty login's line, or nullopt when the user is not active,
+    // computed once; a host only filters them by its value3 list.
+    std::vector<std::pair<const std::string*, std::optional<std::string>>> lines;
+    lines.reserve(plan.users.size());
     const UserReader read_user(mc.users());
+    for (const std::string& login : plan.users) {
+      RowRef user = mc.UserByLogin(login);
+      if (user.code != MR_SUCCESS) {
+        return user.code;
+      }
+      std::optional<std::string> line;
+      if (MoiraContext::IntCell(mc.users(), user.row, "status") == kUserActive) {
+        line = CredentialLine(
+            read_user.Read(user.row),
+            UserGroupsFor(mc, MoiraContext::IntCell(mc.users(), user.row, "users_id")));
+      }
+      lines.emplace_back(&login, std::move(line));
+    }
     Table* sh = mc.serverhosts();
     int sh_mach_col = sh->ColumnIndex("mach_id");
     int sh_value3_col = sh->ColumnIndex("value3");
@@ -207,7 +228,7 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
         if (list.code != MR_SUCCESS) {
           continue;  // full build ships an empty credentials file
         }
-        for (const std::string& login : ExpandListToLogins(
+        for (const std::string& login : ExpandListToUserLogins(
                  mc, MoiraContext::IntCell(mc.list(), list.row, "list_id"),
                  /*active_only=*/true)) {
           allowed.insert(login);
@@ -215,20 +236,11 @@ int32_t BuildNfsPatch(MoiraContext& mc, const DeltaPlan& plan,
       }
       MemberEdit& edit = out->per_host[machine_name]["credentials"];
       edit.rule = KeyRule::kUpToColon;
-      for (const std::string& login : plan.users) {
-        RowRef user = mc.UserByLogin(login);
-        if (user.code != MR_SUCCESS) {
-          return user.code;
-        }
-        bool present =
-            MoiraContext::IntCell(mc.users(), user.row, "status") == kUserActive &&
-            (!restrict || allowed.contains(login));
-        if (present) {
-          int64_t users_id = MoiraContext::IntCell(mc.users(), user.row, "users_id");
-          Upsert(&edit, login,
-                 CredentialLine(read_user.Read(user.row), UserGroupsFor(mc, users_id)));
+      for (const auto& [login, line] : lines) {
+        if (line.has_value() && (!restrict || allowed.contains(*login))) {
+          Upsert(&edit, *login, *line);
         } else {
-          Delete(&edit, login);
+          Delete(&edit, *login);
         }
       }
     }

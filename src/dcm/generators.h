@@ -63,6 +63,8 @@ struct MemberEdit {
   bool replace = false;       // whole-file rebuild (unkeyed members)
   std::string replacement;    // contents when replace is set
   std::vector<PatchOp> ops;   // keyed edits otherwise
+
+  bool operator==(const MemberEdit&) const = default;
 };
 
 // The edits a delta plan implies for one service: edits against the common
@@ -95,10 +97,18 @@ int32_t BuildMailPatch(MoiraContext& mc, const DeltaPlan& plan,
 // --- helpers shared by the generators (exposed for tests) ---
 
 // Recursively expands a list to its USER member logins (active users only if
-// `active_only`); STRING members are returned verbatim.  The patch builders
-// and the Zephyr generator probe through it.
+// `active_only`); STRING members are returned verbatim.  The Zephyr
+// generator probes through it, since an ACL names its STRING members.
 std::vector<std::string> ExpandListToLogins(MoiraContext& mc, int64_t list_id,
                                             bool active_only);
+
+// The same expansion without STRING members: only the logins of users
+// reached through USER members and LIST containment, so a STRING member that
+// spells a login admits no one.  A value3-restricted NFS server's
+// credentials (full build and patch path) and the delta plan's dirty-list
+// expansion use it.
+std::vector<std::string> ExpandListToUserLogins(MoiraContext& mc, int64_t list_id,
+                                                bool active_only);
 
 // The (group name, gid) pairs of every active group list a user belongs to,
 // directly or through sub-lists, in ascending list id.  Only USER members

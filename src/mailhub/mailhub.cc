@@ -7,12 +7,12 @@
 namespace moira {
 
 int MailhubSim::InstallStagedAliases(const std::string& staged_path) {
-  const std::string* staged = host_->ReadFile(staged_path);
+  FileBytes staged = host_->ShareFile(staged_path);
   if (staged == nullptr) {
     return -1;
   }
   // The switchover: the staged file becomes the live aliases file.
-  host_->WriteFileDirect("/usr/lib/aliases", *staged);
+  host_->WriteFileDirect("/usr/lib/aliases", staged);
   aliases_.clear();
   size_t pos = 0;
   const std::string& contents = *staged;

@@ -62,25 +62,29 @@ constexpr char kDefaultLogin[] = "# Athena default .login\nsource /usr/athena/li
 
 }  // namespace
 
-int NfsServerSim::ApplyCredentials(const std::string& contents) {
-  if (contents.size() > std::numeric_limits<uint32_t>::max()) {
+NfsServerSim::NfsServerSim(SimHost* host)
+    : host_(host), cshrc_(MakeFileBytes(kDefaultCshrc)), login_(MakeFileBytes(kDefaultLogin)) {}
+
+int NfsServerSim::ApplyCredentials(FileBytes contents) {
+  if (contents->size() > std::numeric_limits<uint32_t>::max()) {
     std::fprintf(stderr, "moira: a %zu-byte credentials file does not fit 32-bit line spans\n",
-                 contents.size());
+                 contents->size());
     std::abort();
   }
-  credentials_text_.assign(contents);
+  credentials_file_ = std::move(contents);
   credentials_.clear();
+  const std::string& text = *credentials_file_;
   std::vector<std::string_view> fields;
   NfsCredential credential;
   bool ascending = true;  // strictly, so no login repeats
   std::string_view last;
-  int status = ForEachLine(credentials_text_, [&](std::string_view line) {
+  int status = ForEachLine(text, [&](std::string_view line) {
     if (!ParseCredential(line, &fields, &credential)) {
       return false;
     }
     ascending = ascending && (credentials_.empty() || last < fields[0]);
     last = fields[0];
-    credentials_.push_back(LineSpan{static_cast<uint32_t>(line.data() - credentials_text_.data()),
+    credentials_.push_back(LineSpan{static_cast<uint32_t>(line.data() - text.data()),
                                     static_cast<uint32_t>(line.size())});
     return true;
   });
@@ -155,8 +159,8 @@ int NfsServerSim::ApplyDirs(const std::string& contents) {
     ++lockers_created_;
     // HOMEDIR lockers are loaded with the default init files.
     if (fields[3] == "HOMEDIR") {
-      host_->WriteFileDirect(dir + "/.cshrc", kDefaultCshrc);
-      host_->WriteFileDirect(dir + "/.login", kDefaultLogin);
+      host_->WriteFileDirect(dir + "/.cshrc", cshrc_);
+      host_->WriteFileDirect(dir + "/.login", login_);
     }
     return true;
   });
@@ -166,15 +170,16 @@ int NfsServerSim::ApplyMoiraFiles(const std::string& dir) {
   std::string prefix = dir + "/";
   int status = 0;
   for (const std::string& path : host_->ListFiles(prefix)) {
-    const std::string& contents = *host_->ReadFile(path);
+    // Shared, not borrowed: applying .dirs writes the host's files.
+    FileBytes contents = host_->ShareFile(path);
     if (path == prefix + "credentials") {
-      status |= ApplyCredentials(contents);
+      status |= ApplyCredentials(std::move(contents));
     } else if (path.ends_with(".quotas")) {
       std::string stem =
           path.substr(prefix.size(), path.size() - prefix.size() - 7 /* ".quotas" */);
-      status |= ApplyQuotas(stem, contents);
+      status |= ApplyQuotas(stem, *contents);
     } else if (path.ends_with(".dirs")) {
-      status |= ApplyDirs(contents);
+      status |= ApplyDirs(*contents);
     }
   }
   return status;
@@ -231,7 +236,7 @@ std::vector<UsageReportLine> NfsServerSim::DrainUsageReports() {
 }
 
 std::string_view NfsServerSim::LineOf(LineSpan span) const {
-  return std::string_view(credentials_text_).substr(span.pos, span.len);
+  return std::string_view(*credentials_file_).substr(span.pos, span.len);
 }
 
 const NfsServerSim::LineSpan* NfsServerSim::FindCredential(std::string_view login) const {

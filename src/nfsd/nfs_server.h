@@ -4,8 +4,9 @@
 // <partition>.quotas, and <partition>.dirs — and performs what the paper's
 // shell script does: "mkdir <username>, chown, chgrp, chmod - using
 // directories file; setquota <quota> - using quotas file".  Lockers of type
-// HOMEDIR are loaded with the default init files.  Creation is idempotent:
-// an existing locker is never re-created, so user files survive updates.
+// HOMEDIR are loaded with the default init files, every locker's copy
+// sharing one buffer per file.  Creation is idempotent: an existing locker
+// is never re-created, so user files survive updates.
 //
 // The quota engine (DESIGN.md "Quota engine") closes the loop in the other
 // direction: the server tracks per-uid simulated disk usage (grown by the
@@ -52,7 +53,7 @@ class NfsServerSim {
  public:
   // The server owns no files itself; it reads and writes through the host's
   // simulated filesystem.
-  explicit NfsServerSim(SimHost* host) : host_(host) {}
+  explicit NfsServerSim(SimHost* host);
 
   // The update_lockers script: parses every credentials/*.quotas/*.dirs file
   // under `dir` and applies it.  Returns 0 on success, 1 on a parse error —
@@ -69,7 +70,9 @@ class NfsServerSim {
   std::optional<int64_t> QuotaFor(int64_t uid) const;
 
   // Credentials lookups, as the server would consult for NFS access mapping.
-  // CredentialFor parses the login's line on each call; nullopt if absent.
+  // They answer from the credentials file last applied, even after the host
+  // overwrites or removes it.  CredentialFor parses the login's line on each
+  // call; nullopt if absent.
   bool HasCredential(std::string_view login) const;
   std::optional<NfsCredential> CredentialFor(std::string_view login) const;
 
@@ -88,13 +91,13 @@ class NfsServerSim {
   int64_t report_seq() const { return report_seq_; }
 
  private:
-  // One credentials line ("login:uid[:gid...]", trimmed) in credentials_text_.
+  // One credentials line ("login:uid[:gid...]", trimmed) in credentials_file_.
   struct LineSpan {
     uint32_t pos = 0;
     uint32_t len = 0;
   };
 
-  int ApplyCredentials(const std::string& contents);
+  int ApplyCredentials(FileBytes contents);
   int ApplyQuotas(const std::string& partition, const std::string& contents);
   int ApplyDirs(const std::string& contents);
   std::string_view LineOf(LineSpan span) const;
@@ -108,10 +111,13 @@ class NfsServerSim {
   std::map<int64_t, int64_t> usage_;               // uid -> live units
   std::map<int64_t, int64_t> reported_;            // uid -> last drained units
   int64_t report_seq_ = 0;
-  // The applied credentials file, kept as text: one buffer, reused across
-  // applies, and one span per login, ascending by login.
-  std::string credentials_text_;
+  // The applied credentials file, a reference to the host file's buffer
+  // rather than a copy, and one span of it per login, ascending by login.
+  FileBytes credentials_file_;
   std::vector<LineSpan> credentials_;
+  // The default init files every HOMEDIR locker on the host shares.
+  FileBytes cshrc_;
+  FileBytes login_;
   int lockers_created_ = 0;
 };
 

@@ -41,6 +41,10 @@ bool GetCounted(std::string_view* in, std::string_view* s) {
 }  // namespace
 
 void Archive::Add(std::string name, std::string contents) {
+  Add(std::move(name), MakeFileBytes(std::move(contents)));
+}
+
+void Archive::Add(std::string name, FileBytes contents) {
   for (auto& [existing_name, existing_contents] : members_) {
     if (existing_name == name) {
       existing_contents = std::move(contents);
@@ -50,7 +54,7 @@ void Archive::Add(std::string name, std::string contents) {
   members_.emplace_back(std::move(name), std::move(contents));
 }
 
-const std::string* Archive::Find(std::string_view name) const {
+const FileBytes* Archive::Slot(std::string_view name) const {
   for (const auto& [member_name, contents] : members_) {
     if (member_name == name) {
       return &contents;
@@ -59,10 +63,20 @@ const std::string* Archive::Find(std::string_view name) const {
   return nullptr;
 }
 
+const std::string* Archive::Find(std::string_view name) const {
+  const FileBytes* slot = Slot(name);
+  return slot != nullptr ? slot->get() : nullptr;
+}
+
+FileBytes Archive::Share(std::string_view name) const {
+  const FileBytes* slot = Slot(name);
+  return slot != nullptr ? *slot : nullptr;
+}
+
 size_t Archive::ContentBytes() const {
   size_t total = 0;
   for (const auto& [name, contents] : members_) {
-    total += contents.size();
+    total += contents->size();
   }
   return total;
 }
@@ -70,7 +84,7 @@ size_t Archive::ContentBytes() const {
 std::string Archive::Serialize() const {
   size_t size = sizeof(kMagic) + 2 * sizeof(uint32_t);  // magic, count, CRC
   for (const auto& [name, contents] : members_) {
-    size += 2 * sizeof(uint32_t) + name.size() + contents.size();
+    size += 2 * sizeof(uint32_t) + name.size() + contents->size();
   }
   std::string out;
   out.reserve(size);
@@ -78,7 +92,7 @@ std::string Archive::Serialize() const {
   PutU32(&out, static_cast<uint32_t>(members_.size()));
   for (const auto& [name, contents] : members_) {
     PutCounted(&out, name);
-    PutCounted(&out, contents);
+    PutCounted(&out, *contents);
   }
   PutU32(&out, Crc32(out));
   return out;
@@ -130,7 +144,7 @@ std::optional<Archive> Archive::Parse(std::string_view bytes) {
   Archive archive;
   archive.members_.reserve(views->size());
   for (const ArchiveMemberView& member : *views) {
-    archive.members_.emplace_back(member.name, member.contents);
+    archive.members_.emplace_back(member.name, MakeFileBytes(std::string(member.contents)));
   }
   return archive;
 }

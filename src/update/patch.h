@@ -96,6 +96,8 @@ struct PatchOp {
   Kind kind = kUpsert;
   std::string key;
   std::string block;  // empty for kDelete
+
+  bool operator==(const PatchOp&) const = default;
 };
 
 // Edits for one installed file.

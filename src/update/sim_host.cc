@@ -18,10 +18,19 @@ bool SimHost::HasFile(std::string_view path) const { return files_.contains(path
 
 const std::string* SimHost::ReadFile(std::string_view path) const {
   auto it = files_.find(path);
-  return it != files_.end() ? &it->second : nullptr;
+  return it != files_.end() ? it->second.get() : nullptr;
+}
+
+FileBytes SimHost::ShareFile(std::string_view path) const {
+  auto it = files_.find(path);
+  return it != files_.end() ? it->second : nullptr;
 }
 
 void SimHost::WriteFileDirect(std::string_view path, std::string contents) {
+  WriteFileDirect(path, MakeFileBytes(std::move(contents)));
+}
+
+void SimHost::WriteFileDirect(std::string_view path, FileBytes contents) {
   if (path == session_target_) {
     session_archive_.reset();
   }
@@ -174,10 +183,11 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
     if (members == nullptr) {
       return MR_UPDATE_EXEC;
     }
-    std::vector<std::pair<std::string, std::string>> staged;
+    std::vector<std::pair<std::string, FileBytes>> staged;
     staged.reserve(members->size());
     for (const ArchiveMemberView& member : *members) {
-      staged.emplace_back(words[1] + "/" + std::string(member.name), std::string(member.contents));
+      staged.emplace_back(words[1] + "/" + std::string(member.name),
+                          MakeFileBytes(std::string(member.contents)));
     }
     for (auto& [dest, contents] : staged) {
       FlushWrites(dest, std::move(contents));
@@ -199,7 +209,7 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
       *errmsg = "transferred file is not a valid patch";
       return MR_UPDATE_EXEC;
     }
-    std::vector<std::pair<std::string, std::string>> staged;
+    std::vector<std::pair<std::string, FileBytes>> staged;
     staged.reserve(patch->size());
     for (const FilePatch& file : patch->files()) {
       const std::string* base = ReadFile(file.path);
@@ -211,7 +221,7 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
         *errmsg = "patch base mismatch: " + file.path;
         return MR_UPDATE_PATCH;
       }
-      staged.emplace_back(file.path, std::move(*result));
+      staged.emplace_back(file.path, MakeFileBytes(std::move(*result)));
     }
     for (auto& [path, contents] : staged) {
       FlushWrites(path, std::move(contents));
@@ -266,7 +276,7 @@ int32_t SimHost::RunInstruction(std::string_view line, std::string* errmsg) {
   return MR_UPDATE_EXEC;
 }
 
-void SimHost::FlushWrites(const std::string& path, std::string contents) {
+void SimHost::FlushWrites(const std::string& path, FileBytes contents) {
   auto current = files_.find(path);
   if (current != files_.end()) {
     WriteFileDirect(path + kBackupSuffix, std::move(current->second));
@@ -274,7 +284,7 @@ void SimHost::FlushWrites(const std::string& path, std::string contents) {
   if (ConsumeFailMode(HostFailMode::kTornFlush)) {
     // Silent partial write: the caller (and thus the DCM) still sees
     // success, so the host's lts advances over a torn file.
-    contents.resize(contents.size() / 2);
+    contents = MakeFileBytes(contents->substr(0, contents->size() / 2));
   }
   WriteFileDirect(path, std::move(contents));
 }

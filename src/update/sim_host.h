@@ -58,9 +58,20 @@ class SimHost {
   const std::string& name() const { return name_; }
 
   // --- filesystem ---
+  // Each file is one FileBytes buffer: an install, a backup and a revert move
+  // references, and a reader may share the buffer instead of copying it.
   bool HasFile(std::string_view path) const;
+  // The file's bytes, or nullptr.  The pointer is valid until `path` is next
+  // written or removed, so no caller may hold it across such a write; a
+  // caller that needs the bytes longer shares them with ShareFile.
   const std::string* ReadFile(std::string_view path) const;
+  // The file's buffer, or null.  It keeps its bytes whatever later happens
+  // to `path`.
+  FileBytes ShareFile(std::string_view path) const;
+  // The string overload puts `contents` in a new buffer; the FileBytes
+  // overload installs a reference to `contents`, which must not be null.
   void WriteFileDirect(std::string_view path, std::string contents);
+  void WriteFileDirect(std::string_view path, FileBytes contents);
   void RemoveFile(std::string_view path);
   // Paths that start with `prefix` (every path by default), in path order.
   std::vector<std::string> ListFiles(std::string_view prefix = {}) const;
@@ -111,10 +122,12 @@ class SimHost {
   bool ConsumeFailMode(HostFailMode mode);
   int32_t RunInstruction(std::string_view line, std::string* errmsg);
   // Installs `contents` at `path` with the backup discipline shared by
-  // install/syncdir/applypatch.  A kTornFlush draw truncates the write but
-  // still reports success — the torn file is only caught later, by the next
-  // patch's base-CRC verification.
-  void FlushWrites(const std::string& path, std::string contents);
+  // install/syncdir/applypatch: the current buffer becomes the backup.  A
+  // kTornFlush draw installs a new buffer holding the first half of
+  // `contents` (a shared buffer is never edited) but still reports success —
+  // the torn file is only caught later, by the next patch's base-CRC
+  // verification.
+  void FlushWrites(const std::string& path, FileBytes contents);
   // The session's data file parsed as an archive, on its first use in the
   // session; nullptr, with `errmsg` set, if the file is missing or not a
   // valid archive.
@@ -122,7 +135,7 @@ class SimHost {
 
   std::string name_;
   ServiceVerifier verifier_;
-  std::map<std::string, std::string, std::less<>> files_;
+  std::map<std::string, FileBytes, std::less<>> files_;
   std::map<std::string, std::function<int(SimHost&)>, std::less<>> commands_;
   std::vector<std::string> executed_commands_;
   std::vector<std::string> signals_sent_;

@@ -263,6 +263,54 @@ TEST(CredentialsTest, LookupsMatchMapReference) {
   EXPECT_GT(malformed, 0);  // the malformed path ran
 }
 
+// The consumer shares the credentials buffer it applied instead of copying
+// it, and keeps answering from it after the host overwrites or removes the
+// file, until it applies again.
+TEST(CredentialsTest, AppliedCredentialsOutliveTheHostFile) {
+  SimulatedClock clock(0);
+  KerberosRealm realm(&clock);
+  SimHost host("NFS-1.MIT.EDU", &realm, &clock);
+  NfsServerSim server(&host);
+  const std::string path = "/site/moira/credentials";
+  host.WriteFileDirect(path, "alice:100:10\nbob:101\n");
+  ASSERT_EQ(0, server.ApplyMoiraFiles("/site/moira"));
+  host.WriteFileDirect(path, "carol:102\n");
+  EXPECT_TRUE(server.HasCredential("alice"));
+  EXPECT_FALSE(server.HasCredential("carol"));
+  host.RemoveFile(path);
+  std::optional<NfsCredential> alice = server.CredentialFor("alice");
+  ASSERT_TRUE(alice.has_value());
+  EXPECT_EQ(100, alice->uid);
+  EXPECT_EQ(std::vector<int64_t>{10}, alice->gids);
+  EXPECT_TRUE(server.HasCredential("bob"));
+  // With no credentials file, an apply keeps what the last one loaded.
+  ASSERT_EQ(0, server.ApplyMoiraFiles("/site/moira"));
+  EXPECT_TRUE(server.HasCredential("bob"));
+  host.WriteFileDirect(path, "carol:102\n");
+  ASSERT_EQ(0, server.ApplyMoiraFiles("/site/moira"));
+  EXPECT_FALSE(server.HasCredential("alice"));
+  EXPECT_TRUE(server.HasCredential("carol"));
+}
+
+// Every HOMEDIR locker on a host gets its .cshrc and .login from one buffer
+// each.
+TEST_F(ConsumerTest, HomedirInitFilesShareOneBufferPerHost) {
+  dcm_->RunOnce();
+  SimHost* host = directory_.Find(nfs_names_[0]);
+  std::set<const std::string*> cshrc;
+  std::set<const std::string*> login;
+  for (const std::string& path : host->ListFiles()) {
+    if (path.ends_with("/.cshrc")) {
+      cshrc.insert(host->ReadFile(path));
+    } else if (path.ends_with("/.login")) {
+      login.insert(host->ReadFile(path));
+    }
+  }
+  EXPECT_EQ(1u, cshrc.size());
+  EXPECT_EQ(1u, login.size());
+  EXPECT_GT(Nfs(nfs_names_[0]).lockers_created(), 1);
+}
+
 TEST_F(ConsumerTest, QuotaChangeReachesSetquota) {
   dcm_->RunOnce();
   clock_.Advance(kSecondsPerMinute);

@@ -304,7 +304,7 @@ class AttachTest : public MoiraEnv {
     GeneratorResult result;
     ASSERT_EQ(MR_SUCCESS, GenerateHesiod(*mc_, &result));
     for (const auto& [name, contents] : result.common.members()) {
-      ASSERT_GE(hesiod_.LoadDb(contents), 0);
+      ASSERT_GE(hesiod_.LoadDb(*contents), 0);
     }
     protocol_ = std::make_unique<HesiodProtocolServer>(&hesiod_);
     resolver_ = std::make_unique<HesiodResolver>(

@@ -2,7 +2,9 @@
 // "Incremental propagation"): journal-delta generation, keyed patch shipping
 // with base-CRC fallback, truncation fallback, torn-write self-healing,
 // per-service breaker tunables, and replica-offloaded generation reads.
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "src/repl/replica.h"
 #include "src/server/server.h"
 #include "src/sim/population.h"
+#include "src/update/patch.h"
 #include "src/update/sim_host.h"
 #include "src/zephyrd/zephyr_bus.h"
 #include "tests/test_env.h"
@@ -323,6 +326,245 @@ TEST(DcmIncrementalTest, RandomizedChurnScheduleMatchesFullRegeneration) {
   }
   // The schedule must actually have exercised the patch path.
   EXPECT_GE(patch_passes, 6);
+}
+
+// --- One buffer per staged file ---
+
+// Makes the first NFS server value3-restricted to a list holding the first
+// login as a USER and the second login's text as a STRING member.
+void RestrictFirstNfsServer(Site& site) {
+  const std::vector<std::string>& logins = site.builder->active_logins();
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_list", {"lockers", "1", "0", "0", "0", "0", "-1",
+                                                 "NONE", "NONE", "value3 list"}));
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_member_to_list", {"lockers", "USER", logins[0]}));
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_member_to_list", {"lockers", "STRING", logins[1]}));
+  ASSERT_EQ(MR_SUCCESS,
+            site.Mutate("update_server_host_info",
+                        {"NFS", site.builder->nfs_server_names()[0], "1", "0", "0", "lockers"}));
+}
+
+FileBytes StagedCredentials(Site& site, const std::string& machine) {
+  return site.dcm->StagedPayload("NFS")->ForHost(machine).Share("credentials");
+}
+
+// The staged archives of the unrestricted NFS servers hold one credentials
+// buffer after the full build and after a patched pass, and a value3 server
+// holds its own.  The unrestricted servers' equal edits on that buffer
+// resolve once, so they receive equal patches; the value3 server's edit
+// differs, and so do its buffer and its patch.
+TEST(DcmIncrementalTest, UnrestrictedNfsServersShareOneStagedCredentialsBuffer) {
+  Site site;
+  RestrictFirstNfsServer(site);
+  site.dcm->AttachJournal(&site.journal);
+  site.dcm->RunOnce();
+  const std::vector<std::string>& nfs = site.builder->nfs_server_names();
+  ASSERT_EQ(3u, nfs.size());
+  const FileBytes built = StagedCredentials(site, nfs[1]);
+  EXPECT_EQ(built, StagedCredentials(site, nfs[2]));
+  EXPECT_NE(built, StagedCredentials(site, nfs[0]));
+
+  // A shell change recomputes the credentials lines to the same bytes: the
+  // edit is a no-op for every server, and no buffer moves.
+  const std::vector<std::string>& logins = site.builder->active_logins();
+  site.clock.Advance(25 * kSecondsPerHour);
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("update_user_shell", {logins[2], "/bin/same"}));
+  site.dcm->RunOnce();
+  EXPECT_EQ(built, StagedCredentials(site, nfs[1]));
+  EXPECT_EQ(built, StagedCredentials(site, nfs[2]));
+
+  // A new group changes the lines of logins[0] (on every server) and
+  // logins[2] (not on the value3 server, whose edit deletes it instead).
+  site.clock.Advance(25 * kSecondsPerHour);
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_list", {"sharegrp", "1", "0", "0", "0", "1", "40000",
+                                                 "NONE", "NONE", "group"}));
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_member_to_list", {"sharegrp", "USER", logins[0]}));
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_member_to_list", {"sharegrp", "USER", logins[2]}));
+  const FileBytes restricted_before = StagedCredentials(site, nfs[0]);
+  DcmRunSummary summary = site.dcm->RunOnce();
+  EXPECT_EQ(0, summary.full_regens);
+  EXPECT_EQ(0, summary.patch_fallbacks);
+  const FileBytes patched = StagedCredentials(site, nfs[1]);
+  EXPECT_NE(built, patched);
+  EXPECT_NE(std::string::npos, patched->find(":40000"));
+  EXPECT_EQ(patched, StagedCredentials(site, nfs[2]));
+  const FileBytes restricted = StagedCredentials(site, nfs[0]);
+  EXPECT_NE(restricted_before, restricted);
+  EXPECT_NE(patched, restricted);
+  const std::string target = "/tmp/nfs.out";  // the NFS data file: this pass's patch
+  std::optional<ArchivePatch> shipped1 = ArchivePatch::Parse(*site.Host(nfs[1])->ReadFile(target));
+  std::optional<ArchivePatch> shipped2 = ArchivePatch::Parse(*site.Host(nfs[2])->ReadFile(target));
+  std::optional<ArchivePatch> shipped0 = ArchivePatch::Parse(*site.Host(nfs[0])->ReadFile(target));
+  ASSERT_TRUE(shipped0.has_value() && shipped1.has_value() && shipped2.has_value());
+  const FilePatch* patch1 = shipped1->Find("credentials");
+  const FilePatch* patch2 = shipped2->Find("credentials");
+  const FilePatch* patch0 = shipped0->Find("credentials");
+  ASSERT_TRUE(patch0 != nullptr && patch1 != nullptr && patch2 != nullptr);
+  EXPECT_EQ(patch1->base_crc, patch2->base_crc);
+  EXPECT_EQ(patch1->result_crc, patch2->result_crc);
+  EXPECT_EQ(patch1->ops, patch2->ops);
+  EXPECT_EQ(2u, patch1->ops.size());
+  EXPECT_NE(patch1->ops, patch0->ops);
+  EXPECT_NE(patch1->result_crc, patch0->result_crc);
+  for (size_t i = 0; i < nfs.size(); ++i) {
+    EXPECT_EQ(*StagedCredentials(site, nfs[i]),
+              *site.Host(nfs[i])->ReadFile("/site/moira/credentials"))
+        << nfs[i];
+  }
+}
+
+// ResolveEdits on a service whose three hosts stage one shared buffer: the
+// two hosts with equal edits end up sharing one result buffer and receive
+// equal patches; the host with a different edit on that same base gets its
+// own buffer and patch; and an edit that leaves the bytes as they were is a
+// no-op for every host, so their shared buffer stays.
+TEST(DcmIncrementalTest, EqualEditsOnASharedBaseResolveToOneBuffer) {
+  Site site;
+  const std::vector<std::string>& machines = site.builder->nfs_server_names();
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("add_server_info", {"SHARE", "60", "/tmp/share.out",
+                                                        "share.sh", "UNIQUE", "1", "NONE",
+                                                        "NONE"}));
+  for (const std::string& machine : machines) {
+    ASSERT_EQ(MR_SUCCESS,
+              site.Mutate("add_server_host_info", {"SHARE", machine, "1", "0", "0", ""}));
+  }
+  auto generate = [machines](MoiraContext&, GeneratorResult* out) {
+    const FileBytes data = MakeFileBytes("a 1\nb 1\n");
+    const FileBytes same = MakeFileBytes("c 1\n");
+    for (const std::string& machine : machines) {
+      out->per_host[machine].Add("data", data);
+      out->per_host[machine].Add("same", same);
+    }
+    return MR_SUCCESS;
+  };
+  auto build_patch = [machines](MoiraContext&, const DeltaPlan&, const GeneratorResult&,
+                                ServicePatch* out) {
+    for (size_t i = 0; i < machines.size(); ++i) {
+      const std::string block = i + 1 < machines.size() ? "a 2" : "a 3";
+      out->per_host[machines[i]]["data"].ops = {PatchOp{PatchOp::kUpsert, "a", block}};
+      out->per_host[machines[i]]["same"].ops = {PatchOp{PatchOp::kUpsert, "c", "c 1"}};
+    }
+    return MR_SUCCESS;
+  };
+  site.dcm->ConfigureService("SHARE", DcmServiceConfig{generate, {}, "syncdir /site/share\n",
+                                                       build_patch,
+                                                       [](const DeltaPlan&) { return true; }});
+  site.dcm->AttachJournal(&site.journal);
+  site.dcm->RunOnce();
+  auto staged = [&](const std::string& machine, const std::string& member) {
+    return site.dcm->StagedPayload("SHARE")->ForHost(machine).Share(member);
+  };
+  ASSERT_EQ(3u, machines.size());
+  const FileBytes same = staged(machines[0], "same");
+  EXPECT_EQ(staged(machines[0], "data"), staged(machines[2], "data"));
+
+  site.clock.Advance(25 * kSecondsPerHour);
+  ASSERT_EQ(MR_SUCCESS,
+            site.Mutate("update_user_shell", {site.builder->active_logins()[0], "/bin/x"}));
+  DcmRunSummary summary = site.dcm->RunOnce();
+  EXPECT_EQ(0, summary.patch_fallbacks);
+  const FileBytes equal_edits = staged(machines[0], "data");
+  EXPECT_EQ("a 2\nb 1\n", *equal_edits);
+  EXPECT_EQ(equal_edits, staged(machines[1], "data"));
+  EXPECT_EQ("a 3\nb 1\n", *staged(machines[2], "data"));
+  for (const std::string& machine : machines) {
+    EXPECT_EQ(same, staged(machine, "same")) << machine;
+    EXPECT_EQ(*staged(machine, "data"), *site.Host(machine)->ReadFile("/site/share/data"))
+        << machine;
+  }
+  std::vector<ArchivePatch> shipped;
+  for (const std::string& machine : machines) {
+    std::optional<ArchivePatch> patch =
+        ArchivePatch::Parse(*site.Host(machine)->ReadFile("/tmp/share.out"));
+    ASSERT_TRUE(patch.has_value()) << machine;
+    EXPECT_EQ(1u, patch->size()) << machine;  // "same" is a no-op everywhere
+    ASSERT_NE(nullptr, patch->Find("data")) << machine;
+    shipped.push_back(std::move(*patch));
+  }
+  EXPECT_EQ(shipped[0].Serialize(), shipped[1].Serialize());
+  EXPECT_NE(shipped[0].Find("data")->ops, shipped[2].Find("data")->ops);
+  EXPECT_EQ(shipped[0].Find("data")->base_crc, shipped[2].Find("data")->base_crc);
+}
+
+// A torn flush on one NFS server truncates that server's installed file
+// only: the buffer the DCM staged for every unrestricted server and the
+// other servers' files keep their bytes.  The next pass's patch fails that
+// server's base CRC, and the full archive heals it.
+TEST(DcmIncrementalTest, TornFlushOnOneNfsServerLeavesTheRestWhole) {
+  Site site;
+  site.dcm->AttachJournal(&site.journal);
+  site.dcm->RunOnce();
+  const std::vector<std::string>& nfs = site.builder->nfs_server_names();
+  const std::vector<std::string>& logins = site.builder->active_logins();
+  const std::string path = "/site/moira/credentials";
+
+  site.clock.Advance(25 * kSecondsPerHour);
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("update_user_status", {logins[0], "0"}));
+  site.Host(nfs[1])->SetFailMode(HostFailMode::kTornFlush, 1);
+  DcmRunSummary torn_pass = site.dcm->RunOnce();
+  EXPECT_EQ(0, torn_pass.patch_fallbacks);
+  const FileBytes staged = StagedCredentials(site, nfs[1]);
+  EXPECT_EQ(std::string::npos, staged->find(logins[0] + ":"));
+  EXPECT_EQ(staged, StagedCredentials(site, nfs[0]));
+  EXPECT_EQ(staged->size() / 2, site.Host(nfs[1])->ReadFile(path)->size());
+  EXPECT_EQ(*staged, *site.Host(nfs[0])->ReadFile(path));
+  EXPECT_EQ(*staged, *site.Host(nfs[2])->ReadFile(path));
+
+  site.clock.Advance(25 * kSecondsPerHour);
+  ASSERT_EQ(MR_SUCCESS, site.Mutate("update_user_status", {logins[1], "0"}));
+  DcmRunSummary heal_pass = site.dcm->RunOnce();
+  EXPECT_EQ(1, heal_pass.patch_fallbacks);
+  EXPECT_EQ(0, heal_pass.host_soft_failures);
+  const FileBytes healed = StagedCredentials(site, nfs[1]);
+  EXPECT_EQ(std::string::npos, healed->find(logins[1] + ":"));
+  for (const std::string& machine : nfs) {
+    EXPECT_EQ(*healed, *site.Host(machine)->ReadFile(path)) << machine;
+  }
+}
+
+// A value3 list of {USER logins[0], STRING logins[1]} admits logins[0]
+// only, and patched passes over that server equal a fresh regeneration.
+TEST(DcmIncrementalTest, Value3StringMemberPatchedMatchesFullRegeneration) {
+  Site patched;
+  Site full;
+  patched.dcm->AttachJournal(&patched.journal);
+  RestrictFirstNfsServer(patched);
+  RestrictFirstNfsServer(full);
+  patched.dcm->RunOnce();
+  full.dcm->RunOnce();
+  const std::vector<std::string>& logins = patched.builder->active_logins();
+  const std::string& restricted_host = patched.builder->nfs_server_names()[0];
+  const std::string path = "/site/moira/credentials";
+  EXPECT_EQ(0u, patched.Host(restricted_host)->ReadFile(path)->find(logins[0] + ":"));
+  EXPECT_EQ(1, std::count(patched.Host(restricted_host)->ReadFile(path)->begin(),
+                          patched.Host(restricted_host)->ReadFile(path)->end(), '\n'));
+  ExpectFleetsIdentical(patched, full, "after first pass");
+
+  // Dirty both logins: the STRING member's user changes on every server but
+  // the value3 one, and more STRING members and a user join the list.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> steps = {
+      {"update_user_status", {logins[1], "0"}},
+      {"update_user_status", {logins[1], "1"}},
+      {"add_member_to_list", {"lockers", "STRING", logins[2]}},
+      {"add_member_to_list", {"lockers", "USER", logins[3]}},
+      {"update_user_shell", {logins[0], "/bin/v3"}},
+  };
+  int patch_ships = 0;
+  for (const auto& [query, args] : steps) {
+    patched.clock.Advance(25 * kSecondsPerHour);
+    full.clock.Advance(25 * kSecondsPerHour);
+    ASSERT_EQ(MR_SUCCESS, patched.Mutate(query, args)) << query;
+    ASSERT_EQ(MR_SUCCESS, full.Mutate(query, args)) << query;
+    DcmRunSummary summary = patched.dcm->RunOnce();
+    EXPECT_EQ(0, summary.full_regens) << query;
+    patch_ships += summary.patch_ships;
+    full.dcm->RunOnce();
+    ExpectFleetsIdentical(patched, full, query);
+  }
+  EXPECT_GT(patch_ships, 0);
+  const std::string& credentials = *patched.Host(restricted_host)->ReadFile(path);
+  EXPECT_EQ(std::string::npos, credentials.find(logins[1] + ":"));
+  EXPECT_EQ(std::string::npos, credentials.find(logins[2] + ":"));
+  EXPECT_NE(std::string::npos, credentials.find(logins[3] + ":"));
 }
 
 // --- Replica offload: generation reads leave the primary ---

@@ -1,6 +1,7 @@
 // Tests for the server-specific file generators (paper section 5.8.2):
 // formats of the Hesiod .db files, the NFS files, the aliases file, and the
 // Zephyr ACLs.
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -98,7 +99,7 @@ TEST_F(GeneratorTest, HesiodFilesLoadIntoHesiodServer) {
   ASSERT_EQ(MR_SUCCESS, GenerateHesiod(*mc_, &result));
   HesiodServer server;
   for (const auto& [name, contents] : result.common.members()) {
-    EXPECT_GE(server.LoadDb(contents), 0) << name;
+    EXPECT_GE(server.LoadDb(*contents), 0) << name;
   }
   // passwd lookups work end to end, including the uid CNAME.
   ASSERT_EQ(1u, server.Resolve("babette", "passwd").size());
@@ -200,6 +201,39 @@ TEST_F(GeneratorTest, NfsCredentialsRestrictedByValue3) {
   EXPECT_EQ(own.find("abarba:"), std::string::npos);
 }
 
+// A STRING member that spells a login admits no one to a value3-restricted
+// credentials file: only USER members and LIST containment do.
+TEST_F(GeneratorTest, NfsValue3StringMemberAdmitsNoUser) {
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_list", {"lockers", "1", "0", "0", "0", "0", "-1",
+                                             "NONE", "NONE", "value3 list"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"lockers", "USER", "babette"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_member_to_list", {"lockers", "STRING", "abarba"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("update_server_host_info",
+                                {"NFS", "nfs-2.mit.edu", "1", "0", "0", "lockers"}));
+  GeneratorResult result;
+  ASSERT_EQ(MR_SUCCESS, GenerateNfs(*mc_, &result));
+  const std::string& restricted = *result.ForHost("NFS-2.MIT.EDU").Find("credentials");
+  EXPECT_EQ(0u, restricted.find("babette:6530:"));
+  EXPECT_EQ(1, std::count(restricted.begin(), restricted.end(), '\n')) << restricted;
+  EXPECT_NE(result.ForHost("NFS-1.MIT.EDU").Find("credentials")->find("abarba:"),
+            std::string::npos);
+}
+
+// Every server whose value3 is blank gets the one master credentials buffer;
+// a value3 server gets its own.
+TEST_F(GeneratorTest, NfsUnrestrictedServersShareOneCredentialsBuffer) {
+  GeneratorResult result;
+  ASSERT_EQ(MR_SUCCESS, GenerateNfs(*mc_, &result));
+  EXPECT_EQ(result.ForHost("NFS-1.MIT.EDU").Share("credentials"),
+            result.ForHost("NFS-2.MIT.EDU").Share("credentials"));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("update_server_host_info",
+                                {"NFS", "nfs-2.mit.edu", "1", "0", "0", "proj"}));
+  GeneratorResult restricted;
+  ASSERT_EQ(MR_SUCCESS, GenerateNfs(*mc_, &restricted));
+  EXPECT_NE(restricted.ForHost("NFS-1.MIT.EDU").Share("credentials"),
+            restricted.ForHost("NFS-2.MIT.EDU").Share("credentials"));
+}
+
 TEST_F(GeneratorTest, AliasesFileFormat) {
   GeneratorResult result;
   ASSERT_EQ(MR_SUCCESS, GenerateMail(*mc_, &result));
@@ -239,6 +273,10 @@ TEST_F(GeneratorTest, ExpandListHandlesNestingAndStrings) {
       *mc_, MoiraContext::IntCell(mc_->list(), video.row, "list_id"), true);
   // abarba direct, babette via proj, plus the string member.
   EXPECT_EQ(3u, logins.size());
+  // Users only: the string member is no login.
+  EXPECT_EQ((std::vector<std::string>{"abarba", "babette"}),
+            ExpandListToUserLogins(
+                *mc_, MoiraContext::IntCell(mc_->list(), video.row, "list_id"), true));
 }
 
 // A user's (group name, gid) pairs, comparable.

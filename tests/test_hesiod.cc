@@ -146,6 +146,29 @@ TEST(Hesiod, DuplicateKeysKeepLoadOrderAcrossLoadDb) {
   EXPECT_EQ(2u * 3 * 50, server.record_count());
 }
 
+// Two files holding one key, in several cases, among enough other keys that
+// the sort is not an insertion sort, and with empty data strings, resolve in
+// file order, the first file first.
+TEST(Hesiod, SameKeyInTwoFilesResolvesInFileOrder) {
+  std::string first;
+  std::string second;
+  for (int i = 0; i < 40; ++i) {
+    first += "k" + std::to_string(i) + ".t HS UNSPECA \"f" + std::to_string(i) + "\"\n";
+    second += "k" + std::to_string(39 - i) + ".t HS UNSPECA \"s\"\n";
+    if (i % 10 == 0) {
+      first += "Same.T HS UNSPECA \"first-" + std::to_string(i) + "\"\n";
+      first += "same.t HS UNSPECA \"\"\n";
+      second += "SAME.t HS UNSPECA \"second-" + std::to_string(i) + "\"\n";
+    }
+  }
+  HesiodServer server;
+  ASSERT_EQ(40 + 8 + 40 + 4, server.Reload({first, second}));
+  EXPECT_EQ((std::vector<std::string>{"first-0", "", "first-10", "", "first-20", "", "first-30",
+                                      "", "second-0", "second-10", "second-20", "second-30"}),
+            server.Resolve("same", "t"));
+  EXPECT_EQ((std::vector<std::string>{"f7", "s"}), server.Resolve("k7", "t"));
+}
+
 TEST(Hesiod, CnameChainAcrossFilesAndCase) {
   HesiodServer server;
   // The chain's links are spread over files loaded out of order, with

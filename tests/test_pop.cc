@@ -57,7 +57,7 @@ class MailLoopTest : public MoiraEnv {
     GeneratorResult hesiod_files;
     ASSERT_EQ(MR_SUCCESS, GenerateHesiod(*mc_, &hesiod_files));
     for (const auto& [name, contents] : hesiod_files.common.members()) {
-      ASSERT_GE(hesiod_.LoadDb(contents), 0);
+      ASSERT_GE(hesiod_.LoadDb(*contents), 0);
     }
     protocol_ = std::make_unique<HesiodProtocolServer>(&hesiod_);
     resolver_ = std::make_unique<HesiodResolver>(

@@ -171,7 +171,7 @@ TEST_P(ArchiveFuzzTest, RandomArchivesRoundTrip) {
     ASSERT_EQ(archive.size(), back->size());
     for (const auto& [name, contents] : archive.members()) {
       ASSERT_NE(nullptr, back->Find(name));
-      EXPECT_EQ(contents, *back->Find(name));
+      EXPECT_EQ(*contents, *back->Find(name));
     }
   }
 }

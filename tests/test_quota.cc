@@ -815,5 +815,47 @@ TEST_F(DbckQuotaTest, CascadedQuotaDeleteLeavesConsistentAccounting) {
   EXPECT_EQ("0", Status("USER", logins_[0])[6]);  // no quota entries left
 }
 
+// Usage is kept per (user, partition), quotas per (user, filesystem).  When
+// a user holds quotas on two filesystems of one partition, deleting either
+// keeps the usage, now accounted under the quota that remains, and later
+// reports add to it.
+TEST_F(DbckQuotaTest, DeletingOneQuotaKeepsUsageAccountedUnderAnother) {
+  const std::string& login = logins_[0];
+  Locker l = LockerFor(login);
+  RowRef home = mc_->FilesysByLabel(login);
+  ASSERT_EQ(MR_SUCCESS, home.code);
+  const std::string home_dir = MoiraContext::StrCell(mc_->filesys(), home.row, "name");
+  RowRef owners = mc_->ExactOne(
+      mc_->list(), "list_id", Value(MoiraContext::IntCell(mc_->filesys(), home.row, "owners")),
+      MR_LIST);
+  ASSERT_EQ(MR_SUCCESS, owners.code);
+  const std::string project_dir = home_dir.substr(0, home_dir.rfind('/')) + "/quotaproj";
+  ASSERT_EQ(MR_SUCCESS,
+            RunRoot("add_filesys",
+                    {"quotaproj", "NFS", l.machine, project_dir, "/mit/quotaproj", "w", "", login,
+                     MoiraContext::StrCell(mc_->list(), owners.row, "name"), "1", "PROJECT"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_nfs_quota", {"quotaproj", login, "100"}));
+  ASSERT_EQ(MR_SUCCESS, Report(l, 50, 1));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("delete_nfs_quota", {"quotaproj", login}));
+  EXPECT_EQ("50", Status("FILESYS", login)[2]);
+  EXPECT_EQ("50", Status("USER", login)[2]);
+  ASSERT_EQ(MR_SUCCESS, Report(l, 5, 2));
+  EXPECT_EQ("55", Status("FILESYS", login)[2]);
+  EXPECT_TRUE(QuotaIssues().empty());
+
+  // delete_filesys on the filesystem the usage is accounted under moves it
+  // to the quota left on the partition, leaving out the one being deleted.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("add_nfs_quota", {"quotaproj", login, "100"}));
+  ASSERT_EQ(MR_SUCCESS, RunRoot("delete_filesys", {login}));
+  EXPECT_EQ("55", Status("FILESYS", "quotaproj")[2]);
+  EXPECT_EQ("55", Status("USER", login)[2]);
+  EXPECT_TRUE(QuotaIssues().empty());
+  // With the last quota on the partition gone, so is the usage.
+  ASSERT_EQ(MR_SUCCESS, RunRoot("delete_filesys", {"quotaproj"}));
+  EXPECT_EQ("0", Status("USER", login)[2]);
+  EXPECT_EQ(0u, From(mc_->quotausage()).Rows().size());
+  EXPECT_TRUE(QuotaIssues().empty());
+}
+
 }  // namespace
 }  // namespace moira

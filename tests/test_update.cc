@@ -47,6 +47,31 @@ TEST(Archive, AddReplacesSameName) {
   EXPECT_EQ("v2", *archive.Find("f"));
 }
 
+// A FileBytes member is shared, a string member gets a buffer of its own,
+// and sharing changes nothing in the serialized bytes.
+TEST(Archive, SharedMemberKeepsOneBuffer) {
+  const FileBytes shared = MakeFileBytes("shared contents");
+  Archive a;
+  Archive b;
+  a.Add("credentials", shared);
+  b.Add("credentials", shared);
+  b.Add("u1.dirs", "own contents");
+  EXPECT_EQ(shared.get(), a.Find("credentials"));
+  EXPECT_EQ(a.Find("credentials"), b.Find("credentials"));
+  EXPECT_EQ(shared, b.Share("credentials"));
+  EXPECT_EQ(nullptr, b.Share("missing"));
+  EXPECT_EQ(shared, a.members()[0].second);
+  Archive copied;
+  copied.Add("credentials", "shared contents");
+  EXPECT_NE(shared.get(), copied.Find("credentials"));
+  EXPECT_EQ(copied.Serialize(), a.Serialize());
+  std::optional<Archive> back = Archive::Parse(b.Serialize());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ("shared contents", *back->Find("credentials"));
+  EXPECT_EQ("own contents", *back->Find("u1.dirs"));
+  EXPECT_EQ(27u, back->ContentBytes());
+}
+
 TEST(Archive, ParseRejectsCorruption) {
   Archive archive;
   archive.Add("f", "data");
@@ -133,6 +158,53 @@ TEST_F(SimHostTest, InstallKeepsBackupAndRevertRestores) {
   EXPECT_EQ("old contents", *host_.ReadFile("/etc/hes/passwd.db"));
 }
 
+// An install moves the new buffer in and the old one to the backup, and a
+// revert moves it back: no step copies a file's bytes.
+TEST_F(SimHostTest, InstallAndRevertMoveBuffers) {
+  const FileBytes old_bytes = MakeFileBytes("old contents");
+  const FileBytes new_bytes = MakeFileBytes("new contents");
+  host_.WriteFileDirect("/etc/hes/passwd.db", old_bytes);
+  host_.WriteFileDirect("/etc/hes/passwd.db.moira_update", new_bytes);
+  EXPECT_EQ(old_bytes.get(), host_.ReadFile("/etc/hes/passwd.db"));
+  UpdateOutcome outcome =
+      client_.Update(&host_, "/tmp/hes.out", payload_, "install /etc/hes/passwd.db\n");
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  EXPECT_EQ(new_bytes, host_.ShareFile("/etc/hes/passwd.db"));
+  EXPECT_EQ(old_bytes, host_.ShareFile("/etc/hes/passwd.db.moira_backup"));
+  EXPECT_FALSE(host_.HasFile("/etc/hes/passwd.db.moira_update"));
+  outcome = client_.Update(&host_, "/tmp/hes.out", payload_, "revert /etc/hes/passwd.db\n");
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  EXPECT_EQ(old_bytes, host_.ShareFile("/etc/hes/passwd.db"));
+  EXPECT_FALSE(host_.HasFile("/etc/hes/passwd.db.moira_backup"));
+  EXPECT_EQ(nullptr, host_.ShareFile("/etc/hes/passwd.db.moira_backup"));
+}
+
+// A torn flush installs a new, truncated buffer: the buffer it was handed
+// keeps every byte for whoever else holds it.
+TEST_F(SimHostTest, TornFlushLeavesASharedBufferWhole) {
+  const FileBytes shared = MakeFileBytes("0123456789");
+  host_.WriteFileDirect("/etc/hes/passwd.db.moira_update", shared);
+  host_.SetFailMode(HostFailMode::kTornFlush);
+  UpdateOutcome outcome =
+      client_.Update(&host_, "/tmp/hes.out", payload_, "install /etc/hes/passwd.db\n");
+  ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
+  EXPECT_EQ("01234", *host_.ReadFile("/etc/hes/passwd.db"));
+  EXPECT_EQ("0123456789", *shared);
+}
+
+// A shared buffer outlives its path: a reader keeps the bytes it shared
+// after the file is overwritten or removed.
+TEST_F(SimHostTest, SharedFileOutlivesItsPath) {
+  host_.WriteFileDirect("/site/moira/credentials", "first");
+  const FileBytes first = host_.ShareFile("/site/moira/credentials");
+  host_.WriteFileDirect("/site/moira/credentials", "second");
+  EXPECT_EQ("first", *first);
+  EXPECT_EQ("second", *host_.ReadFile("/site/moira/credentials"));
+  host_.RemoveFile("/site/moira/credentials");
+  EXPECT_EQ(nullptr, host_.ReadFile("/site/moira/credentials"));
+  EXPECT_EQ("first", *first);
+}
+
 TEST_F(SimHostTest, SyncdirInstallsAllMembers) {
   UpdateOutcome outcome =
       client_.Update(&host_, "/tmp/out", payload_, "syncdir /site/moira\n");
@@ -181,7 +253,7 @@ TEST_F(SimHostTest, MultiExtractInstallMatchesMembers) {
   const std::optional<Archive> parsed = Archive::Parse(bytes);
   ASSERT_TRUE(parsed.has_value());
   for (const auto& [member, contents] : parsed->members()) {
-    expected["/etc/hes/" + member] = contents;
+    expected["/etc/hes/" + member] = *contents;
   }
   UpdateOutcome outcome = client_.Update(&host_, "/tmp/hes.out", bytes, script);
   ASSERT_EQ(MR_SUCCESS, outcome.code) << outcome.message;
