@@ -31,8 +31,11 @@
 #             per credentials line (consumer_memory), and one full HESIOD,
 #             NFS and SMTP generation on that site make <= 200 Table::Match
 #             calls together (full_generation).
-#   repl      build-asan, ASan: bench_replication, with >= 3x read scaling
-#             under seeded faults, read-your-writes and convergence.
+#   repl      build-asan, ASan: test_repl, which delivers every log-window
+#             rule as a push and, where a primary can serve it, as a fetch
+#             reply, and pins the quorum gate's re-window; bench_replication,
+#             with >= 3x read scaling under seeded faults, read-your-writes
+#             and convergence.
 #   failover  build-asan, ASan: test_failover; bench_replication, where the
 #             failover sweep loses no acked write and has one primary per
 #             epoch.  Then test_failover again under TSan (TSan and ASan
@@ -109,7 +112,7 @@ case "$1" in
       "test_update test_dcm_incremental test_consumers" \
       bench_propagation MOIRA_BENCH_INCREMENTAL_MAX_USERS=100000 ;;
   --repl-smoke)
-    row build-asan ON bench_replication "" bench_replication ;;
+    row build-asan ON "test_repl bench_replication" test_repl bench_replication ;;
   --failover-smoke)
     row build-asan ON "test_failover bench_replication" test_failover \
       bench_replication

@@ -108,18 +108,22 @@ int64_t BackupManager::RotateAndDump(const Database& db,
   return Dump(db, root / "backup_1");
 }
 
+int32_t BackupManager::ReplayEntry(MoiraContext* mc, const JournalEntry& entry,
+                                   SimulatedClock* replay_clock) {
+  if (replay_clock != nullptr) {
+    replay_clock->Set(entry.when);
+  }
+  const std::string& principal = entry.principal.empty() ? "root" : entry.principal;
+  const std::string& client = entry.client.empty() ? "journal-replay" : entry.client;
+  return QueryRegistry::Instance().Execute(*mc, principal, client, entry.query, entry.args,
+                                           [](Tuple) {});
+}
+
 int BackupManager::ReplayJournal(MoiraContext* mc, const std::vector<JournalEntry>& entries,
                                  SimulatedClock* replay_clock) {
   int replayed = 0;
   for (const JournalEntry& entry : entries) {
-    if (replay_clock != nullptr) {
-      replay_clock->Set(entry.when);
-    }
-    const std::string& principal = entry.principal.empty() ? "root" : entry.principal;
-    const std::string& client = entry.client.empty() ? "journal-replay" : entry.client;
-    int32_t code = QueryRegistry::Instance().Execute(*mc, principal, client, entry.query,
-                                                     entry.args, [](Tuple) {});
-    if (code == MR_SUCCESS) {
+    if (ReplayEntry(mc, entry, replay_clock) == MR_SUCCESS) {
       ++replayed;
     }
   }

@@ -34,13 +34,18 @@ class BackupManager {
   // a fresh root/backup_1.  Returns bytes written or -1.
   static int64_t RotateAndDump(const Database& db, const std::filesystem::path& root);
 
-  // Re-executes journalled changes through the query registry with each
+  // Re-executes one journalled change through the query registry with the
   // entry's original principal and client name (falling back to root /
   // "journal-replay" for pre-upgrade entries without them), so modby/modwith
   // stamps come out identical to the original run.  When `replay_clock` is
-  // given it is Set to each entry's recorded time before executing, so
+  // given it is Set to the entry's recorded time before executing, so
   // modtime stamps also come out identical (the caller restores the clock
-  // afterwards).  Returns the number of entries that replayed successfully.
+  // afterwards).  Returns the query's status.  Restore replay and replica
+  // apply both run every entry through here.
+  static int32_t ReplayEntry(MoiraContext* mc, const JournalEntry& entry,
+                             SimulatedClock* replay_clock = nullptr);
+  // ReplayEntry over `entries` in order; returns how many replayed
+  // successfully.
   static int ReplayJournal(MoiraContext* mc, const std::vector<JournalEntry>& entries,
                            SimulatedClock* replay_clock = nullptr);
 

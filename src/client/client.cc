@@ -211,19 +211,7 @@ int32_t MrClient::QueryAtSeq(uint64_t min_seq, std::string_view name,
 }
 
 int32_t MrClient::ReplFetch(std::string_view replica_name, uint64_t from_seq,
-                            int max_entries, const TupleSink& sink) {
-  MrRequest request{kMrProtocolVersion,
-                    MajorRequest::kReplFetch,
-                    {std::string(replica_name), std::to_string(from_seq),
-                     std::to_string(max_entries)}};
-  return RoundTrip(request, &sink);
-}
-
-int32_t MrClient::ReplFetch(std::string_view replica_name, uint64_t from_seq,
                             int max_entries, uint64_t epoch, const TupleSink& sink) {
-  if (epoch == 0) {
-    return ReplFetch(replica_name, from_seq, max_entries, sink);
-  }
   MrRequest request{kMrProtocolVersion,
                     MajorRequest::kReplFetch,
                     {std::string(replica_name), std::to_string(from_seq),

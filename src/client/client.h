@@ -95,10 +95,8 @@ class MrClient final : public MoiraClientApi {
   // Replication stream RPCs (replica side; privileged on the server).  Each
   // ReplFetch tuple is one journal line; each ReplSnapshot tuple is
   // [table, row_line].  The final reply fields land in last_fields().
-  int32_t ReplFetch(std::string_view replica_name, uint64_t from_seq, int max_entries,
-                    const TupleSink& sink);
-  // As above, carrying the replica's epoch floor so a deposed primary is
-  // fenced on contact (MR_REPL_EPOCH); epoch 0 omits the floor.
+  // ReplFetch carries the replica's epoch floor, so a deposed primary is
+  // fenced on contact (MR_REPL_EPOCH); a caller with no floor passes 0.
   int32_t ReplFetch(std::string_view replica_name, uint64_t from_seq, int max_entries,
                     uint64_t epoch, const TupleSink& sink);
   int32_t ReplSnapshot(std::string_view replica_name, const TupleSink& sink);

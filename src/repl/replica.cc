@@ -1,6 +1,7 @@
 #include "src/repl/replica.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/backup/backup.h"
@@ -75,6 +76,35 @@ class WirePushPeer final : public QuorumPeer {
   std::unique_ptr<MrClient> client_;
   bool authed_ = false;
 };
+
+// One peer as its unauthenticated hello reports it.
+struct PeerView {
+  std::string name;
+  uint64_t applied = 0;
+  uint64_t epoch = 0;
+  uint64_t tail_epoch = 0;
+  bool writable = false;
+};
+
+// Hello-probes one peer: nullopt when it is unreachable or its reply is short.
+std::optional<PeerView> ProbePeer(const std::string& name,
+                                  const MrClient::Connector& connector) {
+  MrClient probe(connector);
+  if (probe.Connect() != MR_SUCCESS || probe.ReplHello() != MR_SUCCESS) {
+    return std::nullopt;
+  }
+  const std::vector<std::string>& f = probe.last_fields();
+  if (f.size() < 3) {
+    return std::nullopt;
+  }
+  PeerView view;
+  view.name = name;
+  view.applied = static_cast<uint64_t>(ParseInt(f[0]).value_or(0));
+  view.epoch = static_cast<uint64_t>(ParseInt(f[1]).value_or(0));
+  view.writable = f[2] == "1";
+  view.tail_epoch = f.size() >= 4 ? static_cast<uint64_t>(ParseInt(f[3]).value_or(0)) : 0;
+  return view;
+}
 
 }  // namespace
 
@@ -151,26 +181,20 @@ void ReplicaServer::Restart() {
   // seeded defaults — comes back via a full snapshot transfer.  epoch_ and
   // voted_epoch_ survive on purpose: they are the one durable bit a correct
   // election needs (cf. Raft's persisted votedFor), keeping a rebooted node
-  // from helping elect two primaries in the same epoch.
-  db_->ClearAllRows();
-  applied_seq_ = 0;
-  applied_entry_epoch_ = 0;
-  force_snapshot_ = true;
-  if (promoted_) {
-    // A primary reboots as a replica; re-promotion takes a fresh election.
-    promoted_ = false;
-    push_peers_.clear();
-    server_->SetQuorumPeers({});
-  }
-  server_->InvalidateAccessCaches();
-  DropLink();
-  misses_ = options_.missed_heartbeats;  // re-discover the primary promptly
+  // from helping elect two primaries in the same epoch.  A primary reboots
+  // as a replica; re-promotion takes a fresh election.
+  ResetToReplica();
 }
 
 void ReplicaServer::StepDown() {
   // This reign is over and its local suffix may contain writes no quorum
   // acknowledged (that is exactly why MR_QUORUM_TIMEOUT is a soft error):
   // condemn the whole local state and resync from the new primary's history.
+  ResetToReplica();
+  ++stats_.step_downs;
+}
+
+void ReplicaServer::ResetToReplica() {
   promoted_ = false;
   push_peers_.clear();
   server_->SetQuorumPeers({});
@@ -180,8 +204,7 @@ void ReplicaServer::StepDown() {
   force_snapshot_ = true;
   server_->InvalidateAccessCaches();
   DropLink();
-  misses_ = options_.missed_heartbeats;  // probe for the new primary at once
-  ++stats_.step_downs;
+  misses_ = options_.missed_heartbeats;  // probe for the primary at once
 }
 
 void ReplicaServer::AdoptPrimary(const std::string& peer_name) {
@@ -192,33 +215,6 @@ void ReplicaServer::AdoptPrimary(const std::string& peer_name) {
   SetPrimaryLink(it->second, repl_principal_, repl_password_);
   misses_ = 0;
   ++stats_.adoptions;
-}
-
-void ReplicaServer::ApplyEntry(const JournalEntry& entry) {
-  // Replay with the entry's original timestamp, principal, and client so
-  // modtime/modby/modwith stamps — and therefore full dumps — are
-  // byte-identical to the primary's.
-  clock_.Set(entry.when);
-  const std::string& principal = entry.principal.empty() ? "root" : entry.principal;
-  const std::string& client = entry.client.empty() ? "journal-replay" : entry.client;
-  int32_t code = QueryRegistry::Instance().Execute(*mc_, principal, client, entry.query,
-                                                   entry.args, [](Tuple) {});
-  if (code == MR_SUCCESS) {
-    ++stats_.entries_applied;
-  } else {
-    ++stats_.apply_failures;
-  }
-  applied_seq_ = entry.seq;
-  applied_entry_epoch_ = entry.epoch;
-  if (entry.epoch > epoch_) {
-    epoch_ = entry.epoch;
-  }
-  if (!entry.tag.empty()) {
-    // Tag dedup must survive failover: record it on the embedded server so a
-    // client replaying the tag after this node's promotion is acknowledged
-    // with the original seq instead of double-applying.
-    server_->RecordAppliedTag(entry.tag, entry.seq);
-  }
 }
 
 int32_t ReplicaServer::LoadSnapshot() {
@@ -359,40 +355,26 @@ int32_t ReplicaServer::CatchUpInternal(uint64_t target_seq, int max_batches) {
     if (fields.size() >= 4) {
       prev_epoch = static_cast<uint64_t>(ParseInt(fields[3]).value_or(0));
     }
-    // Divergence checks (DESIGN.md "epoch fencing"): our applied prefix must
-    // be a prefix of the serving primary's log.  Either mismatch means our
-    // tail came from a dead reign that the elected history replaced — the
-    // only cure is a snapshot resync.
-    if (prev_epoch != 0 && applied_entry_epoch_ != 0 &&
-        prev_epoch != applied_entry_epoch_) {
-      ++stats_.divergence_resyncs;
-      force_snapshot_ = true;
-      continue;
+    const uint64_t position = applied_seq_;
+    const size_t max_apply = apply_limit_ > 0
+                                 ? static_cast<size_t>(apply_limit_ - applied_this_call)
+                                 : SIZE_MAX;
+    const int32_t accepted =
+        AcceptWindow(primary_epoch, position, prev_epoch, primary_seq, entries, max_apply);
+    if (force_snapshot_) {
+      continue;  // condemned: only a snapshot resync cures a diverged prefix
     }
-    if (applied_seq_ > primary_seq && primary_epoch > applied_entry_epoch_ &&
-        applied_entry_epoch_ != 0) {
-      // We extend past a newer primary's whole log: the suffix is dead.
-      ++stats_.divergence_resyncs;
-      force_snapshot_ = true;
-      continue;
-    }
-    bool limited = false;
-    for (const JournalEntry& entry : entries) {
-      if (apply_limit_ > 0 && applied_this_call >= apply_limit_) {
-        limited = true;  // injected slow apply: stop with work outstanding
-        break;
-      }
-      ApplyEntry(entry);
-      ++applied_this_call;
-    }
+    applied_this_call += static_cast<int>(applied_seq_ - position);
     // Applying rewound our clock to each entry's original time; step back to
     // the primary's present so client authenticators stay within skew.
     if (primary_now > clock_.Now()) {
       clock_.Set(primary_now);
     }
-    server_->InvalidateAccessCaches();
-    if (limited) {
-      return MR_MORE_DATA;
+    if (accepted == MR_MORE_DATA) {
+      return MR_MORE_DATA;  // injected slow apply: stop with work outstanding
+    }
+    if (accepted != MR_SUCCESS) {
+      return MR_INTERNAL;  // a gap in the primary's log
     }
     if (applied_seq_ >= target_seq && target_seq != UINT64_MAX) {
       return MR_SUCCESS;  // a token read needs no directory-freshness fetch
@@ -410,6 +392,73 @@ int32_t ReplicaServer::CatchUpInternal(uint64_t target_seq, int max_batches) {
     }
   }
   return applied_seq_ >= target_seq ? MR_SUCCESS : MR_MORE_DATA;
+}
+
+int32_t ReplicaServer::AcceptWindow(uint64_t epoch, uint64_t prev_seq, uint64_t prev_epoch,
+                                    uint64_t source_last_seq,
+                                    const std::vector<JournalEntry>& entries,
+                                    size_t max_apply) {
+  // Divergence checks (DESIGN.md "Shipping and deterministic apply"): our
+  // applied prefix must be a prefix of the sender's log.  Any mismatch means
+  // our tail came from a dead reign that the elected history replaced — the
+  // only cure is a snapshot resync, and until then we count toward no quorum.
+  auto condemn = [this] {
+    ++stats_.divergence_resyncs;
+    force_snapshot_ = true;
+    return MR_REPL_BEHIND;
+  };
+  const bool tail_known = applied_entry_epoch_ != 0;
+  if (prev_seq == applied_seq_ && prev_epoch != 0 && tail_known &&
+      prev_epoch != applied_entry_epoch_) {
+    return condemn();
+  }
+  if (source_last_seq < applied_seq_ && tail_known && epoch > applied_entry_epoch_) {
+    return condemn();  // a newer log ends below our position: our suffix is dead
+  }
+  for (const JournalEntry& entry : entries) {
+    if (entry.seq == applied_seq_ && entry.epoch != 0 && tail_known &&
+        entry.epoch != applied_entry_epoch_) {
+      return condemn();
+    }
+  }
+  if (prev_seq > applied_seq_) {
+    return MR_REPL_BEHIND;  // starts past our position; the sender re-sends from it
+  }
+  int32_t code = MR_SUCCESS;
+  size_t applied = 0;
+  for (const JournalEntry& entry : entries) {
+    if (entry.seq <= applied_seq_) {
+      continue;  // redelivery (a re-push after a lost reply)
+    }
+    if (entry.seq != applied_seq_ + 1) {
+      code = MR_REPL_BEHIND;  // a gap: the sender re-sends from our position
+      break;
+    }
+    if (applied == max_apply) {
+      code = MR_MORE_DATA;
+      break;
+    }
+    // Replay with the entry's original timestamp, principal, and client so
+    // modtime/modby/modwith stamps — and therefore full dumps — are
+    // byte-identical to the primary's.
+    if (BackupManager::ReplayEntry(mc_.get(), entry, &clock_) == MR_SUCCESS) {
+      ++stats_.entries_applied;
+    } else {
+      ++stats_.apply_failures;
+    }
+    applied_seq_ = entry.seq;
+    applied_entry_epoch_ = entry.epoch;
+    epoch_ = std::max(epoch_, entry.epoch);
+    // Tag dedup must survive failover: record it on the embedded server so a
+    // client replaying the tag after this node's promotion is acknowledged
+    // with the original seq instead of double-applying.
+    server_->RecordAppliedTag(entry.tag, entry.seq);
+    ++applied;
+  }
+  if (applied > 0) {
+    server_->InvalidateAccessCaches();
+  }
+  return code;
 }
 
 MoiraServer* ReplicaServer::Promote() {
@@ -467,19 +516,11 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
     // candidacy, and stepping down on that would sacrifice the one live
     // primary).
     for (const auto& [peer_name, connector] : peers_) {
-      MrClient probe(connector);
-      if (probe.Connect() != MR_SUCCESS || probe.ReplHello() != MR_SUCCESS) {
-        continue;
-      }
-      const std::vector<std::string>& f = probe.last_fields();
-      if (f.size() >= 3 && f[2] == "1") {
-        const uint64_t peer_epoch =
-            static_cast<uint64_t>(ParseInt(f[1]).value_or(0));
-        if (peer_epoch > server_->journal().epoch()) {
-          server_->Fence(peer_epoch);
-          StepDown();
-          return HeartbeatEvent::kSteppedDown;
-        }
+      std::optional<PeerView> view = ProbePeer(peer_name, connector);
+      if (view.has_value() && view->writable && view->epoch > server_->journal().epoch()) {
+        server_->Fence(view->epoch);
+        StepDown();
+        return HeartbeatEvent::kSteppedDown;
       }
     }
     return HeartbeatEvent::kPrimaryRole;
@@ -504,39 +545,16 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
   }
   // 2. Probe every peer with the unauthenticated hello: who is reachable,
   // how far along is their log, and is one of them already primary?
-  struct View {
-    std::string name;
-    uint64_t applied = 0;
-    uint64_t epoch = 0;
-    uint64_t tail_epoch = 0;
-    bool writable = false;
-  };
-  std::vector<View> views;
+  std::vector<PeerView> views;
   for (const auto& [peer_name, connector] : peers_) {
-    MrClient probe(connector);
-    if (probe.Connect() != MR_SUCCESS) {
-      continue;
+    if (std::optional<PeerView> view = ProbePeer(peer_name, connector)) {
+      views.push_back(std::move(*view));
     }
-    if (probe.ReplHello() != MR_SUCCESS) {
-      continue;
-    }
-    const std::vector<std::string>& f = probe.last_fields();
-    if (f.size() < 3) {
-      continue;
-    }
-    View v;
-    v.name = peer_name;
-    v.applied = static_cast<uint64_t>(ParseInt(f[0]).value_or(0));
-    v.epoch = static_cast<uint64_t>(ParseInt(f[1]).value_or(0));
-    v.writable = f[2] == "1";
-    v.tail_epoch =
-        f.size() >= 4 ? static_cast<uint64_t>(ParseInt(f[3]).value_or(0)) : 0;
-    views.push_back(std::move(v));
   }
   // 2a. Someone is already primary at an acceptable epoch: adopt it (this
   // also heals a plain link flap, where the old primary is alive and well).
-  const View* best_primary = nullptr;
-  for (const View& v : views) {
+  const PeerView* best_primary = nullptr;
+  for (const PeerView& v : views) {
     if (v.writable && v.epoch >= VoteFloor() &&
         (best_primary == nullptr || v.epoch > best_primary->epoch)) {
       best_primary = &v;
@@ -549,7 +567,7 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
   // 2b. Candidacy self-check: stand only with the best log among reachable
   // peers — compare (tail_epoch, applied_seq), name as the deterministic
   // tie-break — so at most one node starts an election per round.
-  for (const View& v : views) {
+  for (const PeerView& v : views) {
     if (std::make_pair(v.tail_epoch, v.applied) >
             std::make_pair(TailEpoch(), applied_seq_) ||
         (v.tail_epoch == TailEpoch() && v.applied == applied_seq_ &&
@@ -564,7 +582,7 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
   // partition inflates voted_epoch_ with every hopeless candidacy and
   // fences the healthy primary the moment its link heals.
   uint64_t election_epoch = VoteFloor();
-  for (const View& v : views) {
+  for (const PeerView& v : views) {
     election_epoch = std::max(election_epoch, v.epoch);
   }
   ++election_epoch;
@@ -573,7 +591,7 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
   const int needed = cluster / 2 + 1;  // strict majority
   auto solicit = [&](bool pre) {
     int votes = 1;  // self
-    for (const View& v : views) {
+    for (const PeerView& v : views) {
       if (v.writable) {
         continue;  // a primary never grants votes
       }
@@ -647,74 +665,31 @@ std::string ReplicaServer::HandleReplPush(uint64_t conn_id, const MrRequest& req
     }
     entries.push_back(std::move(*entry));
   }
+  // An armed torn push applies only half its window and then the connection
+  // dies mid-reply — the pusher must treat the batch as unacknowledged and
+  // converge by re-pushing.
+  const bool torn = torn_push_armed_ && !entries.empty();
+  if (torn) {
+    torn_push_armed_ = false;
+  }
   const uint64_t window_top = entries.empty() ? static_cast<uint64_t>(*prev_seq)
                                               : entries.back().seq;
-  // Divergence checks: our applied prefix must be a prefix of the pusher's
-  // log, or our tail came from a dead reign and only a snapshot resync cures
-  // it (stop counting toward quorums until then).
-  auto condemn = [&] {
-    ++stats_.divergence_resyncs;
-    force_snapshot_ = true;
-    return reply(MR_REPL_BEHIND, 0);
-  };
-  if (static_cast<uint64_t>(*prev_seq) == applied_seq_ && *prev_epoch != 0 &&
-      applied_entry_epoch_ != 0 &&
-      static_cast<uint64_t>(*prev_epoch) != applied_entry_epoch_) {
-    return condemn();
-  }
-  if (window_top < applied_seq_ && applied_entry_epoch_ != 0 &&
-      epoch > applied_entry_epoch_) {
-    // A newer primary's whole log ends below our position.
-    return condemn();
-  }
-  for (const JournalEntry& entry : entries) {
-    if (entry.seq == applied_seq_ && entry.epoch != 0 && applied_entry_epoch_ != 0 &&
-        entry.epoch != applied_entry_epoch_) {
-      return condemn();
-    }
-  }
-  if (static_cast<uint64_t>(*prev_seq) > applied_seq_) {
-    // The window starts past our position; the pusher re-sends from ours.
-    return reply(MR_REPL_BEHIND, applied_seq_);
-  }
-  // Apply the new suffix contiguously.  An armed torn push applies only half
-  // and then the connection dies mid-reply — the pusher must treat the batch
-  // as unacknowledged and converge by re-pushing.
-  size_t allow = entries.size();
-  bool torn = false;
-  if (torn_push_armed_ && !entries.empty()) {
-    torn_push_armed_ = false;
-    torn = true;
-    allow = entries.size() / 2;
-  }
   const UnixTime before = clock_.Now();
-  bool gap = false;
-  size_t applied_count = 0;
-  for (const JournalEntry& entry : entries) {
-    if (entry.seq <= applied_seq_) {
-      continue;  // duplicate delivery (re-push after a lost reply)
-    }
-    if (entry.seq != applied_seq_ + 1) {
-      gap = true;
-      break;
-    }
-    if (torn && applied_count >= allow) {
-      break;
-    }
-    ApplyEntry(entry);
-    ++applied_count;
-  }
+  const uint64_t position = applied_seq_;
+  const int32_t code = AcceptWindow(epoch, static_cast<uint64_t>(*prev_seq),
+                                    static_cast<uint64_t>(*prev_epoch), window_top, entries,
+                                    torn ? entries.size() / 2 : SIZE_MAX);
   if (before > clock_.Now()) {
     clock_.Set(before);  // applying never rewinds our present
   }
-  if (applied_count > 0) {
+  if (applied_seq_ != position) {
     ++stats_.push_batches;
-    server_->InvalidateAccessCaches();
   }
   if (torn) {
     return std::string();  // the connection died before the reply
   }
-  return reply(gap ? MR_REPL_BEHIND : MR_SUCCESS, applied_seq_);
+  // A condemned replica reports position 0, like one mid-resync.
+  return reply(code, force_snapshot_ ? 0 : applied_seq_);
 }
 
 std::string ReplicaServer::HandleReplVote(const MrRequest& request) {
@@ -827,7 +802,7 @@ std::string ReplicaServer::OnMessage(uint64_t conn_id, std::string_view payload)
         if (want > applied_seq_) {
           // Behind the caller's token: wait briefly (a bounded on-demand
           // pull) before giving up and redirecting them to the primary.
-          if (options_.catch_up_on_read && link_ != nullptr) {
+          if (link_ != nullptr) {
             ++stats_.read_catch_ups;
             CatchUpInternal(want, kReadCatchUpBatches);
           }

@@ -62,9 +62,6 @@ struct ReplicaOptions {
   // The replica seeds its database (schema + defaults) at this time; it must
   // match the primary's seed time or the two initial states diverge.
   UnixTime start_time = 568000000;
-  // A read whose token is ahead of applied_seq "waits briefly": a few
-  // on-demand fetch batches before answering MR_REPL_BEHIND.
-  bool catch_up_on_read = true;
   // Consecutive missed heartbeats before the replica gives up on its primary
   // and starts failover (probe peers, adopt or stand for election).
   int missed_heartbeats = 3;
@@ -197,7 +194,15 @@ class ReplicaServer final : public MessageHandler {
   bool EnsureLink();
   int32_t CatchUpInternal(uint64_t target_seq, int max_batches);
   int32_t LoadSnapshot();
-  void ApplyEntry(const JournalEntry& entry);
+  // Checks and applies one log window, fetched or pushed (DESIGN.md
+  // "Shipping and deterministic apply").  (prev_seq, prev_epoch) name the
+  // entry before the window in the sender's log, which ends at
+  // source_last_seq.  Returns MR_REPL_BEHIND when it condemns our state
+  // (force_snapshot_ set), when the window starts past us or at a gap, and
+  // MR_MORE_DATA when it stopped after `max_apply` entries.
+  int32_t AcceptWindow(uint64_t epoch, uint64_t prev_seq, uint64_t prev_epoch,
+                       uint64_t source_last_seq, const std::vector<JournalEntry>& entries,
+                       size_t max_apply);
   // Highest epoch this node must refuse below: max(seen, voted).
   uint64_t VoteFloor() const;
   // Epoch of the last applied entry (0 = unknown, e.g. right after a
@@ -208,6 +213,9 @@ class ReplicaServer final : public MessageHandler {
   // Demote a fenced ex-primary back to replica: wipe local state (the dead
   // reign's suffix may not be in the cluster history) and resync.
   void StepDown();
+  // Restart and StepDown: demote, empty the tables, and re-bootstrap from a
+  // snapshot.
+  void ResetToReplica();
   std::string HandleReplPush(uint64_t conn_id, const MrRequest& request);
   std::string HandleReplVote(const MrRequest& request);
 

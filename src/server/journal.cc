@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "src/common/strutil.h"
 
@@ -56,6 +57,31 @@ std::vector<JournalSegment> ScanSegments(const std::string& dir) {
               return a.first_seq < b.first_seq;
             });
   return segments;
+}
+
+// Reads one changelog file, handing each parsed entry to `visit` in file
+// order.  Returns the number of unparsable lines — a torn write (crash
+// mid-append or mid-rotation) leaves a short final line — or -1 if the file
+// cannot be opened.
+template <typename Visit>
+int ReadChangelog(const std::string& path, Visit visit) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return -1;
+  }
+  int corrupt = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) {
+      continue;
+    }
+    if (std::optional<JournalEntry> entry = JournalEntry::FromLine(line)) {
+      visit(std::move(*entry));
+    } else {
+      ++corrupt;
+    }
+  }
+  return corrupt;
 }
 
 }  // namespace
@@ -184,46 +210,6 @@ void Journal::OpenLive() {
   file_.open(LivePath(), std::ios::app | std::ios::binary);
 }
 
-int Journal::LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return -1;
-  }
-  int kept = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::optional<JournalEntry> entry = JournalEntry::FromLine(line);
-    if (!entry.has_value()) {
-      // A torn write (crash mid-append or mid-rotation) leaves a short final
-      // line; count it rather than silently dropping it so operators can see
-      // data loss.
-      ++corrupt_lines_skipped_;
-      continue;
-    }
-    if (track_live) {
-      if (live_first_seq_ == 0) {
-        live_first_seq_ = entry->seq;
-      }
-      live_last_seq_ = entry->seq;
-      ++live_count_;
-    }
-    if (entry->seq > last_seq_) {
-      last_seq_ = entry->seq;
-    }
-    if (entry->epoch > epoch_) {
-      epoch_ = entry->epoch;
-    }
-    if (entry->seq > after_seq) {
-      entries_.push_back(std::move(*entry));
-      ++kept;
-    }
-  }
-  return kept;
-}
-
 int Journal::AttachDirectory(const std::string& dir, uint64_t after_seq) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -243,22 +229,37 @@ int Journal::AttachDirectory(const std::string& dir, uint64_t after_seq) {
     base_seq_ = after_seq;
   }
   int loaded = 0;
+  // Keeps every entry past the checkpoint; the live file also sets the
+  // live-file state.  A file that cannot be opened loads nothing.
+  auto load = [&](const std::string& path, bool live) {
+    const int corrupt = ReadChangelog(path, [&](JournalEntry entry) {
+      if (live) {
+        if (live_first_seq_ == 0) {
+          live_first_seq_ = entry.seq;
+        }
+        live_last_seq_ = entry.seq;
+        ++live_count_;
+      }
+      last_seq_ = std::max(last_seq_, entry.seq);
+      epoch_ = std::max(epoch_, entry.epoch);
+      if (entry.seq > after_seq) {
+        entries_.push_back(std::move(entry));
+        ++loaded;
+      }
+    });
+    // Counted rather than silently dropped, so operators can see data loss.
+    corrupt_lines_skipped_ += std::max(corrupt, 0);
+  };
   for (const JournalSegment& segment : segments_) {
-    if (segment.last_seq <= after_seq) {
-      continue;  // fully covered by the checkpoint; retired at next truncate
-    }
-    int kept = LoadOneFile(segment.path, after_seq, /*track_live=*/false);
-    if (kept > 0) {
-      loaded += kept;
+    // A segment the checkpoint fully covers is retired at the next truncate.
+    if (segment.last_seq > after_seq) {
+      load(segment.path, /*live=*/false);
     }
   }
   // The live file may be absent (fresh directory, or a crash between the
   // rotation rename and the reopen); Append recreates it.
   if (fs::exists(LivePath(), ec)) {
-    int kept = LoadOneFile(LivePath(), after_seq, /*track_live=*/true);
-    if (kept > 0) {
-      loaded += kept;
-    }
+    load(LivePath(), /*live=*/true);
   }
   // Retained entries run (base_seq_, last_seq_]; when disk starts later than
   // the checkpoint (segments retired after the checkpoint was cut), the cut
@@ -314,19 +315,13 @@ std::optional<std::vector<JournalEntry>> Journal::ReadRange(const std::string& d
   }
   std::vector<JournalEntry> out;
   for (const std::string& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const int corrupt = ReadChangelog(path, [&](JournalEntry entry) {
+      if (entry.seq > after_seq && entry.seq <= through_seq) {
+        out.push_back(std::move(entry));
+      }
+    });
+    if (corrupt < 0) {
       return std::nullopt;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      std::optional<JournalEntry> entry = JournalEntry::FromLine(line);
-      if (entry.has_value() && entry->seq > after_seq && entry->seq <= through_seq) {
-        out.push_back(std::move(*entry));
-      }
     }
   }
   return out;
@@ -367,13 +362,28 @@ uint64_t Journal::Append(JournalEntry entry) {
 }
 
 std::vector<JournalEntry> Journal::EntriesFromSeq(uint64_t from_seq, size_t max) const {
+  std::span<const JournalEntry> window =
+      WindowAfter(from_seq > 0 ? from_seq - 1 : 0, max).entries;
+  return std::vector<JournalEntry>(window.begin(), window.end());
+}
+
+Journal::Window Journal::WindowAfter(uint64_t after_seq, size_t max,
+                                     uint64_t through_seq) const {
   // entries_ ascends by seq: Append numbers past last_seq_, and
   // AttachDirectory loads the segments and then the live file in order.
   auto first = std::partition_point(
       entries_.begin(), entries_.end(),
-      [from_seq](const JournalEntry& entry) { return entry.seq < from_seq; });
-  size_t count = std::min(max, static_cast<size_t>(entries_.end() - first));
-  return std::vector<JournalEntry>(first, first + static_cast<ptrdiff_t>(count));
+      [after_seq](const JournalEntry& entry) { return entry.seq <= after_seq; });
+  auto last = std::partition_point(
+      first, entries_.end(),
+      [through_seq](const JournalEntry& entry) { return entry.seq <= through_seq; });
+  Window window;
+  window.entries = std::span<const JournalEntry>(
+      first, std::min(max, static_cast<size_t>(last - first)));
+  if (first != entries_.begin() && std::prev(first)->seq == after_seq) {
+    window.prev_epoch = std::prev(first)->epoch;
+  }
+  return window;
 }
 
 uint64_t Journal::first_seq() const {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,9 +119,10 @@ class Journal {
   // Records one entry.  Assigns the next sequence number when entry.seq is 0
   // (entries carrying a seq — e.g. reloaded from disk — keep it and advance
   // the counter past it).  In directory mode the line is written to the live
-  // file and flushed before this returns, so an entry is durable before it
-  // is acknowledged to the client or streamed to a replica.  Returns the
-  // entry's sequence number.
+  // file and the stream flushed before this returns; nothing syncs it to
+  // disk and the stream state goes unchecked, so an acknowledged entry can
+  // still be lost to a crash or a failed write (ROADMAP "Real durability").
+  // Returns the entry's sequence number.
   uint64_t Append(JournalEntry entry);
 
   const std::vector<JournalEntry>& entries() const { return entries_; }
@@ -128,6 +130,18 @@ class Journal {
   // Up to `max` retained entries with seq >= from_seq, in order.
   std::vector<JournalEntry> EntriesFromSeq(uint64_t from_seq,
                                            size_t max = SIZE_MAX) const;
+
+  // The log window both replication doors ship (a kReplFetch reply and a
+  // quorum push): up to `max` retained entries with after_seq < seq <=
+  // through_seq, read in place (valid until the journal next changes), and
+  // the epoch of entry after_seq (0 when it is not held), against which the
+  // receiver checks its applied prefix.
+  struct Window {
+    std::span<const JournalEntry> entries;
+    uint64_t prev_epoch = 0;
+  };
+  Window WindowAfter(uint64_t after_seq, size_t max = SIZE_MAX,
+                     uint64_t through_seq = UINT64_MAX) const;
 
   // Sequence number of the oldest retained entry; with nothing retained,
   // base_seq() + 1 (the seq the next retained entry would get).
@@ -171,10 +185,6 @@ class Journal {
   std::string LivePath() const;
   // Opens the live file for appending (creating it if needed).
   void OpenLive();
-  // Loads one on-disk file, keeping entries with seq > after_seq; returns
-  // entries kept, or -1 if the file cannot be opened.  `track_live` also
-  // records the file's first/last seq and line count as the live-file state.
-  int LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live);
 
   std::vector<JournalEntry> entries_;
   std::ofstream file_;

@@ -1,5 +1,6 @@
 #include "src/server/server.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -221,8 +222,9 @@ std::string MoiraServer::HandleQuery(ConnState& conn, const MrRequest& request,
   if (code == MR_SUCCESS && is_mutation) {
     // Successful change: journal it (with the assigned sequence number
     // reported back so routing clients can carry a read-your-writes token)
-    // and invalidate caches.  The entry is durable locally before the quorum
-    // gate runs, so MR_QUORUM_TIMEOUT means "outcome unknown", never "lost".
+    // and invalidate caches.  The entry is journalled locally before the
+    // quorum gate runs, so MR_QUORUM_TIMEOUT means "outcome unknown": the
+    // write may still commit.
     JournalEntry entry{0, mc_->Now(), conn.principal, conn.client_name,
                        std::string(def->name), args};
     entry.tag = tag;
@@ -284,25 +286,20 @@ std::string MoiraServer::HandleReplFetch(ConnState& conn, const MrRequest& reque
       code != MR_SUCCESS) {
     return SingleReply(code);
   }
-  if (request.args.size() != 3 && request.args.size() != 4) {
+  if (request.args.size() != 4) {
     return SingleReply(MR_ARGS);
   }
   std::optional<int64_t> from_seq = ParseInt(request.args[1]);
   std::optional<int64_t> max_entries = ParseInt(request.args[2]);
+  // The replica's epoch floor: a replica that has seen a newer primary fences
+  // this one on contact.
+  std::optional<int64_t> replica_epoch = ParseInt(request.args[3]);
   if (!from_seq.has_value() || *from_seq < 1 || !max_entries.has_value() ||
-      *max_entries < 1) {
+      *max_entries < 1 || !replica_epoch.has_value() || *replica_epoch < 0) {
     return SingleReply(MR_ARGS);
   }
-  // The optional 4th argument is the replica's epoch floor: a replica that
-  // has seen a newer primary fences this one on contact.
-  if (request.args.size() == 4) {
-    std::optional<int64_t> replica_epoch = ParseInt(request.args[3]);
-    if (!replica_epoch.has_value() || *replica_epoch < 0) {
-      return SingleReply(MR_ARGS);
-    }
-    if (static_cast<uint64_t>(*replica_epoch) > journal_.epoch()) {
-      Fence(static_cast<uint64_t>(*replica_epoch));
-    }
+  if (static_cast<uint64_t>(*replica_epoch) > journal_.epoch()) {
+    Fence(static_cast<uint64_t>(*replica_epoch));
   }
   if (fenced_) {
     ++quorum_stats_.fence_refusals;
@@ -317,27 +314,17 @@ std::string MoiraServer::HandleReplFetch(ConnState& conn, const MrRequest& reque
     // the replica must fall back to a snapshot transfer.
     return SingleReply(MR_REPL_TRUNCATED);
   }
+  const Journal::Window window = journal_.WindowAfter(
+      static_cast<uint64_t>(*from_seq) - 1, static_cast<size_t>(*max_entries));
   std::string out;
-  for (const JournalEntry& entry : journal_.EntriesFromSeq(
-           static_cast<uint64_t>(*from_seq), static_cast<size_t>(*max_entries))) {
+  for (const JournalEntry& entry : window.entries) {
     out += EncodeReply(MrReply{kMrProtocolVersion, MR_MORE_DATA, {entry.ToLine()}});
-  }
-  // prev_epoch: epoch of our entry just before the requested range, so the
-  // replica can verify its applied prefix is a prefix of this log (0 =
-  // start of history or truncated away — the replica skips the check).
-  uint64_t prev_epoch = 0;
-  if (*from_seq > 1) {
-    std::vector<JournalEntry> prev =
-        journal_.EntriesFromSeq(static_cast<uint64_t>(*from_seq) - 1, 1);
-    if (!prev.empty() && prev[0].seq == static_cast<uint64_t>(*from_seq) - 1) {
-      prev_epoch = prev[0].epoch;
-    }
   }
   out += EncodeReply(MrReply{kMrProtocolVersion, MR_SUCCESS,
                              {std::to_string(journal_.last_seq()),
                               std::to_string(mc_->Now()),
                               std::to_string(journal_.epoch()),
-                              std::to_string(prev_epoch)}});
+                              std::to_string(window.prev_epoch)}});
   return out;
 }
 
@@ -493,9 +480,43 @@ void MoiraServer::RecordAppliedTag(const std::string& tag, uint64_t seq) {
   }
 }
 
+int32_t MoiraServer::PushWindow(QuorumPeer* peer, uint64_t after_seq, uint64_t through_seq,
+                                uint64_t* acked) {
+  const Journal::Window window = journal_.WindowAfter(after_seq, SIZE_MAX, through_seq);
+  std::vector<std::string> lines;
+  lines.reserve(window.entries.size());
+  for (const JournalEntry& entry : window.entries) {
+    lines.push_back(entry.ToLine());
+  }
+  uint64_t applied = 0;
+  uint64_t peer_epoch = 0;
+  ++quorum_stats_.push_rounds;
+  const int32_t code =
+      peer->Push(journal_.epoch(), after_seq, window.prev_epoch, lines, &applied, &peer_epoch);
+  if (code == MR_REPL_EPOCH) {
+    // The peer has seen a newer primary: we lost an election we did not
+    // witness.  Never ack this write — a quorum assembled now could
+    // contradict the new primary's history.
+    Fence(peer_epoch);
+    ++quorum_stats_.fence_refusals;
+    return code;
+  }
+  if (code != MR_SUCCESS && code != MR_REPL_BEHIND) {
+    return code;
+  }
+  // After MR_REPL_BEHIND the replica's applied prefix is authoritative — it
+  // can move backward when a crashed replica restarts empty.
+  *acked = code == MR_REPL_BEHIND ? applied : std::max(*acked, applied);
+  ReplicaInfo& info = replicas_[peer->name()];
+  info.applied_seq = std::max(info.applied_seq, *acked);
+  info.last_contact = mc_->Now();
+  ++info.pushes;
+  return MR_SUCCESS;
+}
+
 int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
   if (quorum_peers_.empty()) {
-    return MR_SUCCESS;  // single-server deployment: local durability is the ack
+    return MR_SUCCESS;  // single-server deployment: the local append is the ack
   }
   ++quorum_stats_.quorum_writes;
   const int cluster = options_.cluster_size > 0
@@ -503,96 +524,37 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
                           : static_cast<int>(quorum_peers_.size()) + 1;
   const int needed =
       options_.write_quorum > 0 ? options_.write_quorum : (cluster + 1) / 2;
-  const uint64_t epoch = journal_.epoch();
   for (int sweep = 0; sweep < kQuorumAttempts; ++sweep) {
-    int acks = 1;  // self: Journal::Append flushed before we got here
+    int acks = 1;  // self: Journal::Append wrote the entry before we got here
     for (QuorumPeer* peer : quorum_peers_) {
       uint64_t& acked = peer_acked_[peer->name()];
-      if (acked >= target_seq) {
-        ++acks;
-        continue;
-      }
-      if (acked < journal_.base_seq()) {
+      const uint64_t base = journal_.base_seq();
+      if (acked < target_seq && acked < base) {
         // The peer's last known position predates the retained log.  That is
         // routine right after a promotion rebased the journal (positions
         // reset to zero), so probe with an empty window anchored at the base
         // to learn where the peer really is; only a peer genuinely below the
         // base is left to the pull path's snapshot.
-        uint64_t probed = 0;
-        uint64_t probe_epoch = 0;
-        ++quorum_stats_.push_rounds;
-        int32_t probe = peer->Push(epoch, journal_.base_seq(), 0, {}, &probed,
-                                   &probe_epoch);
-        if (probe == MR_REPL_EPOCH) {
-          Fence(probe_epoch);
-          ++quorum_stats_.fence_refusals;
-          return MR_REPL_EPOCH;
+        const int32_t code = PushWindow(peer, base, base, &acked);
+        if (code == MR_REPL_EPOCH) {
+          return code;
         }
-        if ((probe != MR_SUCCESS && probe != MR_REPL_BEHIND) ||
-            probed < journal_.base_seq()) {
+        if (code != MR_SUCCESS || acked < base) {
           ++quorum_stats_.push_failures;
           continue;
         }
-        acked = probed;
-        ReplicaInfo& info = replicas_[peer->name()];
-        if (acked > info.applied_seq) {
-          info.applied_seq = acked;
+      }
+      if (acked < target_seq) {
+        const int32_t code = PushWindow(peer, acked, target_seq, &acked);
+        if (code == MR_REPL_EPOCH) {
+          return code;
         }
-        info.last_contact = mc_->Now();
-        if (acked >= target_seq) {
-          ++acks;
+        if (code != MR_SUCCESS || acked < target_seq) {
+          ++quorum_stats_.push_failures;
           continue;
         }
       }
-      std::vector<std::string> lines;
-      for (const JournalEntry& entry : journal_.EntriesFromSeq(acked + 1)) {
-        if (entry.seq > target_seq) {
-          break;
-        }
-        lines.push_back(entry.ToLine());
-      }
-      // The predecessor of the window lets the peer verify its applied prefix
-      // really is a prefix of ours (prev_epoch 0 = start of history or
-      // truncated away — epoch check skipped).
-      uint64_t prev_epoch = 0;
-      if (acked > 0) {
-        std::vector<JournalEntry> prev = journal_.EntriesFromSeq(acked, 1);
-        if (!prev.empty() && prev[0].seq == acked) {
-          prev_epoch = prev[0].epoch;
-        }
-      }
-      uint64_t applied = 0;
-      uint64_t peer_epoch = 0;
-      ++quorum_stats_.push_rounds;
-      int32_t code = peer->Push(epoch, acked, prev_epoch, lines, &applied, &peer_epoch);
-      if (code == MR_REPL_EPOCH) {
-        // The peer has seen a newer primary: we lost an election we did not
-        // witness.  Never ack this write — a quorum assembled now could
-        // contradict the new primary's history.
-        Fence(peer_epoch);
-        ++quorum_stats_.fence_refusals;
-        return MR_REPL_EPOCH;
-      }
-      if (code == MR_SUCCESS || code == MR_REPL_BEHIND) {
-        if (code == MR_REPL_BEHIND) {
-          // The replica's applied prefix is authoritative — it can move
-          // backward when a crashed replica restarts empty.
-          acked = applied;
-        } else if (applied > acked) {
-          acked = applied;
-        }
-        ReplicaInfo& info = replicas_[peer->name()];
-        if (acked > info.applied_seq) {
-          info.applied_seq = acked;
-        }
-        info.last_contact = mc_->Now();
-        ++info.pushes;
-        if (acked >= target_seq) {
-          ++acks;
-          continue;
-        }
-      }
-      ++quorum_stats_.push_failures;
+      ++acks;
     }
     if (acks >= needed) {
       ++quorum_stats_.quorum_acks;

@@ -46,8 +46,10 @@ struct ServerOptions {
   std::string data_dir;
 
   // --- Quorum-acknowledged writes (DESIGN.md "Replication layer") ----------
-  // Acks needed (including the primary's own durable append) before a
-  // mutation is acknowledged to the client.  0 = automatic majority,
+  // Acks needed (including the primary's own journal append) before a
+  // mutation is acknowledged to the client.  No ack is on disk yet: the
+  // append flushes a stream it never syncs, and a replica applies in memory
+  // (ROADMAP "Real durability").  0 = automatic majority,
   // ceil(cluster_size / 2); with no quorum peers installed the gate is a
   // no-op, so single-server deployments are unaffected.
   int write_quorum = 0;
@@ -102,7 +104,8 @@ class MoiraServer final : public MessageHandler {
 
   // Installs the quorum push targets (non-owning).  While any peers are set,
   // every mutation is acknowledged only after ServerOptions::write_quorum
-  // members (counting this server) have durably applied it.
+  // members (counting this server) hold it: journalled here, applied in
+  // memory on a replica (ROADMAP "Real durability").
   void SetQuorumPeers(std::vector<QuorumPeer*> peers);
 
   // Called when quorum is unreachable and the degraded policy acks locally
@@ -223,6 +226,12 @@ class MoiraServer final : public MessageHandler {
   // kQuorumAttempts sweeps (server.cc) are exhausted.  Returns MR_SUCCESS,
   // MR_QUORUM_TIMEOUT, or MR_REPL_EPOCH (a peer fenced us).
   int32_t QuorumGate(uint64_t target_seq);
+  // Pushes `peer` the journal window after `after_seq` through `through_seq`.
+  // On contact returns MR_SUCCESS with *acked at the peer's position;
+  // otherwise MR_REPL_EPOCH (this server is now fenced) or the transport
+  // error.
+  int32_t PushWindow(QuorumPeer* peer, uint64_t after_seq, uint64_t through_seq,
+                     uint64_t* acked);
 
   MoiraContext* mc_;
   ServiceVerifier verifier_;

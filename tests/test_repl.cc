@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "src/backup/backup.h"
 #include "src/client/client.h"
@@ -96,6 +97,59 @@ TEST(JournalReplTest, EntriesFromSeqWindowBoundaries) {
   EXPECT_EQ((V{5, 10, 11}), Seqs(journal.EntriesFromSeq(1)));
   EXPECT_EQ((V{5, 10}), Seqs(journal.EntriesFromSeq(4, 2)));
   EXPECT_EQ(V{}, Seqs(journal.EntriesFromSeq(12)));
+}
+
+TEST(JournalReplTest, WindowAfterCarriesThePredecessorsEpoch) {
+  using V = std::vector<uint64_t>;
+  auto seqs = [](const Journal::Window& window) {
+    V out;
+    for (const JournalEntry& entry : window.entries) {
+      out.push_back(entry.seq);
+    }
+    return out;
+  };
+  Journal journal;
+  for (uint64_t seq = 1; seq <= 5; ++seq) {
+    JournalEntry entry;
+    entry.seq = seq;
+    entry.epoch = seq < 4 ? 1 : 2;
+    journal.Append(entry);
+  }
+  // From the start of history there is no predecessor to check.
+  Journal::Window window = journal.WindowAfter(0);
+  EXPECT_EQ((V{1, 2, 3, 4, 5}), seqs(window));
+  EXPECT_EQ(0u, window.prev_epoch);
+  // A count and a target seq each bound the window.
+  window = journal.WindowAfter(3, 1);
+  EXPECT_EQ(V{4}, seqs(window));
+  EXPECT_EQ(1u, window.prev_epoch);
+  window = journal.WindowAfter(2, SIZE_MAX, 4);
+  EXPECT_EQ((V{3, 4}), seqs(window));
+  EXPECT_EQ(1u, window.prev_epoch);
+  window = journal.WindowAfter(4);
+  EXPECT_EQ(V{5}, seqs(window));
+  EXPECT_EQ(2u, window.prev_epoch);
+  // Empty windows still name their predecessor, when it is held.
+  window = journal.WindowAfter(2, SIZE_MAX, 2);
+  EXPECT_EQ(V{}, seqs(window));
+  EXPECT_EQ(1u, window.prev_epoch);
+  window = journal.WindowAfter(5);
+  EXPECT_EQ(V{}, seqs(window));
+  EXPECT_EQ(2u, window.prev_epoch);
+  EXPECT_EQ(0u, journal.WindowAfter(6).prev_epoch);
+  // A gap is shipped as it is; only a held predecessor has an epoch.
+  JournalEntry eighth;
+  eighth.seq = 8;
+  journal.Append(eighth);
+  EXPECT_EQ(V{8}, seqs(journal.WindowAfter(5)));
+  EXPECT_EQ(2u, journal.WindowAfter(5).prev_epoch);
+  EXPECT_EQ(V{8}, seqs(journal.WindowAfter(6)));
+  EXPECT_EQ(0u, journal.WindowAfter(6).prev_epoch);
+  // A truncated predecessor is unknown.
+  journal.TruncateThrough(3);
+  window = journal.WindowAfter(3);
+  EXPECT_EQ((V{4, 5, 8}), seqs(window));
+  EXPECT_EQ(0u, window.prev_epoch);
 }
 
 TEST(JournalReplTest, AppendIsDurableBeforeAck) {
@@ -199,11 +253,9 @@ class ReplTest : public MoiraEnv {
     return [handler] { return std::make_unique<LoopbackChannel>(handler); };
   }
 
-  std::unique_ptr<ReplicaServer> MakeReplica(const std::string& name,
-                                             bool catch_up_on_read = true) {
+  std::unique_ptr<ReplicaServer> MakeReplica(const std::string& name) {
     ReplicaOptions options;
     options.name = name;
-    options.catch_up_on_read = catch_up_on_read;
     auto replica = std::make_unique<ReplicaServer>(realm_.get(), options);
     replica->SetPrimaryLink(PrimaryConnector(), "root", "rootpw");
     return replica;
@@ -337,9 +389,11 @@ TEST_F(ReplTest, BehindReplicaRedirectsToPrimary) {
   primary_client->SetKerberosIdentity(realm_.get(), "root", "rootpw");
   ASSERT_EQ(MR_SUCCESS, primary_client->Connect());
   ASSERT_EQ(MR_SUCCESS, primary_client->Auth("ops"));
-  // This replica cannot catch up on demand: behind tokens redirect.
-  std::unique_ptr<ReplicaServer> replica = MakeReplica("r1", /*catch_up_on_read=*/false);
+  std::unique_ptr<ReplicaServer> replica = MakeReplica("r1");
   ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+  // The replica loses its primary link, so its on-demand catch-up cannot
+  // connect: behind tokens redirect.
+  replica->SetPrimaryLink([] { return std::unique_ptr<ClientChannel>(); }, "root", "rootpw");
   ReplicatedClient router(std::move(primary_client));
   router.AddReplica(MakeReadClient(replica.get()));
   ASSERT_EQ(MR_SUCCESS, router.Query("add_machine", {"rd.mit.edu", "VAX"}, [](Tuple) {}));
@@ -351,7 +405,9 @@ TEST_F(ReplTest, BehindReplicaRedirectsToPrimary) {
   EXPECT_EQ(1u, router.stats().redirects);
   EXPECT_EQ(1u, router.stats().primary_reads);
   EXPECT_EQ(1u, replica->stats().reads_behind);
-  // Once the replica catches up, the same token is satisfiable locally.
+  // Once the link is back and the replica catches up, the same token is
+  // satisfiable locally.
+  replica->SetPrimaryLink(PrimaryConnector(), "root", "rootpw");
   ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
   ASSERT_EQ(MR_SUCCESS, router.Query("get_machine", {"RD.MIT.EDU"}, [](Tuple) {}));
   EXPECT_EQ(1u, router.stats().replica_reads);
@@ -564,6 +620,288 @@ TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
     EXPECT_EQ(0u, replica->stats().apply_failures) << replica->name();
     EXPECT_EQ(golden, BackupManager::DumpToString(replica->db())) << replica->name();
   }
+}
+
+// "<prefix><n>.mit.edu", built by appending (GCC 12 misreports
+// "literal" + std::string under -Wrestrict).
+std::string MachineName(const char* prefix, uint64_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  name += ".mit.edu";
+  return name;
+}
+
+// --- One log window, through either door ---
+//
+// Every row is a window arriving at a replica that has applied the primary's
+// entries 1..4, all of epoch 1.  A push delivers it with MrClient::ReplPush;
+// a fetch delivers it from a source server whose journal holds the window's
+// log: entries 1..prev_seq (the last one stamped prev_epoch when that is not
+// 0), then the window's entries, at the window's epoch.  After a push the
+// replica catches up from that same source.
+
+struct WindowOutcome {
+  int32_t code;      // the push reply, or what CatchUp returns
+  uint64_t applied;  // applied_seq() afterwards
+};
+
+struct WindowRow {
+  const char* name;
+  uint64_t epoch;  // the sender's epoch
+  uint64_t prev_seq;
+  uint64_t prev_epoch;
+  std::vector<std::pair<uint64_t, uint64_t>> entries;  // (seq, epoch)
+  bool mid_resync;  // a push condemned the replica before the window arrives
+  WindowOutcome push;
+  uint64_t push_position;              // the position the push reply reports
+  std::optional<WindowOutcome> fetch;  // nullopt: no fetch reply is this window
+  uint64_t resyncs;                    // divergence_resyncs afterwards
+  bool snapshot;  // the next CatchUp (for a fetch, the same one) loads a snapshot
+};
+
+const std::vector<WindowRow>& WindowRows() {
+  static const std::vector<WindowRow> rows = {
+      {"in order", 1, 4, 1, {{5, 1}, {6, 1}}, false,
+       {MR_SUCCESS, 6}, 6, WindowOutcome{MR_SUCCESS, 6}, 0, false},
+      {"redelivered prefix", 1, 2, 1, {{3, 1}, {4, 1}, {5, 1}}, false,
+       {MR_SUCCESS, 5}, 5, std::nullopt, 0, false},
+      {"window ahead", 1, 6, 1, {{7, 1}}, false,
+       {MR_REPL_BEHIND, 4}, 4, std::nullopt, 0, false},
+      {"empty window ahead (the quorum gate's probe)", 1, 6, 0, {}, false,
+       {MR_REPL_BEHIND, 4}, 4, std::nullopt, 0, false},
+      {"gap", 1, 4, 1, {{5, 1}, {7, 1}}, false,
+       {MR_REPL_BEHIND, 5}, 5, WindowOutcome{MR_INTERNAL, 5}, 0, false},
+      {"prev_epoch mismatch", 2, 4, 2, {{5, 2}}, false,
+       {MR_REPL_BEHIND, 4}, 0, WindowOutcome{MR_SUCCESS, 5}, 1, true},
+      {"newer log ends below us", 2, 2, 1, {}, false,
+       {MR_REPL_BEHIND, 4}, 0, WindowOutcome{MR_SUCCESS, 2}, 1, true},
+      {"entry at our position with another epoch", 2, 3, 1, {{4, 2}, {5, 2}}, false,
+       {MR_REPL_BEHIND, 4}, 0, std::nullopt, 1, true},
+      {"push while mid-resync", 2, 4, 1, {{5, 2}}, true,
+       {MR_REPL_BEHIND, 4}, 0, std::nullopt, 1, true},
+  };
+  return rows;
+}
+
+class ReplWindowTest : public ReplTest {
+ protected:
+  void SetUp() override {
+    ReplTest::SetUp();
+    MrClient admin = MakeAdmin();
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(MR_SUCCESS, admin.Query("add_machine",
+                                        {MachineName("base", i), "VAX"},
+                                        [](Tuple) {}));
+    }
+    ASSERT_EQ(4u, primary_->journal().last_seq());
+  }
+
+  JournalEntry Crafted(uint64_t seq, uint64_t epoch) {
+    JournalEntry entry{seq, clock_.Now(), "root", "test", "add_machine",
+                       {MachineName("w", seq), "VAX"}};
+    entry.epoch = epoch;
+    return entry;
+  }
+
+  // A server on the primary's database whose journal holds `row`'s log.
+  std::unique_ptr<MoiraServer> Source(const WindowRow& row) {
+    auto source = std::make_unique<MoiraServer>(mc_.get(), realm_.get());
+    const std::vector<JournalEntry>& history = primary_->journal().entries();
+    for (uint64_t seq = 1; seq <= row.prev_seq; ++seq) {
+      JournalEntry entry = seq <= history.size() ? history[seq - 1] : Crafted(seq, 1);
+      if (seq == row.prev_seq && row.prev_epoch != 0) {
+        entry.epoch = row.prev_epoch;
+      }
+      source->journal().Append(std::move(entry));
+    }
+    for (const auto& [seq, epoch] : row.entries) {
+      source->journal().Append(Crafted(seq, epoch));
+    }
+    source->journal().set_epoch(row.epoch);
+    return source;
+  }
+
+  std::vector<std::string> Lines(const WindowRow& row) {
+    std::vector<std::string> lines;
+    for (const auto& [seq, epoch] : row.entries) {
+      lines.push_back(Crafted(seq, epoch).ToLine());
+    }
+    return lines;
+  }
+
+  // A root-authenticated client to a replica, as a quorum pusher is.
+  MrClient MakePusher(ReplicaServer* replica) {
+    MrClient client(HandlerConnector(replica));
+    client.SetKerberosIdentity(realm_.get(), "root", "rootpw");
+    EXPECT_EQ(MR_SUCCESS, client.Connect());
+    EXPECT_EQ(MR_SUCCESS, client.Auth("mrrepl-push"));
+    return client;
+  }
+};
+
+TEST_F(ReplWindowTest, EveryWindowRuleThroughThePush) {
+  for (const WindowRow& row : WindowRows()) {
+    SCOPED_TRACE(row.name);
+    std::unique_ptr<MoiraServer> source = Source(row);
+    std::unique_ptr<ReplicaServer> replica = MakeReplica("r1");
+    ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+    ASSERT_EQ(4u, replica->applied_seq());
+    {
+      MrClient pusher = MakePusher(replica.get());
+      if (row.mid_resync) {
+        ASSERT_EQ(MR_REPL_BEHIND, pusher.ReplPush(row.epoch, 4, 2, {}));
+      }
+      EXPECT_EQ(row.push.code, pusher.ReplPush(row.epoch, row.prev_seq, row.prev_epoch,
+                                               Lines(row)));
+      ASSERT_EQ(2u, pusher.last_fields().size());
+      EXPECT_EQ(std::to_string(row.push_position), pusher.last_fields()[0]);
+    }
+    EXPECT_EQ(row.push.applied, replica->applied_seq());
+    EXPECT_EQ(row.resyncs, replica->stats().divergence_resyncs);
+    replica->SetPrimaryLink(HandlerConnector(source.get()), "root", "rootpw");
+    replica->CatchUp();
+    EXPECT_EQ(row.snapshot ? 1u : 0u, replica->stats().snapshot_loads);
+  }
+}
+
+TEST_F(ReplWindowTest, EveryWindowRuleThroughTheFetch) {
+  int fetched = 0;
+  for (const WindowRow& row : WindowRows()) {
+    if (!row.fetch.has_value()) {
+      continue;
+    }
+    ++fetched;
+    SCOPED_TRACE(row.name);
+    std::unique_ptr<MoiraServer> source = Source(row);
+    std::unique_ptr<ReplicaServer> replica = MakeReplica("r1");
+    ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+    ASSERT_EQ(4u, replica->applied_seq());
+    replica->SetPrimaryLink(HandlerConnector(source.get()), "root", "rootpw");
+    EXPECT_EQ(row.fetch->code, replica->CatchUp());
+    EXPECT_EQ(row.fetch->applied, replica->applied_seq());
+    EXPECT_EQ(row.resyncs, replica->stats().divergence_resyncs);
+    EXPECT_EQ(row.snapshot ? 1u : 0u, replica->stats().snapshot_loads);
+  }
+  EXPECT_EQ(4, fetched);
+}
+
+// The torn-push fault applies the first half of a window and drops the
+// reply; the pusher's re-push applies the rest.
+TEST_F(ReplWindowTest, TornPushAppliesHalfItsWindow) {
+  WindowRow row{"torn", 1, 4, 1, {{5, 1}, {6, 1}, {7, 1}, {8, 1}}, false, {}, 0,
+                std::nullopt, 0, false};
+  std::unique_ptr<ReplicaServer> replica = MakeReplica("r1");
+  ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+  replica->ArmTornPush();
+  {
+    MrClient pusher = MakePusher(replica.get());
+    EXPECT_EQ(MR_ABORTED, pusher.ReplPush(1, 4, 1, Lines(row)));
+  }
+  EXPECT_EQ(6u, replica->applied_seq());
+  MrClient pusher = MakePusher(replica.get());
+  EXPECT_EQ(MR_SUCCESS, pusher.ReplPush(1, 4, 1, Lines(row)));
+  EXPECT_EQ(8u, replica->applied_seq());
+}
+
+// Applying a window changes what a principal may do; a cached access
+// decision on the replica must not outlive it, whichever door it came in by.
+TEST_F(ReplWindowTest, AppliedWindowRefreshesCachedAccess) {
+  JournalEntry grant{5, clock_.Now(), "root", "test", "add_member_to_list",
+                     {"dbadmin", "USER", "jrandom"}};
+  grant.epoch = 1;
+  for (bool push : {true, false}) {
+    SCOPED_TRACE(push ? "push" : "fetch");
+    WindowRow row{"grant", 1, 4, 1, {}, false, {}, 0, std::nullopt, 0, false};
+    std::unique_ptr<MoiraServer> source = Source(row);
+    source->journal().Append(grant);
+    std::unique_ptr<ReplicaServer> replica = MakeReplica("r1");
+    ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+    // dbadmin is the ACL of every query, as on a built site.
+    QueryRegistry::Instance().SeedCapacls(replica->context(), "dbadmin");
+    MrClient user(HandlerConnector(replica.get()));
+    user.SetKerberosIdentity(realm_.get(), "jrandom", "hunter2");
+    ASSERT_EQ(MR_SUCCESS, user.Connect());
+    ASSERT_EQ(MR_SUCCESS, user.Auth("test"));
+    EXPECT_EQ(MR_PERM, user.Access("add_machine", {"acl.mit.edu", "VAX"}));
+    if (push) {
+      MrClient pusher = MakePusher(replica.get());
+      ASSERT_EQ(MR_SUCCESS, pusher.ReplPush(1, 4, 1, {grant.ToLine()}));
+    } else {
+      replica->SetPrimaryLink(HandlerConnector(source.get()), "root", "rootpw");
+      ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
+    }
+    ASSERT_EQ(5u, replica->applied_seq());
+    EXPECT_EQ(MR_SUCCESS, user.Access("add_machine", {"acl.mit.edu", "VAX"}));
+  }
+}
+
+// A quorum peer that acknowledges every window it is pushed, except that it
+// can answer one push MR_REPL_BEHIND at a position below what it acked
+// before, as a replica does after a restart or a condemned suffix.
+class RewindingPeer final : public QuorumPeer {
+ public:
+  struct Window {
+    uint64_t prev_seq = 0;
+    uint64_t prev_epoch = 0;
+    std::vector<uint64_t> seqs;
+  };
+
+  const std::string& name() const override { return name_; }
+
+  int32_t Push(uint64_t epoch, uint64_t prev_seq, uint64_t prev_epoch,
+               const std::vector<std::string>& lines, uint64_t* applied_seq,
+               uint64_t* peer_epoch) override {
+    Window window{prev_seq, prev_epoch, {}};
+    for (const std::string& line : lines) {
+      window.seqs.push_back(JournalEntry::FromLine(line).value().seq);
+    }
+    pushes.push_back(window);
+    *peer_epoch = epoch;
+    if (behind_at.has_value()) {
+      *applied_seq = *behind_at;
+      behind_at.reset();
+      return MR_REPL_BEHIND;
+    }
+    *applied_seq = window.seqs.empty() ? prev_seq : window.seqs.back();
+    return MR_SUCCESS;
+  }
+
+  std::optional<uint64_t> behind_at;
+  std::vector<Window> pushes;
+
+ private:
+  std::string name_ = "peer";
+};
+
+TEST_F(ReplTest, QuorumGateRewindsToTheBehindPeersPosition) {
+  ServerOptions options;
+  options.write_quorum = 2;
+  MoiraServer gated(mc_.get(), realm_.get(), options);
+  RewindingPeer peer;
+  gated.SetQuorumPeers({&peer});
+  MrClient admin(HandlerConnector(&gated));
+  admin.SetKerberosIdentity(realm_.get(), "root", "rootpw");
+  ASSERT_EQ(MR_SUCCESS, admin.Connect());
+  ASSERT_EQ(MR_SUCCESS, admin.Auth("ops"));
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(MR_SUCCESS, admin.Query("add_machine",
+                                      {MachineName("q", i), "VAX"},
+                                      [](Tuple) {}));
+  }
+  ASSERT_EQ(3u, peer.pushes.size());
+  EXPECT_EQ(2u, peer.pushes[2].prev_seq);
+  EXPECT_EQ(std::vector<uint64_t>{3}, peer.pushes[2].seqs);
+  // The peer lost entries 2..3: it answers the next push at position 1.
+  peer.behind_at = 1;
+  ASSERT_EQ(MR_SUCCESS, admin.Query("add_machine", {"q4.mit.edu", "VAX"}, [](Tuple) {}));
+  ASSERT_EQ(5u, peer.pushes.size());
+  EXPECT_EQ(3u, peer.pushes[3].prev_seq);
+  EXPECT_EQ(std::vector<uint64_t>{4}, peer.pushes[3].seqs);
+  // The re-window starts right after the position the peer reported.
+  EXPECT_EQ(1u, peer.pushes[4].prev_seq);
+  EXPECT_EQ(1u, peer.pushes[4].prev_epoch);
+  EXPECT_EQ((std::vector<uint64_t>{2, 3, 4}), peer.pushes[4].seqs);
+  EXPECT_EQ(1u, gated.quorum_stats().push_failures);
 }
 
 }  // namespace

@@ -641,7 +641,7 @@ TEST_F(RestoreE2ETest, RestartTruncationReplicaBootstrapAndFaults) {
   // gapped range starting at seq 8 and the replica silently diverged.
   MrClient admin2 = MakeAdmin();
   EXPECT_EQ(MR_REPL_TRUNCATED,
-            admin2.ReplFetch("probe", 1, 100, [](Tuple) { FAIL() << "gapped stream"; }));
+            admin2.ReplFetch("probe", 1, 100, 0, [](Tuple) { FAIL() << "gapped stream"; }));
 
   // The lagging replica reconnects behind the cut (applied_seq 4 < base 7):
   // its fetch from seq 5 answers MR_REPL_TRUNCATED and it falls back to a
